@@ -42,7 +42,10 @@ class Hypergraph:
         vertex_sets = []
         weights = []
         for vertices, weight in edges:
-            vs = tuple(sorted({int(v) for v in vertices}))
+            listed = list(map(int, vertices))
+            vs = tuple(sorted(set(listed)))
+            if len(vs) != len(listed):
+                raise ValueError(f"hyperedge {tuple(listed)} repeats a vertex")
             if len(vs) < 2:
                 raise ValueError(
                     f"hyperedge {vs} needs at least 2 distinct vertices"

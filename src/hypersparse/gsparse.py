@@ -1,9 +1,10 @@
 """Spectral sparsification of star underlying graphs by resistance sampling.
 
 Edges are drawn i.i.d. with probability proportional to weight times
-(approximate) effective resistance; each draw deposits c_f / (q p_f) on its
-label, so expected output weights match the input exactly and the flattened
-Laplacian is a (1 +- eps) spectral approximation with high probability.
+effective resistance (exact on dense Laplacians, sketched above them; see
+`linalg.edge_resistances`); each draw deposits c_f / (q p_f) on its label, so
+expected output weights match the input exactly and the flattened Laplacian
+is a (1 +- eps) spectral approximation with high probability.
 """
 
 from __future__ import annotations
@@ -13,31 +14,22 @@ import math
 import numpy as np
 
 from .core import UnderlyingGraph, flatten
-from .linalg import build_sketch, resistance_table, sketch_resistance_many
+from .linalg import edge_resistances
 from .seeding import derive_seed
 
 __all__ = ["sparsify_graph", "sample_size", "DEFAULT_OVERSAMPLE", "INTERNAL_SKETCH_EPS"]
 
 DEFAULT_OVERSAMPLE = 9.0
-# Constant-factor resistance error only perturbs sampling probabilities and is
-# absorbed by the oversampling constant, so the internal sketch accuracy does
-# not track the target eps.
+# Accuracy of the resistance sketch, used only when the Laplacian is too large
+# for the dense pseudo-inverse (smaller graphs get exact resistances). Constant-
+# factor resistance error only perturbs sampling probabilities and is absorbed
+# by the oversampling constant, so it does not track the target eps.
 INTERNAL_SKETCH_EPS = 0.3
 
 
 def sample_size(n: int, eps: float, oversample: float = DEFAULT_OVERSAMPLE) -> int:
     """Number of i.i.d. edge draws: ceil(oversample * n * ln(n) / eps^2)."""
     return math.ceil(oversample * n * math.log(n) / eps**2)
-
-
-def _support_resistances(U, support, exact_resistances, sketch_eps, seed):
-    G = flatten(U)
-    tails = np.repeat(U.anchors, U.star_sizes())
-    if exact_resistances:
-        table = resistance_table(G)
-        return table[tails[support], U.star_v[support]]
-    sketch = build_sketch(G, sketch_eps, derive_seed(seed, "gsparse/sketch"))
-    return sketch_resistance_many(sketch, tails[support], U.star_v[support])
 
 
 def sparsify_graph(
@@ -47,7 +39,6 @@ def sparsify_graph(
     *,
     oversample: float = DEFAULT_OVERSAMPLE,
     sketch_eps: float = INTERNAL_SKETCH_EPS,
-    exact_resistances: bool = False,
 ) -> UnderlyingGraph:
     """Reweighted sub-multigraph over the same label space.
 
@@ -63,7 +54,14 @@ def sparsify_graph(
     if len(support) == 0:
         return U.with_weights(np.zeros_like(weights))
 
-    res = _support_resistances(U, support, exact_resistances, sketch_eps, seed)
+    tails = np.repeat(U.anchors, U.star_sizes())
+    res = edge_resistances(
+        flatten(U),
+        tails[support],
+        U.star_v[support],
+        sketch_eps,
+        derive_seed(seed, "gsparse/sketch"),
+    )
     masses = weights[support] * res
     probs = masses / masses.sum()
 

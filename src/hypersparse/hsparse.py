@@ -116,9 +116,11 @@ def sparsify_hypergraph(
     """Sample M = ceil(C n ln(n) ln(r) / eps^2) hyperedges against the
     overestimate scores and accumulate reweighted contributions.
 
-    The overestimate runs at graph and sketch accuracy 0.1 with the rank-driven
-    round count unless a precomputed result is supplied. Only hyperedges with
-    accumulated weight > 0 appear in the output, at most min(M, m) distinct.
+    Unless a precomputed result is supplied, the overestimate runs with the
+    rank-driven round count, a graph sparsifier at accuracy 0.1 per round, and
+    exact resistances on it (a sketch at accuracy 0.1 above DENSE_LIMIT
+    vertices). Only hyperedges with accumulated weight > 0 appear in the
+    output, at most min(M, m) distinct.
     """
     if overestimate is None:
         ov_cfg = OverestimateConfig(

@@ -4,6 +4,10 @@ Small systems (n <= 512 by default) are solved through a cached dense
 eigendecomposition pseudo-inverse; larger ones fall back to Jacobi-preconditioned
 conjugate gradients on the Laplacian. Connectivity is tracked per component and
 resistance queries across components are hard errors rather than infinities.
+
+`edge_resistances` is the one entry point for per-edge resistances: exact
+values from the pseudo-inverse on the dense representation, and a
+Johnson-Lindenstrauss sketch only above it, where no pseudo-inverse exists.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "build_sketch",
     "sketch_resistance",
     "sketch_resistance_many",
+    "edge_resistances",
     "foster_sum",
 ]
 
@@ -36,6 +41,8 @@ SKETCH_ROW_FACTOR = 24.0
 RESISTANCE_FLOOR = 1e-15
 CG_TOL = 1e-10
 CG_ITER_FACTOR = 20
+# Largest p x k float64 block a batched sketch query materialises at once.
+QUERY_BLOCK_BYTES = 1 << 25
 
 
 class DisconnectedError(ValueError):
@@ -274,15 +281,48 @@ def sketch_resistance(S: ResistanceSketch, a: int, b: int) -> float:
 
 
 def sketch_resistance_many(S: ResistanceSketch, a, b) -> np.ndarray:
-    """Vectorized sketched resistances for aligned vertex arrays a, b."""
+    """Vectorized sketched resistances for aligned vertex arrays a, b.
+
+    Pairs are taken in column blocks so no temporary exceeds
+    QUERY_BLOCK_BYTES (at least one column per block).
+    """
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if (a == b).any():
         raise ValueError("resistance requires distinct vertices")
     if (S.components[a] != S.components[b]).any():
         raise DisconnectedError("query pair spans two components")
-    D = S.Z[:, a] - S.Z[:, b]
-    return np.maximum(np.einsum("ij,ij->j", D, D), RESISTANCE_FLOOR)
+    out = np.empty(len(a))
+    block = max(1, QUERY_BLOCK_BYTES // (8 * S.p))
+    for start in range(0, len(a), block):
+        stop = start + block
+        D = S.Z[:, a[start:stop]] - S.Z[:, b[start:stop]]
+        out[start:stop] = np.einsum("ij,ij->j", D, D)
+    return np.maximum(out, RESISTANCE_FLOOR)
+
+
+def edge_resistances(G: WeightedGraph, a, b, eps_sketch: float, seed: int) -> np.ndarray:
+    """Resistances in G between aligned vertex arrays a and b.
+
+    On the dense representation (n <= DENSE_LIMIT) the values are exact,
+    read from `resistance_table`, which costs O(n^2) on top of the cached
+    pseudo-inverse; a sketch there would start from the same pseudo-inverse
+    and add work on top of it. Above that the sketch at eps_sketch and seed
+    is built and queried, so each value is within (1 +- eps_sketch) with high
+    probability. Both paths clamp at RESISTANCE_FLOOR and raise
+    DisconnectedError for a cross-component pair.
+    """
+    L = build_laplacian(G)
+    if not L.is_dense:
+        return sketch_resistance_many(build_sketch(G, eps_sketch, seed), a, b)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if (a == b).any():
+        raise ValueError("resistance requires distinct vertices")
+    res = resistance_table(G, L)[a, b]
+    if np.isinf(res).any():
+        raise DisconnectedError("query pair spans two components")
+    return np.maximum(res, RESISTANCE_FLOOR)
 
 
 def foster_sum(G: WeightedGraph) -> float:

@@ -1,7 +1,8 @@
 """Iterative reweighting that yields per-hyperedge leverage-score overestimates.
 
-Each round sparsifies the current star underlying graph, sketches effective
-resistances on the sparsifier, records slot leverages c~ * R~, and reassigns
+Each round sparsifies the current star underlying graph, takes effective
+resistances on the sparsifier (exact on dense Laplacians, sketched above them;
+see `linalg.edge_resistances`), records slot leverages c~ * R~, and reassigns
 each hyperedge's weight across its star in proportion to those leverages. The
 averaged per-star leverage mass, scaled by a factor depending on the rank and
 the two accuracy knobs, upper-bounds the true hyperedge leverage scores of the
@@ -18,12 +19,7 @@ import numpy as np
 
 from .core import Hypergraph, UnderlyingGraph, flatten, init_underlying
 from .gsparse import DEFAULT_OVERSAMPLE, sparsify_graph
-from .linalg import (
-    DisconnectedError,
-    build_sketch,
-    resistance_table,
-    sketch_resistance_many,
-)
+from .linalg import DENSE_LIMIT, DisconnectedError, edge_resistances, resistance_table
 from .seeding import derive_seed
 
 __all__ = [
@@ -59,9 +55,12 @@ class OverestimateConfig:
 
     rounds: number of reweighting rounds (T >= 1).
     graph_eps: accuracy of the per-round graph sparsifier (alpha_1).
-    sketch_eps: accuracy of the per-round resistance sketch (alpha_2).
-    exact: bypass sparsification (identity) and sketching (exact resistances),
-        separating algorithmic correctness from stochastic error.
+    sketch_eps: accuracy of the per-round resistance sketch (alpha_2), which
+        only runs above DENSE_LIMIT vertices; the mass bound keeps its
+        (1 + sketch_eps) factor either way.
+    exact: bypass sparsification (identity) so resistances are exact on the
+        full graph, separating algorithmic correctness from stochastic error.
+        Needs n <= DENSE_LIMIT.
     """
 
     rounds: int
@@ -149,38 +148,25 @@ def weight_compute(U: UnderlyingGraph, resistances, H: Hypergraph) -> Underlying
     return U.with_weights(new_weights)
 
 
-def _round_resistances(sparse_u: UnderlyingGraph, exact: bool, sketch_eps: float, seed: int) -> np.ndarray:
-    """Per-slot resistances on the (possibly sparsified) graph; 0 off support."""
-    tails = np.repeat(sparse_u.anchors, sparse_u.star_sizes())
-    support = np.flatnonzero(sparse_u.weights > 0.0)
-    out = np.zeros(sparse_u.slot_count)
-    if len(support) == 0:
-        return out
-    if exact:
-        table = resistance_table(flatten(sparse_u))
-        out[support] = table[tails[support], sparse_u.star_v[support]]
-    else:
-        sketch = build_sketch(flatten(sparse_u), sketch_eps, seed)
-        out[support] = sketch_resistance_many(
-            sketch, tails[support], sparse_u.star_v[support]
-        )
-    return out
-
-
 def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig | None = None) -> OverestimateResult:
     """Run the iterative reweighting and aggregate per-hyperedge scores.
 
     Round 1 starts from the uniform star initialization; round t sparsifies
-    the current graph at graph_eps, sketches resistances on the sparsifier at
-    sketch_eps, records slot leverages, and reassigns weights for round t + 1.
-    The final score of hyperedge e is scale * (1 / T) * sum over rounds and
-    star slots of the recorded leverages, and the total mass is asserted
-    against (1 + sketch_eps) * scale * n.
+    the current graph at graph_eps, takes resistances on the sparsifier's
+    support through `edge_resistances` (exact up to DENSE_LIMIT vertices,
+    sketched at sketch_eps above), records slot leverages, and reassigns
+    weights for round t + 1. Slots off the support get resistance 0. The
+    final score of hyperedge e is scale * (1 / T) * sum over rounds and star
+    slots of the recorded leverages, and the total mass is asserted against
+    (1 + sketch_eps) * scale * n. Exact mode needs the dense representation.
     """
     if cfg is None:
         cfg = OverestimateConfig(rounds=default_rounds(H.rank))
+    if cfg.exact and H.n > DENSE_LIMIT:
+        raise ValueError(f"exact mode needs n <= {DENSE_LIMIT}, got n = {H.n}")
     U = init_underlying(H)
     slot_edges = U.slot_edges()
+    tails = np.repeat(U.anchors, U.star_sizes())
     acc = np.zeros(H.m)
     rounds: list[RoundRecord] = []
     for t in range(cfg.rounds):
@@ -193,9 +179,12 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig | None = None) -
                 derive_seed(cfg.seed, f"overestimate/round{t}/graph"),
                 oversample=cfg.oversample,
             )
-        res = _round_resistances(
-            sparse_u,
-            cfg.exact,
+        support = np.flatnonzero(sparse_u.weights > 0.0)
+        res = np.zeros(sparse_u.slot_count)
+        res[support] = edge_resistances(
+            flatten(sparse_u),
+            tails[support],
+            sparse_u.star_v[support],
             cfg.sketch_eps,
             derive_seed(cfg.seed, f"overestimate/round{t}/sketch"),
         )

@@ -168,9 +168,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             Hypergraph(3, [((1,), 1.0)])
 
-    def test_duplicate_vertices_collapse_then_reject(self):
+    def test_duplicate_vertices_rejected(self):
         with pytest.raises(ValueError):
             Hypergraph(3, [((1, 1), 1.0)])
+        with pytest.raises(ValueError):
+            Hypergraph(3, [((0, 0, 1), 1.0)])
 
     def test_vertex_out_of_range(self):
         with pytest.raises(ValueError):

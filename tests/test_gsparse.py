@@ -27,7 +27,7 @@ class TestSamplingMasses:
         totals = np.zeros(U.slot_count)
         runs = 10_000
         for seed in range(runs):
-            out = sparsify_graph(U, 0.5, seed, exact_resistances=True)
+            out = sparsify_graph(U, 0.5, seed)
             totals += out.weights
         means = totals / runs
         # Uniform bridges: each label is Binomial(q, 1/k) scaled by c/(q p).

@@ -4,15 +4,20 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from hypersparse import linalg
 from hypersparse.core import WeightedGraph
 from hypersparse.linalg import (
+    DENSE_LIMIT,
+    RESISTANCE_FLOOR,
     DisconnectedError,
     build_laplacian,
     build_sketch,
+    edge_resistances,
     effective_resistance_exact,
     foster_sum,
     resistance_table,
     sketch_resistance,
+    sketch_resistance_many,
     sketch_rows,
     solve_laplacian,
 )
@@ -226,6 +231,80 @@ class TestSketch:
         G = WeightedGraph(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             build_sketch(G, 1.5, seed=0)
+
+
+class TestSketchQueryBlocks:
+    @staticmethod
+    def one_shot(S, a, b):
+        D = S.Z[:, a] - S.Z[:, b]
+        return np.maximum(np.einsum("ij,ij->j", D, D), RESISTANCE_FLOOR)
+
+    @pytest.mark.parametrize("columns", [1, 3, 7])
+    def test_small_budget_matches_one_shot(self, monkeypatch, columns):
+        G = random_weighted_graph(31, n=15, m=40)
+        S = build_sketch(G, 0.5, seed=4)
+        a, b = np.triu_indices(G.n, k=1)
+        expected = self.one_shot(S, a, b)
+        monkeypatch.setattr(linalg, "QUERY_BLOCK_BYTES", 8 * S.p * columns)
+        np.testing.assert_array_equal(sketch_resistance_many(S, a, b), expected)
+
+    def test_more_pairs_than_one_block(self):
+        G = random_weighted_graph(32, n=40, m=120)
+        S = build_sketch(G, 0.1, seed=5)
+        block = linalg.QUERY_BLOCK_BYTES // (8 * S.p)
+        rng = np.random.default_rng(0)
+        a = rng.integers(0, G.n, size=2 * block + 17)
+        b = (a + rng.integers(1, G.n, size=len(a))) % G.n
+        assert len(a) > block
+        np.testing.assert_array_equal(sketch_resistance_many(S, a, b), self.one_shot(S, a, b))
+
+    def test_empty_query(self):
+        S = build_sketch(path_graph(4), 0.5, seed=0)
+        assert sketch_resistance_many(S, [], []).shape == (0,)
+
+
+class TestEdgeResistances:
+    @staticmethod
+    def check_dense(G, a, b):
+        got = edge_resistances(G, a, b, 0.3, seed=0)
+        np.testing.assert_allclose(got, resistance_table(G)[a, b], rtol=0.0, atol=1e-12)
+        # Independent of the cached eigendecomposition: an SVD pseudo-inverse.
+        P = np.linalg.pinv(build_laplacian(G).matrix)
+        np.testing.assert_allclose(got, P[a, a] + P[b, b] - 2.0 * P[a, b], rtol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dense_matches_table(self, seed):
+        G = random_weighted_graph(40 + seed, n=12 + 4 * seed, m=30 + 10 * seed)
+        self.check_dense(G, *np.triu_indices(G.n, k=1))
+
+    def test_dense_disconnected_within_components(self):
+        G = WeightedGraph(7, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (3, 4, 1.5), (4, 5, 3.0)])
+        self.check_dense(G, np.array([0, 2, 1, 3, 5, 4]), np.array([1, 0, 2, 4, 3, 5]))
+
+    def test_cross_component_pair_raises(self):
+        G = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+        with pytest.raises(DisconnectedError):
+            edge_resistances(G, [0, 1], [1, 2], 0.3, seed=0)
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError):
+            edge_resistances(path_graph(3), [0, 1], [1, 1], 0.3, seed=0)
+
+    def test_clamped_at_floor(self):
+        # A huge conductance pushes the exact resistance to the rounding level.
+        G = WeightedGraph(3, [(0, 1, 1e300), (1, 2, 1.0)])
+        assert edge_resistances(G, [0], [1], 0.3, seed=0)[0] == RESISTANCE_FLOOR
+
+    def test_sketch_branch_within_envelope(self):
+        eps = 0.5
+        G = random_weighted_graph(50, n=DENSE_LIMIT + 8, m=4 * (DENSE_LIMIT + 8))
+        assert not build_laplacian(G).is_dense
+        pairs = [(0, 1), (3, 300), (17, 518), (100, 200), (250, 5)]
+        a, b = map(np.array, zip(*pairs))
+        got = edge_resistances(G, a, b, eps, seed=2)
+        for (u, v), value in zip(pairs, got):
+            exact = effective_resistance_exact(G, u, v)
+            assert (1.0 - eps) * exact <= value <= (1.0 + eps) * exact
 
 
 class TestFosterSum:

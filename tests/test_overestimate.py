@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hypersparse.core import Hypergraph, flatten, init_underlying
-from hypersparse.linalg import DisconnectedError, resistance_table
+from hypersparse.linalg import DENSE_LIMIT, DisconnectedError, resistance_table
 from hypersparse.overestimate import (
     OverestimateConfig,
     compute_overestimate,
@@ -84,12 +84,18 @@ class TestComputeOverestimate:
 
     def test_single_pair_stochastic_stays_in_sketch_envelope(self):
         # One label: sampling must return it with its full weight, so the only
-        # noise left is the sketched resistance of the unit edge.
+        # noise left is the resistance of the unit edge (exact at this size,
+        # sketched only above DENSE_LIMIT vertices).
         H = Hypergraph(2, [((0, 1), 1.0)])
         scale = OverestimateConfig(rounds=1).scale(2)
         for seed in range(20):
             res = compute_overestimate(H, OverestimateConfig(rounds=1, seed=seed))
             assert 0.9 * scale <= res.scores[0] <= 1.1 * scale
+
+    def test_exact_mode_needs_dense_representation(self):
+        H = Hypergraph(DENSE_LIMIT + 1, [((0, 1), 1.0)])
+        with pytest.raises(ValueError, match="exact mode"):
+            compute_overestimate(H, OverestimateConfig(rounds=1, exact=True))
 
     def test_mass_bound_holds_on_stochastic_runs(self):
         for seed in range(5):
