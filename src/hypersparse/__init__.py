@@ -6,12 +6,13 @@ and ships exhaustive verification oracles plus approximate mincut solvers.
 """
 
 from .core import (
+    HyperedgeError,
     Hypergraph,
     UnderlyingGraph,
     WeightedGraph,
     cut_value,
+    energies,
     flatten,
-    hyperedge_energy,
     init_underlying,
     total_energy,
 )

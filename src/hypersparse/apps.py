@@ -61,12 +61,14 @@ def lawler_reduction(H: Hypergraph, s: int, t: int) -> FlowNetwork:
     if not (0 <= s < H.n and 0 <= t < H.n):
         raise ValueError("source/sink outside the vertex range")
     unlimited = float(H.weights.sum()) * (1.0 + _SENTINEL_MARGIN)
+    indices = H.indices.tolist()
+    bounds = H.indptr.tolist()
     arcs = []
-    for e, vs in enumerate(H.vertex_sets):
+    for e, w in enumerate(H.weights.tolist()):
         e_in = H.n + 2 * e
         e_out = e_in + 1
-        arcs.append((e_in, e_out, float(H.weights[e])))
-        for v in vs:
+        arcs.append((e_in, e_out, w))
+        for v in indices[bounds[e]:bounds[e + 1]]:
             arcs.append((v, e_in, unlimited))
             arcs.append((e_out, v, unlimited))
     return FlowNetwork(H.n + 2 * H.m, tuple(arcs), s, t)
@@ -174,27 +176,6 @@ def max_flow(net: FlowNetwork) -> float:
     return _max_flow_with_side(net)[0]
 
 
-def _star_expansion_components(H: Hypergraph) -> list[set]:
-    parent = list(range(H.n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for vs, w in zip(H.vertex_sets, H.weights):
-        if w <= 0.0:
-            continue
-        root = find(vs[0])
-        for v in vs[1:]:
-            parent[find(v)] = root
-    groups: dict[int, set] = {}
-    for v in range(H.n):
-        groups.setdefault(find(v), set()).add(v)
-    return list(groups.values())
-
-
 def _sparsify_for_apps(H, eps, cfg):
     budget = eps / 3.0
     if cfg is None:
@@ -224,10 +205,6 @@ def st_mincut(
 
 
 def _global_mincut_exact(H: Hypergraph, source: int = 0) -> tuple[float, frozenset]:
-    components = _star_expansion_components(H)
-    if len(components) > 1:
-        witness = next(c for c in components if source in c)
-        return 0.0, frozenset(witness)
     best = np.inf
     best_side: frozenset = frozenset()
     for t in range(H.n):
@@ -237,6 +214,11 @@ def _global_mincut_exact(H: Hypergraph, source: int = 0) -> tuple[float, frozens
         if value < best:
             best = value
             best_side = frozenset(v for v in side if v < H.n)
+            if best == 0.0:
+                # Only positive-weight gadgets carry residual capacity, so
+                # a zero flow leaves the source side equal to the source's
+                # component: no cut is smaller.
+                break
     return float(best), best_side
 
 

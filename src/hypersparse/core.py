@@ -3,92 +3,146 @@
 Vertices are 0-indexed ids below a fixed count n. A hyperedge is a set of at
 least two distinct vertices with a nonnegative weight; weight-0 hyperedges are
 kept in storage but contribute nothing to energies, cuts, or sampling.
+
+A hypergraph is stored in CSR layout (flat `indices`, per-hyperedge `indptr`
+offsets), so every pass over it is linear in the total hyperedge size.
+`energies` is the one energy kernel; `total_energy` and `cut_value` read it.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 __all__ = [
     "Hypergraph",
+    "HyperedgeError",
     "WeightedGraph",
     "UnderlyingGraph",
-    "hyperedge_energy",
+    "energies",
     "total_energy",
     "cut_value",
     "init_underlying",
     "flatten",
 ]
 
+# Largest hyperedges-by-directions float64 block the energy kernel gathers.
+ENERGY_BLOCK_BYTES = 1 << 22
+
+
+class HyperedgeError(ValueError):
+    """Invalid hyperedge; `edge` is its 0-based position in the input."""
+
+    def __init__(self, edge: int, message: str):
+        super().__init__(f"hyperedge {edge}: {message}")
+        self.edge = edge
+
 
 class Hypergraph:
-    """Immutable weighted hypergraph on vertices 0..n-1.
+    """Immutable weighted hypergraph on vertices 0..n-1, in CSR layout.
 
-    Attributes:
+    Attributes (arrays read-only):
         n: vertex count.
-        vertex_sets: tuple of sorted vertex-id tuples, one per hyperedge.
-        weights: read-only float array of hyperedge weights, aligned with
-            vertex_sets.
+        indptr: int64 offsets; hyperedge e is indices[indptr[e]:indptr[e + 1]].
+        indices: int64 vertex ids, ascending inside each hyperedge.
+        weights: float hyperedge weights, one per hyperedge.
+
+    `Hypergraph(n, edges)` takes (vertices, weight) pairs, `from_arrays` the
+    three arrays; both sort each hyperedge and validate alike.
     """
 
-    __slots__ = ("n", "vertex_sets", "weights")
+    __slots__ = ("n", "indptr", "indices", "weights")
 
     def __init__(self, n, edges):
-        n = int(n)
+        sizes, flat, weights = [], [], []
+        for vertices, weight in edges:
+            before = len(flat)
+            flat.extend(map(int, vertices))
+            sizes.append(len(flat) - before)
+            weights.append(float(weight))
+        indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        self._init_arrays(int(n), indptr, np.array(flat, dtype=np.int64), np.array(weights))
+
+    @classmethod
+    def from_arrays(cls, n, indptr, indices, weights) -> "Hypergraph":
+        self = cls.__new__(cls)
+        self._init_arrays(
+            int(n),
+            np.array(indptr, dtype=np.int64),
+            np.array(indices, dtype=np.int64),
+            np.array(weights, dtype=float),
+        )
+        return self
+
+    def _init_arrays(self, n, indptr, indices, weights):
         if n < 1:
             raise ValueError("vertex count must be positive")
-        vertex_sets = []
-        weights = []
-        for vertices, weight in edges:
-            listed = list(map(int, vertices))
-            vs = tuple(sorted(set(listed)))
-            if len(vs) != len(listed):
-                raise ValueError(f"hyperedge {tuple(listed)} repeats a vertex")
-            if len(vs) < 2:
-                raise ValueError(
-                    f"hyperedge {vs} needs at least 2 distinct vertices"
-                )
-            if vs[0] < 0 or vs[-1] >= n:
-                raise ValueError(f"hyperedge {vs} has vertex ids outside [0, {n})")
-            w = float(weight)
-            if not (w >= 0.0 and math.isfinite(w)):
-                raise ValueError(f"hyperedge weight {w} is not a finite nonnegative number")
-            vertex_sets.append(vs)
-            weights.append(w)
-        if not vertex_sets:
+        if len(weights) == 0:
             raise ValueError("hypergraph must contain at least one hyperedge")
+        sizes = np.diff(indptr)
+        if (indptr.ndim != 1 or indices.ndim != 1 or len(sizes) != len(weights)
+                or indptr[0] != 0 or indptr[-1] != len(indices) or (sizes < 0).any()):
+            raise ValueError("indptr must rise from 0 to len(indices), one step per hyperedge")
+        if (sizes < 2).any():
+            raise HyperedgeError(int(np.argmax(sizes < 2)), "needs at least 2 vertices")
+        outside = (indices < 0) | (indices >= n)
+        if outside.any():
+            e = int(np.searchsorted(indptr, np.argmax(outside), side="right")) - 1
+            raise HyperedgeError(e, f"has a vertex id outside the {n} vertices")
+        bad = ~((weights >= 0.0) & np.isfinite(weights))
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise HyperedgeError(e, f"weight {weights[e]} is not a finite nonnegative number")
+        # Sort unless every hyperedge already rises (the key edge * n + vertex
+        # keeps hyperedges in place); a remaining tie is a repeated vertex.
+        edge_of = np.repeat(np.arange(len(weights)), sizes)
+        inner = edge_of[1:] == edge_of[:-1]
+        if (np.diff(indices)[inner] <= 0).any():
+            indices = np.sort(edge_of * n + indices) - edge_of * n
+            repeat = inner & (np.diff(indices) == 0)
+            if repeat.any():
+                raise HyperedgeError(int(edge_of[1:][repeat][0]), "repeats a vertex")
+        for arr in (indptr, indices, weights):
+            arr.flags.writeable = False
         self.n = n
-        self.vertex_sets = tuple(vertex_sets)
-        w_arr = np.asarray(weights, dtype=float)
-        w_arr.flags.writeable = False
-        self.weights = w_arr
+        self.indptr = indptr
+        self.indices = indices
+        self.weights = weights
 
     @property
     def m(self) -> int:
-        return len(self.vertex_sets)
+        return len(self.weights)
 
     @property
     def rank(self) -> int:
-        return max(len(vs) for vs in self.vertex_sets)
+        return int(np.diff(self.indptr).max())
 
     @property
-    def edges(self):
-        """Hyperedges as (vertex tuple, weight) pairs."""
-        return tuple(zip(self.vertex_sets, (float(w) for w in self.weights)))
+    def vertex_sets(self) -> tuple:
+        """Sorted vertex-id tuples, one per hyperedge, built from the arrays."""
+        ids, bounds = self.indices.tolist(), self.indptr.tolist()
+        return tuple(tuple(ids[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+
+    def size_groups(self, edges):
+        """For each hyperedge size among `edges`, yield the ids of that size
+        (ascending) and their vertices as a len(ids)-by-size array."""
+        sizes = np.diff(self.indptr)[edges]
+        for size in np.unique(sizes):
+            ids = edges[sizes == size]
+            yield ids, self.indices[self.indptr[ids][:, None] + np.arange(size)]
 
     def __eq__(self, other):
         if not isinstance(other, Hypergraph):
             return NotImplemented
         return (
             self.n == other.n
-            and self.vertex_sets == other.vertex_sets
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
             and np.array_equal(self.weights, other.weights)
         )
 
     def __hash__(self):
-        return hash((self.n, self.vertex_sets, self.weights.tobytes()))
+        return hash((self.n, self.indptr.tobytes(), self.indices.tobytes(), self.weights.tobytes()))
 
     def __repr__(self):
         return f"Hypergraph(n={self.n}, m={self.m}, rank={self.rank})"
@@ -142,11 +196,6 @@ class WeightedGraph:
     def m(self) -> int:
         return len(self.w)
 
-    def edge_list(self):
-        return [
-            (int(a), int(b), float(c)) for a, b, c in zip(self.u, self.v, self.w)
-        ]
-
     def __repr__(self):
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
@@ -188,9 +237,6 @@ class UnderlyingGraph:
     def slot_count(self) -> int:
         return len(self.weights)
 
-    def star_slice(self, e: int) -> slice:
-        return slice(int(self.offsets[e]), int(self.offsets[e + 1]))
-
     def star_sizes(self) -> np.ndarray:
         return np.diff(self.offsets)
 
@@ -205,14 +251,6 @@ class UnderlyingGraph:
     def with_weights(self, weights) -> "UnderlyingGraph":
         """Same label space (base, anchors, slots), new slot weights."""
         return UnderlyingGraph(self.base, self.anchors, self.star_v, self.offsets, weights)
-
-    def weight_map(self) -> dict:
-        """Mapping (hyperedge index, non-anchor vertex) -> slot weight."""
-        out = {}
-        edges = self.slot_edges()
-        for k in range(self.slot_count):
-            out[(int(edges[k]), int(self.star_v[k]))] = float(self.weights[k])
-        return out
 
     def validate_star_sums(self, rel_tol: float = 1e-9) -> None:
         """Check the per-star weight-conservation constraint; raise if violated."""
@@ -230,21 +268,31 @@ class UnderlyingGraph:
         return f"UnderlyingGraph(n={self.base.n}, m={self.base.m}, slots={self.slot_count})"
 
 
-def hyperedge_energy(vertices, x) -> float:
-    """Largest squared coordinate gap over one hyperedge's vertices.
-
-    Equals max over vertex pairs {i, j} of (x_i - x_j)^2, which for a
-    two-vertex edge is the ordinary graph quadratic-form term.
+def energies(H: Hypergraph, X) -> np.ndarray:
+    """Weighted energy of each column x of the n-by-k matrix X:
+    sum over hyperedges e of w_e (max_{v in e} x_v - min_{v in e} x_v)^2,
+    the largest squared gap over e's vertex pairs (the graph quadratic-form
+    term at size 2). Zero-weight hyperedges are skipped. Hyperedges of one
+    size go together, in blocks of at most ENERGY_BLOCK_BYTES of gathered
+    coordinates, keeping a running max and min over their i-th vertices.
     """
-    x = np.asarray(x, dtype=float)
-    idx = np.fromiter((int(v) for v in vertices), dtype=np.int64)
-    if len(idx) == 0:
-        raise ValueError("hyperedge is empty")
-    if idx.min() < 0 or idx.max() >= len(x):
-        raise ValueError("vertex id outside the range of x")
-    vals = x[idx]
-    gap = float(vals.max() - vals.min())
-    return gap * gap
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != H.n:
+        raise ValueError(f"expected an array with {H.n} rows, got shape {X.shape}")
+    out = np.zeros(X.shape[1])
+    rows = max(1, ENERGY_BLOCK_BYTES // (8 * max(X.shape[1], 1)))
+    for ids, members in H.size_groups(np.flatnonzero(H.weights > 0.0)):
+        for start in range(0, len(ids), rows):
+            block = members[start:start + rows]
+            hi = X[block[:, 0]]
+            lo = hi.copy()
+            for i in range(1, block.shape[1]):
+                vals = X[block[:, i]]
+                np.maximum(hi, vals, out=hi)
+                np.minimum(lo, vals, out=lo)
+            hi -= lo
+            out += H.weights[ids[start:start + rows]] @ (hi * hi)
+    return out
 
 
 def total_energy(H: Hypergraph, x) -> float:
@@ -252,61 +300,39 @@ def total_energy(H: Hypergraph, x) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (H.n,):
         raise ValueError(f"expected a length-{H.n} vector, got shape {x.shape}")
-    total = 0.0
-    for vs, w in zip(H.vertex_sets, H.weights):
-        if w <= 0.0:
-            continue
-        total += w * hyperedge_energy(vs, x)
-    return total
+    return float(energies(H, x[:, None])[0])
 
 
 def cut_value(H: Hypergraph, subset) -> float:
-    """Total weight of hyperedges with vertices on both sides of (S, V - S).
-
-    Equals total_energy(H, indicator of S).
-    """
-    members = np.zeros(H.n, dtype=bool)
-    for v in subset:
-        v = int(v)
-        if v < 0 or v >= H.n:
-            raise ValueError(f"vertex id {v} outside [0, {H.n})")
-        members[v] = True
-    total = 0.0
-    for vs, w in zip(H.vertex_sets, H.weights):
-        if w <= 0.0:
-            continue
-        inside = members[list(vs)]
-        if inside.any() and not inside.all():
-            total += w
-    return total
+    """Total weight of hyperedges with vertices on both sides of (S, V - S),
+    i.e. total_energy(H, indicator of S)."""
+    members = np.fromiter(map(int, subset), dtype=np.int64)
+    outside = members[(members < 0) | (members >= H.n)]
+    if len(outside):
+        raise ValueError(f"vertex id {outside[0]} outside [0, {H.n})")
+    indicator = np.zeros((H.n, 1))
+    indicator[members] = 1.0
+    return float(energies(H, indicator)[0])
 
 
-def init_underlying(H: Hypergraph, anchor_rule: str = "min", seed: int | None = None) -> UnderlyingGraph:
+def init_underlying(H: Hypergraph) -> UnderlyingGraph:
     """Initial star assignment: each slot of hyperedge e gets w_e / (|e| - 1).
 
-    anchor_rule "min" fixes a_e to the smallest vertex id of e; "random" draws
-    it per hyperedge from the seeded generator. Star sums equal w_e exactly.
+    The anchor a_e is the smallest vertex id of e (the first entry of its
+    sorted vertices), so the star's other vertices are the remaining
+    entries. Star sums equal w_e exactly.
     """
-    if anchor_rule == "min":
-        anchors = np.array([vs[0] for vs in H.vertex_sets], dtype=np.int64)
-    elif anchor_rule == "random":
-        rng = np.random.default_rng(seed)
-        anchors = np.array(
-            [vs[rng.integers(len(vs))] for vs in H.vertex_sets], dtype=np.int64
-        )
-    else:
-        raise ValueError(f"unknown anchor rule {anchor_rule!r}")
-
-    star_v = []
-    weights = []
-    offsets = [0]
-    for e, vs in enumerate(H.vertex_sets):
-        others = [v for v in vs if v != anchors[e]]
-        share = H.weights[e] / (len(vs) - 1)
-        star_v.extend(others)
-        weights.extend([share] * len(others))
-        offsets.append(len(star_v))
-    return UnderlyingGraph(H, anchors, star_v, offsets, weights)
+    starts = H.indptr[:-1]
+    others = np.ones(len(H.indices), dtype=bool)
+    others[starts] = False
+    slots = np.diff(H.indptr) - 1
+    return UnderlyingGraph(
+        H,
+        H.indices[starts],
+        H.indices[others],
+        H.indptr - np.arange(H.m + 1),
+        np.repeat(H.weights / slots, slots),
+    )
 
 
 def flatten(U: UnderlyingGraph) -> WeightedGraph:

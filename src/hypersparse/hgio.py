@@ -5,9 +5,9 @@ parse/serialize round trip is lossless."""
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
-from .core import Hypergraph
+from .core import HyperedgeError, Hypergraph
 
 __all__ = [
     "HgrFormatError",
@@ -27,12 +27,17 @@ class HgrFormatError(ValueError):
 
 
 def parse_hypergraph_text(text: str) -> Hypergraph:
-    """Parse file contents; '%' comment lines and blank lines are skipped."""
-    content = [
-        (i, line.strip())
-        for i, line in enumerate(text.splitlines(), start=1)
-        if line.strip() and not line.lstrip().startswith("%")
-    ]
+    """Parse file contents; '%' comment lines and blank lines are skipped.
+
+    Tokens are read here; the structural checks (sizes, vertex range,
+    repeated vertices, weights) are those of `Hypergraph.from_arrays`, whose
+    errors are reported against the hyperedge's line.
+    """
+    content = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("%"):
+            content.append((i, line))
     if not content:
         raise HgrFormatError(1, "missing header line")
 
@@ -58,30 +63,24 @@ def parse_hypergraph_text(text: str) -> Hypergraph:
     if len(body) > m:
         raise HgrFormatError(body[m][0], "unexpected extra line")
 
-    edges = []
-    for line_no, line in body:
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    ids = []
+    weights = np.empty(m)
+    for e, (line_no, line) in enumerate(body):
         tokens = line.split()
         try:
-            weight = float(tokens[0])
+            weights[e] = float(tokens[0])
         except ValueError:
             raise HgrFormatError(line_no, f"invalid weight {tokens[0]!r}") from None
-        if not (weight >= 0.0 and math.isfinite(weight)):
-            raise HgrFormatError(
-                line_no, f"weight {weight!r} is not a finite nonnegative number"
-            )
         try:
-            ids = [int(tok) for tok in tokens[1:]]
+            ids.extend(map(int, tokens[1:]))
         except ValueError:
             raise HgrFormatError(line_no, "invalid vertex id") from None
-        if len(ids) < 2:
-            raise HgrFormatError(line_no, "hyperedge needs at least 2 vertices")
-        if len(set(ids)) != len(ids):
-            raise HgrFormatError(line_no, "duplicate vertex in hyperedge")
-        for v in ids:
-            if not 1 <= v <= n:
-                raise HgrFormatError(line_no, f"vertex id {v} outside [1, {n}]")
-        edges.append(([v - 1 for v in ids], weight))
-    return Hypergraph(n, edges)
+        indptr[e + 1] = len(ids)
+    try:
+        return Hypergraph.from_arrays(n, indptr, np.array(ids, dtype=np.int64) - 1, weights)
+    except HyperedgeError as err:
+        raise HgrFormatError(body[err.edge][0], str(err)) from None
 
 
 def parse_hypergraph(path) -> Hypergraph:
@@ -91,9 +90,10 @@ def parse_hypergraph(path) -> Hypergraph:
 
 def serialize_hypergraph_text(H: Hypergraph) -> str:
     lines = [f"{H.m} {H.n} 1"]
-    for vs, w in zip(H.vertex_sets, H.weights):
-        ids = " ".join(str(v + 1) for v in vs)
-        lines.append(f"{float(w):.17g} {ids}")
+    ids = [str(v + 1) for v in H.indices.tolist()]
+    bounds = H.indptr.tolist()
+    for e, w in enumerate(H.weights.tolist()):
+        lines.append(f"{w:.17g} " + " ".join(ids[bounds[e]:bounds[e + 1]]))
     return "\n".join(lines) + "\n"
 
 

@@ -153,14 +153,16 @@ def sparsify_hypergraph(
         counts[sampled] * H.weights[sampled] * mass / (M * scores[sampled])
     )
 
-    keep = np.flatnonzero(new_weights > 0.0)
-    output = Hypergraph(
-        H.n, [(H.vertex_sets[e], new_weights[e]) for e in keep]
+    keep = new_weights > 0.0
+    sizes = np.diff(H.indptr)
+    indptr = np.concatenate([[0], np.cumsum(sizes[keep])])
+    output = Hypergraph.from_arrays(
+        H.n, indptr, H.indices[np.repeat(keep, sizes)], new_weights[keep]
     )
     return SparsifierReport(
         hypergraph=output,
         samples=M,
         mass_estimate=mass,
-        distinct_edges=len(keep),
+        distinct_edges=int(keep.sum()),
         seed=cfg.seed,
     )

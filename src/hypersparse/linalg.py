@@ -115,11 +115,10 @@ def build_laplacian(G: WeightedGraph, dense_limit: int = DENSE_LIMIT) -> Laplaci
 
 def _project_out_kernel(L: Laplacian, x: np.ndarray) -> np.ndarray:
     """Remove per-component means (the kernel of L)."""
-    out = x.astype(float, copy=True)
-    for c in range(L.n_components):
-        mask = L.components == c
-        out[mask] -= out[mask].mean()
-    return out
+    x = np.asarray(x, dtype=float)
+    sums = np.bincount(L.components, weights=x, minlength=L.n_components)
+    sizes = np.bincount(L.components, minlength=L.n_components)
+    return x - (sums / sizes)[L.components]
 
 
 def solve_laplacian(L: Laplacian, b, tol: float = CG_TOL) -> np.ndarray:

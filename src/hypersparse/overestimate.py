@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -207,15 +207,15 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig | None = None) -
 def _leverages_from_table(H: Hypergraph, table: np.ndarray) -> np.ndarray:
     """w_e times the max resistance over all vertex pairs inside each hyperedge.
 
-    Zero-weight hyperedges have leverage 0 without touching the table.
+    Zero-weight hyperedges have leverage 0 without touching the table. Both
+    orders of each pair are read, as the table need not be exactly symmetric.
     """
     out = np.zeros(H.m)
-    for e, vs in enumerate(H.vertex_sets):
-        if H.weights[e] <= 0.0:
-            continue
-        idx = np.asarray(vs)
-        sub = table[np.ix_(idx, idx)]
-        out[e] = H.weights[e] * float(sub.max())
+    for ids, members in H.size_groups(np.flatnonzero(H.weights > 0.0)):
+        best = np.zeros(len(ids))
+        for a, b in permutations(range(members.shape[1]), 2):
+            np.maximum(best, table[members[:, a], members[:, b]], out=best)
+        out[ids] = H.weights[ids] * best
     return out
 
 
@@ -230,7 +230,7 @@ def leverage_exact(H: Hypergraph, U: UnderlyingGraph) -> np.ndarray:
     if not np.isfinite(scores).all():
         e = int(np.flatnonzero(~np.isfinite(scores))[0])
         bad = next(
-            (pair for pair in combinations(H.vertex_sets[e], 2)
+            (pair for pair in combinations(H.indices[H.indptr[e]:H.indptr[e + 1]].tolist(), 2)
              if not np.isfinite(table[pair])),
             None,
         )
@@ -307,18 +307,14 @@ def validate_overestimate(H: Hypergraph, result: OverestimateResult) -> Overesti
     table = resistance_table(flatten(witness))
     required = _leverages_from_table(H, table)
 
-    tol = 1e-8
-    violations = []
-    max_shortfall = 0.0
-    for e in range(H.m):
-        if target[e] <= 0.0:
-            continue
-        shortfall = required[e] - result.scores[e]
-        allowance = tol * max(1.0, abs(required[e]))
-        if not np.isfinite(required[e]) or shortfall > allowance:
-            violations.append((e, float(result.scores[e]), float(required[e])))
-        if np.isfinite(shortfall):
-            max_shortfall = max(max_shortfall, float(shortfall))
+    shortfall = required - result.scores
+    allowance = 1e-8 * np.maximum(1.0, np.abs(required))
+    bad = positive & (~np.isfinite(required) | (shortfall > allowance))
+    violations = [
+        (e, float(result.scores[e]), float(required[e])) for e in np.flatnonzero(bad).tolist()
+    ]
+    counted = positive & np.isfinite(shortfall)
+    max_shortfall = max(0.0, float(shortfall[counted].max())) if counted.any() else 0.0
 
     l1 = result.l1
     l1_ok = l1 <= result.mass_bound * (1.0 + 1e-12)

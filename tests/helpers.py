@@ -1,15 +1,118 @@
-"""Shared instance generators and independent oracles for the test suite."""
+"""Shared instance generators and independent oracles for the test suite.
+
+The `loop_*` functions are the per-hyperedge Python loops that the library's
+array code replaced; the differential tests compare the two.
+"""
 
 from itertools import combinations
 
 import numpy as np
 import scipy.linalg
 
-from hypersparse.core import Hypergraph, cut_value
+from hypersparse.core import Hypergraph, UnderlyingGraph, cut_value
 from hypersparse.linalg import build_laplacian
 
 
-def _vertices_connected(H: Hypergraph) -> bool:
+def edges(H: Hypergraph):
+    """Hyperedges as (sorted vertex tuple, weight) pairs."""
+    return tuple(zip(H.vertex_sets, H.weights.tolist()))
+
+
+def edge_list(G):
+    """Edges of a WeightedGraph as (u, v, w) triples."""
+    return list(zip(G.u.tolist(), G.v.tolist(), G.w.tolist()))
+
+
+def weight_map(U: UnderlyingGraph) -> dict:
+    """Mapping (hyperedge index, non-anchor vertex) -> slot weight."""
+    return {
+        (e, v): w
+        for e, v, w in zip(U.slot_edges().tolist(), U.star_v.tolist(), U.weights.tolist())
+    }
+
+
+def loop_energies(H: Hypergraph, X) -> np.ndarray:
+    """Energies of every column of X, one hyperedge at a time."""
+    X = np.asarray(X, dtype=float)
+    out = np.zeros(X.shape[1])
+    for vs, w in zip(H.vertex_sets, H.weights):
+        if w <= 0.0:
+            continue
+        vals = X[list(vs), :]
+        gap = vals.max(axis=0) - vals.min(axis=0)
+        out += w * gap * gap
+    return out
+
+
+def loop_init_underlying(H: Hypergraph) -> UnderlyingGraph:
+    """Uniform stars anchored at each hyperedge's smallest vertex."""
+    anchors = np.array([vs[0] for vs in H.vertex_sets], dtype=np.int64)
+    star_v, weights, offsets = [], [], [0]
+    for e, vs in enumerate(H.vertex_sets):
+        share = H.weights[e] / (len(vs) - 1)
+        star_v.extend(vs[1:])
+        weights.extend([share] * (len(vs) - 1))
+        offsets.append(len(star_v))
+    return UnderlyingGraph(H, anchors, star_v, offsets, weights)
+
+
+def loop_edge_bits(H: Hypergraph) -> np.ndarray:
+    bits = np.zeros(H.m, dtype=np.int64)
+    for e, vs in enumerate(H.vertex_sets):
+        mask = 0
+        for v in vs:
+            mask |= 1 << v
+        bits[e] = mask
+    return bits
+
+
+def loop_leverages_from_table(H: Hypergraph, table) -> np.ndarray:
+    out = np.zeros(H.m)
+    for e, vs in enumerate(H.vertex_sets):
+        if H.weights[e] <= 0.0:
+            continue
+        idx = np.asarray(vs)
+        out[e] = H.weights[e] * float(table[np.ix_(idx, idx)].max())
+    return out
+
+
+def loop_lawler_arcs(H: Hypergraph) -> tuple:
+    unlimited = float(H.weights.sum()) * (1.0 + 1e-6)
+    arcs = []
+    for e, vs in enumerate(H.vertex_sets):
+        e_in = H.n + 2 * e
+        arcs.append((e_in, e_in + 1, float(H.weights[e])))
+        for v in vs:
+            arcs.append((v, e_in, unlimited))
+            arcs.append((e_in + 1, v, unlimited))
+    return tuple(arcs)
+
+
+def loop_violations(H: Hypergraph, scores, required) -> tuple[list, float]:
+    """Overestimate violations and the largest finite shortfall."""
+    violations = []
+    max_shortfall = 0.0
+    for e in range(H.m):
+        if H.weights[e] <= 0.0:
+            continue
+        shortfall = required[e] - scores[e]
+        if not np.isfinite(required[e]) or shortfall > 1e-8 * max(1.0, abs(required[e])):
+            violations.append((e, float(scores[e]), float(required[e])))
+        if np.isfinite(shortfall):
+            max_shortfall = max(max_shortfall, float(shortfall))
+    return violations, max_shortfall
+
+
+def loop_project_out_kernel(labels, n_components, x) -> np.ndarray:
+    out = np.asarray(x, dtype=float).copy()
+    for c in range(n_components):
+        mask = labels == c
+        out[mask] -= out[mask].mean()
+    return out
+
+
+def loop_component(H: Hypergraph, source: int) -> frozenset:
+    """Vertices joined to `source` by positive-weight hyperedges (union-find)."""
     parent = list(range(H.n))
 
     def find(a):
@@ -23,7 +126,11 @@ def _vertices_connected(H: Hypergraph) -> bool:
             continue
         for v in vs[1:]:
             parent[find(v)] = find(vs[0])
-    return len({find(v) for v in range(H.n)}) == 1
+    return frozenset(v for v in range(H.n) if find(v) == find(source))
+
+
+def _vertices_connected(H: Hypergraph) -> bool:
+    return len(loop_component(H, 0)) == H.n
 
 
 def random_hypergraph(

@@ -39,6 +39,7 @@ from hypersparse.apps import _global_mincut_exact, lawler_reduction, max_flow
 from helpers import (
     brute_global_mincut,
     brute_st_mincut,
+    edges,
     pencil_relative_eigs,
     random_hypergraph,
     random_weighted_graph,
@@ -178,7 +179,7 @@ def test_criterion_06_reweighting_unbiasedness():
             H, SparsifyConfig(eps=0.4, seed=seed), overestimate=exact
         )
         w = np.zeros(H.m)
-        for vs, weight in rep.hypergraph.edges:
+        for vs, weight in edges(rep.hypergraph):
             w[index[vs]] += weight
         totals += w
         squares += w * w

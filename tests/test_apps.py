@@ -13,7 +13,14 @@ from hypersparse.core import Hypergraph, cut_value
 from hypersparse.hsparse import SparsifyConfig
 from hypersparse.verify import verify_cut_sparsifier
 
-from helpers import brute_global_mincut, brute_st_mincut, random_hypergraph
+from helpers import (
+    brute_global_mincut,
+    brute_st_mincut,
+    edges,
+    loop_component,
+    loop_lawler_arcs,
+    random_hypergraph,
+)
 
 
 class TestLawlerReduction:
@@ -30,6 +37,13 @@ class TestLawlerReduction:
         net = lawler_reduction(H, 0, 7)
         assert net.node_count == 8 + 2 * 12
         assert len(net.arcs) == 12 + 2 * sum(len(vs) for vs in H.vertex_sets)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_arcs_match_per_hyperedge_loop(self, seed):
+        H = random_hypergraph(seed + 600, n=10, m=25, rank=6, connected=False)
+        net = lawler_reduction(H, 0, 9)
+        assert net.arcs == loop_lawler_arcs(H)
+        assert all(type(v) is int and type(c) is float for u, v, c in net.arcs)
 
     def test_same_terminals_rejected(self):
         H = Hypergraph(2, [((0, 1), 1.0)])
@@ -120,6 +134,14 @@ class TestGlobalMincut:
         H = Hypergraph(4, [((0, 1), 1.0), ((2, 3), 1.0), ((1, 2), 0.0)])
         value, witness = global_mincut(H)
         assert value == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_disconnected_witness_is_source_component(self, seed):
+        H = random_hypergraph(seed + 700, n=10, m=4, rank=4, connected=False)
+        H = Hypergraph(H.n, [(vs, 0.0 if e == seed % 4 else w) for e, (vs, w) in enumerate(edges(H))])
+        value, witness = global_mincut(H)
+        assert value == 0.0
+        assert witness == loop_component(H, 0)
 
     def test_cycle_mincut_is_two(self):
         n = 6

@@ -7,7 +7,7 @@ import pytest
 from hypersparse.cli import run_command
 from hypersparse.hgio import parse_hypergraph, serialize_hypergraph
 
-from helpers import brute_st_mincut, random_hypergraph
+from helpers import brute_st_mincut, edges, random_hypergraph
 
 
 def run(argv):
@@ -51,7 +51,7 @@ class TestSparsifyVerifyFlow:
         H = parse_hypergraph(sample_file)
         from hypersparse.core import Hypergraph
 
-        bad = Hypergraph(H.n, [(vs, 2.0 * w) for vs, w in H.edges])
+        bad = Hypergraph(H.n, [(vs, 2.0 * w) for vs, w in edges(H)])
         bad_path = str(tmp_path / "bad.hgr")
         serialize_hypergraph(bad, bad_path)
         code, text = run(

@@ -3,18 +3,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersparse import core
 from hypersparse.core import (
+    HyperedgeError,
     Hypergraph,
     WeightedGraph,
     cut_value,
+    energies,
     flatten,
-    hyperedge_energy,
     init_underlying,
     total_energy,
 )
 from hypersparse.linalg import build_laplacian
 
-from helpers import random_hypergraph
+from helpers import (
+    edge_list,
+    edges,
+    loop_energies,
+    loop_init_underlying,
+    random_hypergraph,
+    weight_map,
+)
 
 
 def small_hypergraphs():
@@ -41,6 +50,12 @@ def small_hypergraphs():
             max_size=8,
         ),
     )
+
+
+def hyperedge_energy(vertices, x) -> float:
+    """The kernel's energy of one unit-weight hyperedge."""
+    x = np.asarray(x, dtype=float)
+    return float(energies(Hypergraph(len(x), [(vertices, 1.0)]), x[:, None])[0])
 
 
 class TestHyperedgeEnergy:
@@ -71,7 +86,7 @@ class TestTotalEnergy:
 
     def test_rank_two_equals_laplacian_quadratic_form(self):
         H = random_hypergraph(11, n=8, m=15, rank=2, connected=False)
-        G = WeightedGraph(8, [(vs[0], vs[1], w) for vs, w in H.edges])
+        G = WeightedGraph(8, [(vs[0], vs[1], w) for vs, w in edges(H)])
         L = build_laplacian(G).matrix
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -116,13 +131,13 @@ class TestInitUnderlying:
     def test_uniform_share_per_star_edge(self):
         H = Hypergraph(5, [((1, 2, 3, 4), 3.0)])
         U = init_underlying(H)
-        assert U.weight_map() == {(0, 2): 1.0, (0, 3): 1.0, (0, 4): 1.0}
+        assert weight_map(U) == {(0, 2): 1.0, (0, 3): 1.0, (0, 4): 1.0}
         assert U.anchors[0] == 1
 
     def test_pair_edge_keeps_full_weight(self):
         H = Hypergraph(2, [((0, 1), 5.0)])
         U = init_underlying(H)
-        assert U.weight_map() == {(0, 1): 5.0}
+        assert weight_map(U) == {(0, 1): 5.0}
 
     def test_star_sums_match_weights(self):
         H = random_hypergraph(9, n=10, m=25, rank=5, connected=False)
@@ -130,32 +145,26 @@ class TestInitUnderlying:
         U.validate_star_sums()
         np.testing.assert_allclose(U.star_sums(), H.weights)
 
-    def test_random_anchor_rule(self):
-        H = random_hypergraph(10, n=9, m=20, rank=4, connected=False)
-        U = init_underlying(H, anchor_rule="random", seed=123)
-        for e, vs in enumerate(H.vertex_sets):
-            assert U.anchors[e] in vs
-        U.validate_star_sums()
-        U2 = init_underlying(H, anchor_rule="random", seed=123)
-        assert np.array_equal(U.anchors, U2.anchors)
 
-    def test_unknown_rule_rejected(self):
-        H = Hypergraph(2, [((0, 1), 1.0)])
-        with pytest.raises(ValueError):
-            init_underlying(H, anchor_rule="last")
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_hyperedge_loop(self, seed):
+        H = random_hypergraph(seed + 300, n=12, m=40, rank=6, connected=False)
+        U, expect = init_underlying(H), loop_init_underlying(H)
+        for name in ("anchors", "star_v", "offsets", "weights"):
+            np.testing.assert_array_equal(getattr(U, name), getattr(expect, name))
 
 
 class TestFlatten:
     def test_triangle_star(self):
         H = Hypergraph(3, [((0, 1, 2), 2.0)])
         G = flatten(init_underlying(H))
-        assert sorted(G.edge_list()) == [(0, 1, 1.0), (0, 2, 1.0)]
+        assert sorted(edge_list(G)) == [(0, 1, 1.0), (0, 2, 1.0)]
 
     def test_shared_pair_stays_parallel(self):
         H = Hypergraph(2, [((0, 1), 1.0), ((0, 1), 2.0)])
         G = flatten(init_underlying(H))
         assert G.m == 2
-        assert sorted(G.edge_list()) == [(0, 1, 1.0), (0, 1, 2.0)]
+        assert sorted(edge_list(G)) == [(0, 1, 1.0), (0, 1, 2.0)]
 
     def test_edge_count_is_star_total(self):
         H = random_hypergraph(12, n=9, m=14, rank=5, connected=False)
@@ -195,6 +204,139 @@ class TestValidation:
         assert H.m == 2
         assert cut_value(H, {0}) == 0.0
         assert total_energy(H, [0.0, 1.0, 0.0]) == 1.0
+
+
+def mixed_instance(seed, n=15, m=60, rank=7):
+    """Mixed sizes, a third of the weights zero, and the last three vertices
+    isolated."""
+    H = random_hypergraph(seed, n=n - 3, m=m, rank=rank, connected=False)
+    w = H.weights.copy()
+    w[::3] = 0.0
+    return Hypergraph(n, [(vs, wt) for vs, wt in zip(H.vertex_sets, w)])
+
+
+class TestEnergies:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_hyperedge_loop(self, seed):
+        H = mixed_instance(seed + 200)
+        X = np.random.default_rng(seed).standard_normal((H.n, 37))
+        np.testing.assert_allclose(energies(H, X), loop_energies(H, X), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_blocks_splitting_a_size_group_match_loop(self, monkeypatch, rows):
+        H = mixed_instance(210, m=120, rank=4)
+        k = 5
+        sizes = np.diff(H.indptr)[H.weights > 0.0]
+        assert np.bincount(sizes).max() > rows
+        monkeypatch.setattr(core, "ENERGY_BLOCK_BYTES", 8 * k * rows)
+        X = np.random.default_rng(1).standard_normal((H.n, k))
+        np.testing.assert_allclose(energies(H, X), loop_energies(H, X), rtol=1e-12, atol=0.0)
+
+    def test_isolated_vertices_do_not_contribute(self):
+        H = Hypergraph(6, [((0, 1, 2), 1.0), ((1, 3), 2.0)])
+        X = np.zeros((6, 2))
+        X[4:] = [[5.0, -3.0], [7.0, 1.0]]
+        np.testing.assert_array_equal(energies(H, X), [0.0, 0.0])
+
+    def test_all_zero_weights_give_zero(self):
+        H = Hypergraph(3, [((0, 1), 0.0), ((0, 1, 2), 0.0)])
+        np.testing.assert_array_equal(energies(H, np.eye(3)), np.zeros(3))
+
+    def test_columns_are_total_energies_and_cuts(self):
+        H = mixed_instance(220, n=9, m=20, rank=5)
+        X = np.random.default_rng(2).standard_normal((H.n, 4))
+        X[:, 0] = np.arange(H.n) < 4
+        q = energies(H, X)
+        assert cut_value(H, range(4)) == pytest.approx(q[0], rel=1e-12)
+        for j in range(4):
+            assert total_energy(H, X[:, j]) == pytest.approx(q[j], rel=1e-12)
+
+    def test_shape_mismatch(self):
+        H = Hypergraph(3, [((0, 1), 1.0)])
+        with pytest.raises(ValueError):
+            energies(H, np.zeros((2, 4)))
+        with pytest.raises(ValueError):
+            energies(H, np.zeros(3))
+
+
+class TestCsrLayout:
+    def test_arrays_hold_sorted_hyperedges(self):
+        H = Hypergraph(5, [((3, 1, 4), 1.0), ((2, 0), 0.5)])
+        np.testing.assert_array_equal(H.indptr, [0, 3, 5])
+        np.testing.assert_array_equal(H.indices, [1, 3, 4, 0, 2])
+        np.testing.assert_array_equal(H.weights, [1.0, 0.5])
+        assert H.vertex_sets == ((1, 3, 4), (0, 2))
+        assert (H.m, H.rank) == (2, 3)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_constructors_build_equal_objects(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 11
+        raw = [(rng.choice(n, size=int(rng.integers(2, 6)), replace=False), float(rng.uniform(0, 2)))
+               for _ in range(30)]
+        H = Hypergraph(n, raw)
+        sizes = [len(vs) for vs, _ in raw]
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        unsorted = np.concatenate([vs for vs, _ in raw])
+        A = Hypergraph.from_arrays(n, indptr, unsorted, [w for _, w in raw])
+        assert A == H and hash(A) == hash(H)
+        assert H.vertex_sets == tuple(tuple(sorted(int(v) for v in vs)) for vs, _ in raw)
+        for e in range(H.m):
+            assert (np.diff(H.indices[H.indptr[e]:H.indptr[e + 1]]) > 0).all()
+
+    def test_arrays_are_read_only_copies(self):
+        indptr, indices, w = np.array([0, 2]), np.array([1, 0]), np.array([1.0])
+        H = Hypergraph.from_arrays(3, indptr, indices, w)
+        indices[0] = 2
+        w[0] = 5.0
+        assert H.vertex_sets == ((0, 1),) and H.weights[0] == 1.0
+        for arr in (H.indptr, H.indices, H.weights):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+    def test_unequal_objects(self):
+        H = Hypergraph(3, [((0, 1), 1.0)])
+        assert H != Hypergraph(3, [((0, 1), 2.0)])
+        assert H != Hypergraph(3, [((0, 2), 1.0)])
+        assert H != Hypergraph(4, [((0, 1), 1.0)])
+        assert H != Hypergraph(3, [((0, 1), 1.0), ((0, 1), 1.0)])
+
+    @pytest.mark.parametrize(
+        "n, raw, edge",
+        [
+            (3, [((0, 1), 1.0), ((1,), 1.0)], 1),  # singleton
+            (3, [((0, 1), 1.0), ((2, 0, 2), 1.0)], 1),  # repeat, unsorted
+            (3, [((0, 3), 1.0)], 0),  # id too large
+            (3, [((0, 1), 1.0), ((-1, 1), 1.0)], 1),  # negative id
+            (3, [((0, 1), -1.0)], 0),
+            (3, [((0, 1), 1.0), ((0, 2), float("nan"))], 1),
+            (3, [((0, 1), float("inf"))], 0),
+        ],
+    )
+    def test_both_constructors_reject_bad_hyperedges(self, n, raw, edge):
+        indptr = np.concatenate([[0], np.cumsum([len(vs) for vs, _ in raw])])
+        flat = np.concatenate([np.asarray(vs, dtype=np.int64) for vs, _ in raw])
+        weights = [w for _, w in raw]
+        for build in (lambda: Hypergraph(n, raw), lambda: Hypergraph.from_arrays(n, indptr, flat, weights)):
+            with pytest.raises(ValueError) as err:
+                build()
+            assert isinstance(err.value, HyperedgeError) and err.value.edge == edge
+
+    @pytest.mark.parametrize(
+        "n, indptr, indices, weights",
+        [
+            (3, [0, 2], [0, 1], []),  # no hyperedges' weights
+            (3, [0], [], []),  # no hyperedges
+            (3, [1, 3], [0, 1, 2], [1.0]),  # does not start at 0
+            (3, [0, 2], [0, 1, 2], [1.0]),  # does not end at len(indices)
+            (3, [0, 3, 2, 4], [0, 1, 2, 0], [1.0, 1.0, 1.0]),  # falls
+            (3, [[0, 2]], [0, 1], [1.0]),  # not one-dimensional
+            (0, [0, 2], [0, 1], [1.0]),  # no vertices
+        ],
+    )
+    def test_from_arrays_rejects_bad_layout(self, n, indptr, indices, weights):
+        with pytest.raises(ValueError):
+            Hypergraph.from_arrays(n, indptr, indices, weights)
 
 
 @settings(max_examples=40, deadline=None)

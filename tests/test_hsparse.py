@@ -13,7 +13,7 @@ from hypersparse.hsparse import (
 from hypersparse.overestimate import OverestimateConfig, compute_overestimate, default_rounds
 from hypersparse.seeding import derive_seed
 
-from helpers import random_hypergraph
+from helpers import edges, random_hypergraph
 
 
 class TestSampleHyperedges:
@@ -103,7 +103,7 @@ class TestSparsifyHypergraph:
             rep = sparsify_hypergraph(H, cfg, overestimate=exact)
             w = np.zeros(H.m)
             index = {vs: e for e, vs in enumerate(H.vertex_sets)}
-            for vs, weight in rep.hypergraph.edges:
+            for vs, weight in edges(rep.hypergraph):
                 w[index[vs]] += weight
             totals += w
             sq_totals += w * w
@@ -117,7 +117,7 @@ class TestSparsifyHypergraph:
         H = random_hypergraph(71, n=12, m=60, rank=5)
         rep = sparsify_hypergraph(H, SparsifyConfig(eps=0.3, seed=2))
         originals = set(H.vertex_sets)
-        for vs, w in rep.hypergraph.edges:
+        for vs, w in edges(rep.hypergraph):
             assert vs in originals
             assert w > 0.0
         assert rep.distinct_edges <= min(rep.samples, H.m)

@@ -47,6 +47,17 @@ class TestParse:
         assert parse_hypergraph(path) == H
 
 
+    def test_parser_and_constructors_agree_on_unsorted_input(self):
+        text = "3 6 1\n1.5 4 2 6\n0 3 1\n2.25 5 6 1 2\n"
+        raw = [((3, 1, 5), 1.5), ((2, 0), 0.0), ((4, 5, 0, 1), 2.25)]
+        H = parse_hypergraph_text(text)
+        indptr = [0, 3, 5, 9]
+        flat = [v for vs, _ in raw for v in vs]
+        assert H == Hypergraph(6, raw) == Hypergraph.from_arrays(6, indptr, flat, [1.5, 0.0, 2.25])
+        assert H.vertex_sets == ((1, 3, 5), (0, 2), (0, 1, 4, 5))
+        assert serialize_hypergraph_text(H) == "3 6 1\n1.5 2 4 6\n0 1 3\n2.25 1 2 5 6\n"
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "text, line",
@@ -70,6 +81,13 @@ class TestParseErrors:
         with pytest.raises(HgrFormatError) as err:
             parse_hypergraph_text(text)
         assert err.value.line_no == line
+
+    @pytest.mark.parametrize("bad", ["1 2 2", "1 1 4", "1 3", "-2 1 3", "nan 1 2"])
+    def test_structural_errors_name_their_own_line(self, bad):
+        text = f"3 3 1\n1 1 2\n% comment\n\n2 2 3\n{bad}\n"
+        with pytest.raises(HgrFormatError) as err:
+            parse_hypergraph_text(text)
+        assert err.value.line_no == 6
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):

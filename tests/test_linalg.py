@@ -22,7 +22,7 @@ from hypersparse.linalg import (
     solve_laplacian,
 )
 
-from helpers import random_weighted_graph
+from helpers import loop_project_out_kernel, random_weighted_graph
 
 
 def path_graph(n, weight=1.0):
@@ -100,6 +100,18 @@ class TestSolveLaplacian:
         x = solve_laplacian(L, np.array([1.0, -2.0, 1.0, 3.0, -3.0]))
         assert abs(x[:3].sum()) < 1e-10
         assert abs(x[3:].sum()) < 1e-10
+
+    def test_kernel_projection_matches_per_component_loop(self):
+        # 900 of 1,000 vertices isolated: 901 components.
+        G = random_weighted_graph(7, 100, 300)
+        G = WeightedGraph.from_arrays(1000, G.u, G.v, G.w)
+        L = build_laplacian(G)
+        assert L.n_components == 901
+        x = np.random.default_rng(0).standard_normal(1000)
+        out = linalg._project_out_kernel(L, x)
+        np.testing.assert_allclose(out, loop_project_out_kernel(L.components, L.n_components, x), rtol=0, atol=1e-13)
+        sums = np.bincount(L.components, weights=out)
+        np.testing.assert_allclose(sums, 0.0, atol=1e-12)
 
     def test_iteration_cap_failure_is_signaled(self, monkeypatch):
         import hypersparse.linalg as linalg

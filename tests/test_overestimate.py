@@ -3,8 +3,11 @@ import pytest
 
 from hypersparse.core import Hypergraph, flatten, init_underlying
 from hypersparse.linalg import DENSE_LIMIT, DisconnectedError, resistance_table
+from hypersparse import overestimate
 from hypersparse.overestimate import (
     OverestimateConfig,
+    OverestimateResult,
+    _leverages_from_table,
     compute_overestimate,
     default_rounds,
     leverage_exact,
@@ -12,7 +15,7 @@ from hypersparse.overestimate import (
     weight_compute,
 )
 
-from helpers import all_pairs, random_hypergraph
+from helpers import all_pairs, edges, loop_leverages_from_table, loop_violations, random_hypergraph
 
 
 class TestConfig:
@@ -134,7 +137,7 @@ class TestComputeOverestimate:
         # Doubling every weight halves every resistance, so the slot products
         # c * R and hence the scores are unchanged (leverage is dimensionless).
         H = random_hypergraph(34, n=9, m=22, rank=4)
-        doubled = Hypergraph(H.n, [(vs, 2.0 * w) for vs, w in H.edges])
+        doubled = Hypergraph(H.n, [(vs, 2.0 * w) for vs, w in edges(H)])
         cfg = OverestimateConfig(rounds=2, seed=8)
         a = compute_overestimate(H, cfg)
         b = compute_overestimate(doubled, cfg)
@@ -148,13 +151,33 @@ class TestComputeOverestimate:
         np.testing.assert_array_equal(a.scores, b.scores)
 
 
+class TestLeveragesFromTable:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_hyperedge_loop_on_resistances(self, seed):
+        H = random_hypergraph(seed + 500, n=14, m=40, rank=6, connected=False)
+        U = init_underlying(H)
+        table = resistance_table(flatten(U))
+        np.testing.assert_array_equal(_leverages_from_table(H, table), loop_leverages_from_table(H, table))
+
+    def test_asymmetric_table_and_zero_weights_match_loop(self):
+        H = random_hypergraph(510, n=10, m=30, rank=5, connected=False)
+        H = Hypergraph(H.n, [(vs, 0.0 if e % 4 == 0 else w) for e, (vs, w) in enumerate(edges(H))])
+        # Zero diagonal, as in every resistance table, but not symmetric.
+        table = np.random.default_rng(3).uniform(0.0, 2.0, size=(H.n, H.n))
+        np.fill_diagonal(table, 0.0)
+        table[2, 7] = np.inf
+        out = _leverages_from_table(H, table)
+        np.testing.assert_array_equal(out, loop_leverages_from_table(H, table))
+        assert (out[::4] == 0.0).all()
+
+
 class TestLeverageExact:
     def test_rank_two_reduces_to_edge_leverage(self):
         H = random_hypergraph(41, n=8, m=15, rank=2)
         U = init_underlying(H)
         table = resistance_table(flatten(U))
         lev = leverage_exact(H, U)
-        for e, (vs, w) in enumerate(H.edges):
+        for e, (vs, w) in enumerate(edges(H)):
             assert lev[e] == pytest.approx(w * table[vs[0], vs[1]])
 
     def test_single_edge_leverage_is_one(self):
@@ -207,3 +230,19 @@ class TestValidateOverestimate:
         d = validate_overestimate(H, res).as_dict()
         assert d["ok"] is True
         assert d["violations"] == 0
+
+    def test_lowered_scores_match_per_hyperedge_loop(self, monkeypatch):
+        H = random_hypergraph(62, n=10, m=30, rank=5)
+        H = Hypergraph(H.n, [(vs, 0.0 if e == 4 else w) for e, (vs, w) in enumerate(edges(H))])
+        res = compute_overestimate(H, OverestimateConfig(rounds=2, exact=True))
+        low = res.scores.copy()
+        low[::3] *= 0.05
+        tables = []
+        real = overestimate._leverages_from_table
+        monkeypatch.setattr(
+            overestimate, "_leverages_from_table", lambda H, t: tables.append(real(H, t)) or tables[-1]
+        )
+        report = validate_overestimate(H, OverestimateResult(low, res.rounds, res.scale, res.mass_bound))
+        violations, max_shortfall = loop_violations(H, low, tables[0])
+        assert violations and report.violations == violations
+        assert report.max_shortfall == max_shortfall

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from hypersparse.core import Hypergraph, cut_value, flatten, init_underlying
+from hypersparse.core import Hypergraph, cut_value, energies, flatten, init_underlying
 from hypersparse.overestimate import OverestimateConfig, compute_overestimate
 from hypersparse.verify import (
-    _batched_energies,
+    _edge_bits,
     _sign_directions,
     energy_comparison_check,
     foster_check,
@@ -12,11 +12,11 @@ from hypersparse.verify import (
     verify_spectral_sampled,
 )
 
-from helpers import random_hypergraph
+from helpers import edges, loop_edge_bits, random_hypergraph
 
 
 def doubled(H):
-    return Hypergraph(H.n, [(vs, 2.0 * w) for vs, w in H.edges])
+    return Hypergraph(H.n, [(vs, 2.0 * w) for vs, w in edges(H)])
 
 
 class TestCutVerifier:
@@ -60,6 +60,12 @@ class TestCutVerifier:
         assert not report.passed
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_edge_bits_match_per_hyperedge_loop(seed):
+    H = random_hypergraph(seed + 400, n=20, m=50, rank=7, connected=False)
+    np.testing.assert_array_equal(_edge_bits(H), loop_edge_bits(H))
+
+
 class TestSpectralSampled:
     def test_identity_zero(self):
         H = random_hypergraph(83, n=7, m=12, rank=3)
@@ -71,12 +77,12 @@ class TestSpectralSampled:
     def test_sign_directions_reproduce_cut_error(self):
         H = random_hypergraph(84, n=8, m=16, rank=4)
         Ht = Hypergraph(
-            H.n, [(vs, w * (1.2 if e % 3 == 0 else 0.9)) for e, (vs, w) in enumerate(H.edges)]
+            H.n, [(vs, w * (1.2 if e % 3 == 0 else 0.9)) for e, (vs, w) in enumerate(edges(H))]
         )
         cut_report = verify_cut_sparsifier(H, Ht, eps=1.0)
         X = _sign_directions(H.n)
-        q_h = _batched_energies(H, X)
-        q_t = _batched_energies(Ht, X)
+        q_h = energies(H, X)
+        q_t = energies(Ht, X)
         live = q_h > 0
         sign_error = np.max(np.abs(q_h[live] - q_t[live]) / q_h[live])
         assert sign_error == pytest.approx(cut_report.max_rel_error, rel=1e-12)
