@@ -1,7 +1,8 @@
 """Ground-truth oracles for sparsifier quality at desk scale.
 
-Cut verification enumerates every nontrivial cut exhaustively (one
-representative per complement pair) up to n = 20. Spectral verification
+Cut verification scores every nontrivial cut (one per complement pair) up
+to n = 20 from a subset-sum (zeta) transform per hypergraph, with integer
+counts deciding which cuts a hyperedge crosses. Spectral verification
 samples directions and is a necessary condition, not a certificate: the
 supremum over all directions of the energy deviation is a max-of-quadratics
 program this module does not solve.
@@ -26,7 +27,6 @@ __all__ = [
 ]
 
 MAX_EXHAUSTIVE_N = 20
-_CHUNK = 1 << 16
 _ABS_TOL = 1e-8
 
 
@@ -73,33 +73,45 @@ def _edge_bits(H: Hypergraph) -> np.ndarray:
     return np.bitwise_or.reduceat(np.left_shift(1, H.indices), H.indptr[:-1])
 
 
-def _cut_energies_chunk(H: Hypergraph, bits: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Cut values Q_H(S) for the subset bitmasks in `masks`.
+def _subset_sums(table: np.ndarray) -> np.ndarray:
+    """Zeta transform in place: entry T becomes the sum of the entries inside T."""
+    for i in range(table.size.bit_length() - 1):
+        view = table.reshape(-1, 2, 1 << i)
+        view[:, 1, :] += view[:, 0, :]
+    return table
 
-    The highest vertex id never appears in S, so a hyperedge containing it
-    crosses as soon as S touches the hyperedge at all.
+
+def _cut_values(H: Hypergraph) -> tuple[np.ndarray, np.ndarray]:
+    """Q_H(S) = f(V) - f(S) - f(V - S), with f(T) the weight inside T, and
+    whether a positive-weight hyperedge crosses S, for S in [1, 2^(n-1)) at
+    entry S - 1. Crossing comes from hyperedge counts, since the float sum can
+    leave a residue on a cut nothing crosses; such a cut reads exactly 0.
     """
-    top = 1 << (H.n - 1)
-    q = np.zeros(len(masks))
-    for e in range(H.m):
-        w = H.weights[e]
-        if w <= 0.0:
-            continue
-        inter = masks & bits[e]
-        if bits[e] & top:
-            crossing = inter != 0
-        else:
-            crossing = (inter != 0) & (inter != bits[e])
-        q += w * crossing
-    return q
+    size = 1 << H.n
+    half = size >> 1
+    pos = H.weights > 0.0
+    bits = _edge_bits(H)[pos]
+    count = _subset_sums(np.bincount(bits, minlength=size).astype(np.int32))
+    # V - S is (2^n - 1) - S, so table[V - S] is the table reversed.
+    live = count[1:half] + count[::-1][1:half] < count[-1]
+    del count
+    f = _subset_sums(np.bincount(bits, weights=H.weights[pos], minlength=size))
+    q = f[-1] - f[1:half]
+    q -= f[::-1][1:half]
+    q[~live] = 0.0
+    return q, live
 
 
 def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutReport:
     """Exhaustive relative cut error over all 2^(n-1) - 1 nontrivial cuts.
 
-    Reports the max over cuts with Q_H(S) > 0 of |Q_H(S) - Q_Ht(S)| / Q_H(S);
-    cuts with Q_H(S) = 0 must also vanish on Ht and are counted as violations
-    otherwise (each forces passed = False).
+    Reports the max over cuts with Q_H(S) > 0 of |Q_H(S) - Q_Ht(S)| / Q_H(S)
+    and the lowest cut reaching it; cuts with Q_H(S) = 0 must also vanish on
+    Ht and are counted as violations otherwise (each forces passed = False).
+    Q_H(S) > 0 means a positive-weight hyperedge crosses S, counted exactly.
+    Costs O(n 2^n + m) per hypergraph: 2^n-entry int32 and float64 tables,
+    built one at a time (12 MiB at n = 20, peak 17.5 MiB with the half-length
+    cut values). Cut values carry roundoff of the total weight, not the cut's.
     """
     if H.n != Ht.n:
         raise ValueError("hypergraphs must share the vertex set")
@@ -108,30 +120,18 @@ def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutRepor
             f"n = {H.n} exceeds the exhaustive bound {MAX_EXHAUSTIVE_N}; "
             "use verify_spectral_sampled"
         )
-    bits_h = _edge_bits(H)
-    bits_t = _edge_bits(Ht)
-
-    worst = 0.0
-    worst_mask = 0
-    zero_violations = 0
-    total = (1 << (H.n - 1)) - 1
-    for start in range(1, total + 1, _CHUNK):
-        stop = min(start + _CHUNK, total + 1)
-        masks = np.arange(start, stop, dtype=np.int64)
-        q_h = _cut_energies_chunk(H, bits_h, masks)
-        q_t = _cut_energies_chunk(Ht, bits_t, masks)
-        live = q_h > 0.0
-        if live.any():
-            rel = np.abs(q_h[live] - q_t[live]) / q_h[live]
-            k = int(np.argmax(rel))
-            if rel[k] > worst:
-                worst = float(rel[k])
-                worst_mask = int(masks[live][k])
-        zero_violations += int(((~live) & (q_t > _ABS_TOL)).sum())
-
+    q_h, live = _cut_values(H)
+    q_t, _ = _cut_values(Ht)
+    rel = np.zeros(len(q_h))
+    np.subtract(q_h, q_t, out=rel, where=live)
+    np.divide(np.abs(rel, out=rel), q_h, out=rel, where=live)
+    k = int(np.argmax(rel))
+    worst = float(rel[k])
+    worst_mask = k + 1 if worst > 0.0 else 0
+    zero_violations = int(((~live) & (q_t > _ABS_TOL)).sum())
     worst_cut = tuple(v for v in range(H.n) if worst_mask >> v & 1)
     passed = worst <= eps and zero_violations == 0
-    return CutReport(worst, worst_cut, total, zero_violations, eps, passed)
+    return CutReport(worst, worst_cut, len(q_h), zero_violations, eps, passed)
 
 
 def _sign_directions(n: int) -> np.ndarray:

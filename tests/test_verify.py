@@ -4,6 +4,7 @@ import pytest
 from hypersparse.core import Hypergraph, cut_value, energies, flatten, init_underlying
 from hypersparse.overestimate import OverestimateConfig, compute_overestimate
 from hypersparse.verify import (
+    MAX_EXHAUSTIVE_N,
     _edge_bits,
     _sign_directions,
     energy_comparison_check,
@@ -12,11 +13,83 @@ from hypersparse.verify import (
     verify_spectral_sampled,
 )
 
-from helpers import edges, loop_edge_bits, random_hypergraph
+from helpers import (
+    edges,
+    loop_cut_report,
+    loop_cut_values,
+    loop_edge_bits,
+    random_hypergraph,
+)
 
 
 def doubled(H):
     return Hypergraph(H.n, [(vs, 2.0 * w) for vs, w in edges(H)])
+
+
+def reweighted(H, seed, zero_share=0.0):
+    """H with each weight scaled by U(0.5, 1.5) and a share of them zeroed."""
+    rng = np.random.default_rng(seed)
+    w = H.weights * rng.uniform(0.5, 1.5, H.m)
+    w[rng.random(H.m) < zero_share] = 0.0
+    return Hypergraph(H.n, list(zip(H.vertex_sets, w.tolist())))
+
+
+def _zero_weights(seed):
+    # Zeroed independently, so Ht can cross cuts that nothing in H crosses.
+    base = random_hypergraph(seed, n=10, m=12, rank=4)
+    return reweighted(base, seed + 1, 0.4), reweighted(base, seed + 2, 0.4)
+
+
+def _all_zero(seed):
+    base = random_hypergraph(seed, n=6, m=5, rank=3, connected=False)
+    return reweighted(base, seed + 1, 1.0), base
+
+
+def _identical(seed):
+    H = reweighted(random_hypergraph(seed, n=12, m=6, rank=4, connected=False), seed + 1, 0.3)
+    return H, H
+
+
+def _isolated_vertices(seed):
+    H = Hypergraph(11, edges(random_hypergraph(seed, n=7, m=15, rank=4)))
+    return H, reweighted(H, seed + 1)
+
+
+def _disconnected(seed):
+    H = random_hypergraph(seed, n=12, m=5, rank=3, connected=False)
+    return H, reweighted(H, seed + 1)
+
+
+def _strict_subset(seed):
+    H = random_hypergraph(seed, n=10, m=30, rank=5)
+    keep = np.random.default_rng(seed + 1).permutation(H.m)[: H.m // 2]
+    return H, Hypergraph(H.n, [(H.vertex_sets[e], 2.0 * H.weights[e]) for e in keep])
+
+
+def _two_vertices(seed):
+    H = random_hypergraph(seed, n=2, m=3, rank=2)
+    return H, reweighted(H, seed + 1)
+
+
+def _max_n(seed):
+    H = random_hypergraph(seed, n=MAX_EXHAUSTIVE_N, m=8, rank=6, connected=False)
+    return H, reweighted(H, seed + 1, zero_share=0.2)
+
+
+DIFFERENTIAL_CASES = [
+    (build, seed)
+    for build, seeds in [
+        (_zero_weights, range(4)),
+        (_all_zero, range(1)),
+        (_identical, range(2)),
+        (_isolated_vertices, range(3)),
+        (_disconnected, range(3)),
+        (_strict_subset, range(3)),
+        (_two_vertices, range(2)),
+        (_max_n, range(2)),
+    ]
+    for seed in seeds
+]
 
 
 class TestCutVerifier:
@@ -58,6 +131,47 @@ class TestCutVerifier:
         report = verify_cut_sparsifier(H, Ht, eps=0.9)
         assert report.zero_cut_violations > 0
         assert not report.passed
+
+
+@pytest.mark.parametrize(
+    "build, seed", DIFFERENTIAL_CASES, ids=[f"{b.__name__[1:]}-{s}" for b, s in DIFFERENTIAL_CASES]
+)
+def test_cut_report_matches_per_hyperedge_loop(build, seed):
+    H, Ht = build(700 + seed)
+    eps = 0.3
+    report = verify_cut_sparsifier(H, Ht, eps)
+    worst, _, violations = loop_cut_report(H, Ht)
+    assert report.max_rel_error == pytest.approx(worst, rel=1e-12, abs=0.0)
+    assert report.cuts_checked == (1 << (H.n - 1)) - 1
+    assert report.zero_cut_violations == violations
+    assert report.passed == (worst <= eps and violations == 0)
+    if worst == 0.0:
+        assert report.worst_cut == ()
+    else:
+        mask = [sum(1 << v for v in report.worst_cut)]
+        q, qt = loop_cut_values(H, mask)[0], loop_cut_values(Ht, mask)[0]
+        assert abs(q - qt) / q == pytest.approx(worst, rel=1e-12)
+
+
+def test_zero_cut_exact_despite_float_residue():
+    # Two components, {0, 1, 2} and {3, 4, 5}. With these weights the float
+    # difference W - f({0,1,2}) - f({3,4,5}) of the subset-sum tables is
+    # 4.4e-16, not 0, although no hyperedge crosses that cut.
+    base = [((0, 1), 0.8), ((1, 2), 0.8), ((3, 4), 0.6), ((4, 5), 0.7)]
+    H = Hypergraph(6, base + [((2, 3), 0.0)])
+    report = verify_cut_sparsifier(H, H, eps=0.1)
+    assert report.max_rel_error == 0.0
+    assert report.zero_cut_violations == 0
+    assert report.passed
+
+    Ht = Hypergraph(6, base + [((2, 3), 1.0)])
+    report = verify_cut_sparsifier(H, Ht, eps=0.1)
+    worst, worst_mask, violations = loop_cut_report(H, Ht)
+    assert violations == 1
+    assert report.max_rel_error == pytest.approx(worst, rel=1e-12)
+    assert sum(1 << v for v in report.worst_cut) == worst_mask
+    assert report.zero_cut_violations == 1
+    assert not report.passed
 
 
 @pytest.mark.parametrize("seed", range(5))
