@@ -174,6 +174,38 @@ def test_zero_cut_exact_despite_float_residue():
     assert not report.passed
 
 
+@pytest.mark.parametrize("tiny", [1e-3, 1e-5])
+def test_tiny_cut_beside_huge_weights(tiny):
+    # Cut {0, 1} is crossed only by the tiny hyperedge, far below the
+    # roundoff of W - f(S) - f(V - S) at W = 2e12 (below one ulp for 1e-5).
+    heavy = [((0, 1), 1e12), ((2, 3), 1e12)]
+    H = Hypergraph(4, heavy + [((1, 2), tiny)])
+    Ht = Hypergraph(4, heavy + [((1, 2), 1.1 * tiny)])
+    report = verify_cut_sparsifier(H, Ht, eps=0.05)
+    worst, worst_mask, violations = loop_cut_report(H, Ht)
+    assert np.isfinite(report.max_rel_error)
+    assert report.max_rel_error == pytest.approx(worst, rel=1e-12)
+    assert report.max_rel_error == pytest.approx(0.1, rel=1e-9)
+    assert sum(1 << v for v in report.worst_cut) == worst_mask == 0b11
+    assert report.zero_cut_violations == violations == 0
+    assert not report.passed
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_weights_over_fifteen_decades_match_loop(seed):
+    # A few cuts per instance (3-31, some uncrossed) sit close enough to the
+    # transform's roundoff to be summed again; the rest may carry up to about
+    # 2^-32 (1 + error) of error in the ratio.
+    rng = np.random.default_rng(900 + seed)
+    H = random_hypergraph(900 + seed, n=12, m=14, rank=3, connected=False)
+    H = Hypergraph(H.n, list(zip(H.vertex_sets, (10.0 ** rng.uniform(-6, 9, H.m)).tolist())))
+    Ht = reweighted(H, 950 + seed, zero_share=0.1)
+    report = verify_cut_sparsifier(H, Ht, eps=0.3)
+    worst, _, violations = loop_cut_report(H, Ht)
+    assert report.max_rel_error == pytest.approx(worst, rel=0.0, abs=2.0**-31 * (1.0 + worst))
+    assert report.zero_cut_violations == violations
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_edge_bits_match_per_hyperedge_loop(seed):
     H = random_hypergraph(seed + 400, n=20, m=50, rank=7, connected=False)
