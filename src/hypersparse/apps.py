@@ -1,10 +1,13 @@
-"""Hypergraph mincut and s-t mincut via max-flow on the in/out-node digraph.
+"""Hypergraph global mincut by maximum-adjacency ordering, and s-t mincut via
+max-flow on the in/out-node digraph.
 
-Each hyperedge e becomes a gadget e_in -> e_out of capacity w_e; every member
-vertex connects to e_in and from e_out with effectively unlimited capacity, so
-a directed s-t cut must pay w_e exactly when e has vertices on both sides.
-Approximate variants run the exact solver on a spectral sparsifier built with
-a third of the accuracy budget.
+The global mincut contracts one vertex per maximum-adjacency phase on the CSR
+arrays; its witness is the side holding vertex 0, and a value of 0 comes with
+vertex 0's component. For s-t cuts each hyperedge e becomes a gadget e_in ->
+e_out of capacity w_e; every member vertex connects to e_in and from e_out
+with effectively unlimited capacity, so a directed s-t cut must pay w_e
+exactly when e has vertices on both sides. Approximate variants run the exact
+solver on a spectral sparsifier built with a third of the accuracy budget.
 """
 
 from __future__ import annotations
@@ -49,6 +52,13 @@ class FlowNetwork:
                 raise ValueError("arc capacity must be nonnegative")
 
 
+def _check_terminals(H: Hypergraph, s: int, t: int) -> None:
+    if s == t:
+        raise ValueError("source and sink must differ")
+    if not (0 <= s < H.n and 0 <= t < H.n):
+        raise ValueError("source/sink outside the vertex range")
+
+
 def lawler_reduction(H: Hypergraph, s: int, t: int) -> FlowNetwork:
     """Digraph with per-hyperedge in/out nodes whose s-t mincut equals the
     hypergraph s-t mincut.
@@ -56,10 +66,7 @@ def lawler_reduction(H: Hypergraph, s: int, t: int) -> FlowNetwork:
     Nodes 0..n-1 are the original vertices; hyperedge e owns nodes
     n + 2e (in) and n + 2e + 1 (out). Arc count is m + 2 * sum(|e|).
     """
-    if s == t:
-        raise ValueError("source and sink must differ")
-    if not (0 <= s < H.n and 0 <= t < H.n):
-        raise ValueError("source/sink outside the vertex range")
+    _check_terminals(H, s, t)
     unlimited = float(H.weights.sum()) * (1.0 + _SENTINEL_MARGIN)
     indices = H.indices.tolist()
     bounds = H.indptr.tolist()
@@ -151,29 +158,10 @@ class _Dinic:
                 flow += pushed
         return flow
 
-    def reachable(self) -> frozenset:
-        """Source side of the residual graph after run()."""
-        seen = {self.source}
-        queue = deque([self.source])
-        while queue:
-            u = queue.popleft()
-            for k in self.adj[u]:
-                v = self.to[k]
-                if self.cap[k] > 0.0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return frozenset(seen)
-
-
-def _max_flow_with_side(net: FlowNetwork) -> tuple[float, frozenset]:
-    solver = _Dinic(net)
-    value = solver.run()
-    return value, solver.reachable()
-
 
 def max_flow(net: FlowNetwork) -> float:
     """Exact maximum s-t flow via level-graph blocking flows."""
-    return _max_flow_with_side(net)[0]
+    return _Dinic(net).run()
 
 
 def _sparsify_for_apps(H, eps, cfg):
@@ -196,6 +184,7 @@ def st_mincut(
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
+    _check_terminals(H, s, t)
     if eps == 0.0:
         value = max_flow(lawler_reduction(H, s, t))
         return value, False
@@ -204,22 +193,58 @@ def st_mincut(
     return value, True
 
 
-def _global_mincut_exact(H: Hypergraph, source: int = 0) -> tuple[float, frozenset]:
-    best = np.inf
-    best_side: frozenset = frozenset()
-    for t in range(H.n):
-        if t == source:
-            continue
-        value, side = _max_flow_with_side(lawler_reduction(H, source, t))
-        if value < best:
-            best = value
-            best_side = frozenset(v for v in side if v < H.n)
-            if best == 0.0:
-                # Only positive-weight gadgets carry residual capacity, so
-                # a zero flow leaves the source side equal to the source's
-                # component: no cut is smaller.
-                break
-    return float(best), best_side
+def _global_mincut_exact(H: Hypergraph) -> tuple[float, frozenset]:
+    """Stoer-Wagner phases over the hypergraph maximum-adjacency ordering of
+    Klimmek-Wagner (1996). A phase grows A from supervertex 0; adding v
+    touches each untouched hyperedge of v, whose weight then counts in the
+    key of every member, and the largest key outside A joins next. The last
+    vertex t has key cut({t}), a minimum cut from the one before it, s, and
+    is merged into s. `pe`/`pv` hold the (hyperedge, supervertex) pairs of
+    the contracted hypergraph by hyperedge; `group` maps vertices to
+    supervertices."""
+    pos = H.weights > 0.0
+    sizes = np.diff(H.indptr)
+    w = H.weights[pos]
+    pe = np.repeat(np.arange(len(w)), sizes[pos])
+    pv = H.indices[np.repeat(pos, sizes)]
+    group = np.arange(H.n)
+    best, best_side = np.inf, frozenset()
+    for k in range(H.n, 1, -1):
+        ptr = np.searchsorted(pe, np.arange(len(w) + 1))
+        order = np.argsort(pv, kind="stable")
+        by_vertex, vptr = pe[order], np.searchsorted(pv[order], np.arange(k + 1))
+        touched = np.zeros(len(w), dtype=bool)
+        key = np.zeros(k)
+        t = 0
+        for _ in range(k - 1):
+            key[t] = -np.inf  # in A from here on
+            new = by_vertex[vptr[t]:vptr[t + 1]]
+            new = new[~touched[new]]
+            touched[new] = True
+            lens = ptr[new + 1] - ptr[new]
+            starts = np.repeat(ptr[new] - np.cumsum(lens) + lens, lens)
+            members = pv[starts + np.arange(len(starts))]
+            key += np.bincount(members, weights=np.repeat(w[new], lens), minlength=k)
+            s, t = t, int(np.argmax(key))
+            if key[t] == 0.0:
+                # No positive hyperedge leaves A: it is vertex 0's component.
+                return 0.0, frozenset(np.flatnonzero(np.isinf(key)[group]).tolist())
+        if key[t] < best:
+            best, best_side = float(key[t]), frozenset(np.flatnonzero(group != t).tolist())
+        # Merge t into s: drop the pair (e, t) of each e that holds s, then
+        # every hyperedge left inside one supervertex, then close the gap at t.
+        holds_s = np.zeros(len(w), dtype=bool)
+        holds_s[pe[pv == s]] = True
+        at_t = pv == t
+        keep = ~(at_t & holds_s[pe])
+        pe, pv = pe[keep], np.where(at_t, s, pv)[keep]
+        alive = np.bincount(pe, minlength=len(w)) > 1
+        keep = alive[pe]
+        pe, pv, w = (np.cumsum(alive) - 1)[pe[keep]], pv[keep], w[alive]
+        pv -= pv > t
+        group[group == t] = s
+        group -= group > t
+    return best, best_side
 
 
 def global_mincut(
@@ -227,10 +252,11 @@ def global_mincut(
 ) -> tuple[float, frozenset]:
     """Minimum cut over all nontrivial vertex splits, with a witness side.
 
-    Exact mode fixes vertex 0 as the source and minimizes s-t cuts over every
-    sink; a hypergraph whose positive-weight hyperedges do not connect all
-    vertices yields 0 with one component as the witness. Approximate mode
-    runs the exact solver on an eps/3-sparsifier.
+    Exact mode contracts one vertex per maximum-adjacency phase: n - 1
+    phases of O(p log p + n^2) array work, p = sum |e|. The witness is the
+    side holding vertex 0; a hypergraph whose positive-weight hyperedges do
+    not connect all vertices yields 0 with vertex 0's component as the
+    witness. Approximate mode runs the exact solver on an eps/3-sparsifier.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")

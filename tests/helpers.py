@@ -9,6 +9,7 @@ from itertools import combinations
 import numpy as np
 import scipy.linalg
 
+from hypersparse.apps import lawler_reduction, max_flow
 from hypersparse.core import Hypergraph, UnderlyingGraph
 from hypersparse.linalg import build_laplacian
 from hypersparse.verify import _ABS_TOL
@@ -227,6 +228,12 @@ def brute_st_mincut(H: Hypergraph, s: int, t: int) -> float:
 def brute_global_mincut(H: Hypergraph) -> float:
     """Exhaustive minimum over all nontrivial cuts."""
     return float(loop_cut_values(H, np.arange(1, 1 << (H.n - 1))).min())
+
+
+def flow_global_mincut(H: Hypergraph) -> float:
+    """Global mincut as the least of the n - 1 max-flows from vertex 0 on the
+    in/out-node network: the exact solver's former loop."""
+    return min(max_flow(lawler_reduction(H, 0, t)) for t in range(1, H.n))
 
 
 def all_pairs(vertices):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from hypersparse import apps
 from hypersparse.apps import (
     FlowNetwork,
-    _global_mincut_exact,
     global_mincut,
     lawler_reduction,
     max_flow,
@@ -11,12 +11,13 @@ from hypersparse.apps import (
 )
 from hypersparse.core import Hypergraph, cut_value
 from hypersparse.hsparse import SparsifyConfig
-from hypersparse.verify import verify_cut_sparsifier
+from hypersparse.verify import _cut_values, verify_cut_sparsifier
 
 from helpers import (
     brute_global_mincut,
     brute_st_mincut,
     edges,
+    flow_global_mincut,
     loop_component,
     loop_lawler_arcs,
     random_hypergraph,
@@ -121,6 +122,42 @@ class TestStMincut:
         assert report.passed
         assert (1.0 - eps / 3.0) * exact <= value <= (1.0 + eps / 3.0) * exact
 
+    @pytest.mark.parametrize("s, t", [(2, 2), (0, 12), (-1, 3)])
+    def test_terminals_checked_before_sparsifying(self, monkeypatch, s, t):
+        def no_sparsifier(*args):
+            raise AssertionError("sparsified before the terminals were checked")
+
+        monkeypatch.setattr(apps, "_sparsify_for_apps", no_sparsifier)
+        H = random_hypergraph(33, n=12, m=40, rank=4)
+        with pytest.raises(ValueError):
+            st_mincut(H, s, t, eps=0.3)
+
+
+def _edge_case(kind, seed):
+    """Integer-weight instances on the edges of the mincut's input domain."""
+    rng = np.random.default_rng(seed)
+    if kind == "n=2":
+        return Hypergraph(2, [((0, 1), float(w)) for w in rng.integers(0, 4, size=1 + seed % 3)])
+    n = int(rng.integers(4, 10))
+    H = random_hypergraph(seed + 900, n=n, m=2 * n, rank=min(4, n), integer_weights=True)
+    pairs = list(edges(H))
+    if kind == "zero weights":
+        pairs = [(vs, 0.0 if rng.random() < 0.4 else w) for vs, w in pairs]
+    elif kind == "isolated vertices":
+        # gap ids on no hyperedge: the first ones for even seeds, else the last.
+        gap = 1 + seed % 3
+        shift = gap * (1 - seed % 2)
+        pairs = [(tuple(v + shift for v in vs), w) for vs, w in pairs]
+        n += gap
+    elif kind == "disconnected":
+        pairs = [(vs, w) for vs, w in pairs if (min(vs) < n // 2) == (max(vs) < n // 2)]
+        pairs = pairs or [((0, 1), 1.0)]
+    elif kind == "parallel":
+        pairs = pairs + [pairs[i] for i in rng.integers(0, len(pairs), size=len(pairs))]
+    elif kind == "spanning":
+        pairs = [(tuple(range(n)), float(rng.integers(1, 4)))] + pairs[: seed % 3]
+    return Hypergraph(n, pairs)
+
 
 class TestGlobalMincut:
     def test_disconnected_gives_zero_with_witness(self):
@@ -157,12 +194,34 @@ class TestGlobalMincut:
         assert value == brute_global_mincut(H)
         assert cut_value(H, witness) == pytest.approx(value)
 
-    def test_invariant_under_source_choice(self):
-        H = random_hypergraph(77, n=8, m=14, rank=3, integer_weights=True)
-        values = {
-            _global_mincut_exact(H, source=s)[0] for s in range(H.n)
-        }
-        assert len(values) == 1
+    @pytest.mark.parametrize("seed", range(4))
+    def test_invariant_under_vertex_relabelling(self, seed):
+        H = random_hypergraph(77 + seed, n=8, m=14, rank=3, integer_weights=True)
+        perm = np.random.default_rng(seed).permutation(H.n)
+        relabelled = Hypergraph(H.n, [(perm[list(vs)], w) for vs, w in edges(H)])
+        assert global_mincut(relabelled)[0] == global_mincut(H)[0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "kind", ["zero weights", "isolated vertices", "disconnected", "parallel", "spanning", "n=2"]
+    )
+    def test_matches_flow_loop_and_brute_force(self, kind, seed):
+        H = _edge_case(kind, seed)
+        value, witness = global_mincut(H)
+        assert value == flow_global_mincut(H) == brute_global_mincut(H)
+        assert 0 in witness and 0 < len(witness) < H.n
+        assert cut_value(H, witness) == value
+
+    def test_many_hyperedges_match_cut_table(self):
+        H = random_hypergraph(80, n=18, m=10_000, rank=5)
+        value, witness = global_mincut(H)
+        q, tol = _cut_values(H)
+        assert abs(value - q.min()) <= tol
+        # Entry S - 1 holds the cut of S for masks S without vertex n - 1.
+        mask = sum(1 << v for v in witness)
+        if mask >> (H.n - 1):
+            mask = (1 << H.n) - 1 - mask
+        assert abs(q[mask - 1] - value) <= tol
 
     def test_witness_is_proper_subset(self):
         H = random_hypergraph(78, n=8, m=20, rank=4)
