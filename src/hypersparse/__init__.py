@@ -20,7 +20,6 @@ from .linalg import (
     DisconnectedError,
     Laplacian,
     ResistanceSketch,
-    SolverError,
     build_laplacian,
     build_sketch,
     effective_resistance_exact,

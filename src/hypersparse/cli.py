@@ -14,7 +14,6 @@ from .hgio import HgrFormatError, parse_hypergraph, serialize_hypergraph
 from .hsparse import ScorePositivityError, SparsifyConfig, sparsify_hypergraph
 from .linalg import (
     DisconnectedError,
-    SolverError,
     build_sketch,
     effective_resistance_exact,
     sketch_resistance,
@@ -35,7 +34,6 @@ _USAGE_ERRORS = (
     OSError,
     HgrFormatError,
     DisconnectedError,
-    SolverError,
     ScorePositivityError,
     MassBoundError,
     ValueError,

@@ -1,8 +1,8 @@
 """Spectral sparsification of star underlying graphs by resistance sampling.
 
 Edges are drawn i.i.d. with probability proportional to weight times
-effective resistance (exact on dense Laplacians, sketched above them; see
-`linalg.edge_resistances`); each draw deposits c_f / (q p_f) on its label, so
+effective resistance (exact where the dense factor fits, sketched above it;
+see `linalg.edge_resistances`); each draw deposits c_f / (q p_f) on its label, so
 expected output weights match the input exactly and the flattened Laplacian
 is a (1 +- eps) spectral approximation with high probability.
 """
@@ -20,10 +20,10 @@ from .seeding import derive_seed
 __all__ = ["sparsify_graph", "sample_size", "DEFAULT_OVERSAMPLE", "INTERNAL_SKETCH_EPS"]
 
 DEFAULT_OVERSAMPLE = 9.0
-# Accuracy of the resistance sketch, used only when the Laplacian is too large
-# for the dense pseudo-inverse (smaller graphs get exact resistances). Constant-
-# factor resistance error only perturbs sampling probabilities and is absorbed
-# by the oversampling constant, so it does not track the target eps.
+# Accuracy of the resistance sketch, used only where the dense grounded inverse
+# does not fit (`linalg.fits_dense`; smaller graphs get exact resistances).
+# Constant-factor resistance error only perturbs sampling probabilities and is
+# absorbed by the oversampling constant, so it does not track the target eps.
 INTERNAL_SKETCH_EPS = 0.3
 
 

@@ -118,9 +118,9 @@ def sparsify_hypergraph(
 
     Unless a precomputed result is supplied, the overestimate runs with the
     rank-driven round count, a graph sparsifier at accuracy 0.1 per round, and
-    exact resistances on it (a sketch at accuracy 0.1 above DENSE_LIMIT
-    vertices). Only hyperedges with accumulated weight > 0 appear in the
-    output, at most min(M, m) distinct.
+    exact resistances on it (a sketch at accuracy 0.1 where the dense factor
+    does not fit, see `linalg.fits_dense`). Only hyperedges with accumulated
+    weight > 0 appear in the output, at most min(M, m) distinct.
     """
     if overestimate is None:
         ov_cfg = OverestimateConfig(

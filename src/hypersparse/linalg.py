@@ -1,13 +1,18 @@
 """Graph Laplacians, effective resistances, and the randomized resistance sketch.
 
-Small systems (n <= 512 by default) are solved through a cached dense
-eigendecomposition pseudo-inverse; larger ones fall back to Jacobi-preconditioned
-conjugate gradients on the Laplacian. Connectivity is tracked per component and
-resistance queries across components are hard errors rather than infinities.
+Every solve goes through one cached factorization of the grounded Laplacian,
+in which one vertex of each component has its row and column replaced by the
+identity. That matrix is positive definite, and its inverse F (zero on the
+grounded rows and columns) gives R_ab = F_aa + F_bb - 2 F_ab for a and b in
+one component. While the dense Laplacian, F and one n x n temporary fit
+DENSE_BYTES (`fits_dense`), F is formed by LAPACK Cholesky (`potrf` +
+`potri`); above it the grounded Laplacian gets one sparse LU (`splu`).
+Connectivity is tracked per component and resistance queries across
+components are hard errors rather than infinities.
 
 `edge_resistances` is the one entry point for per-edge resistances: exact
-values from the pseudo-inverse on the dense representation, and a
-Johnson-Lindenstrauss sketch only above it, where no pseudo-inverse exists.
+values read from F where it fits, and a Johnson-Lindenstrauss sketch built
+through the sparse LU only above it.
 """
 
 from __future__ import annotations
@@ -16,15 +21,17 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
 from .core import WeightedGraph
 
 __all__ = [
     "DisconnectedError",
-    "SolverError",
     "Laplacian",
     "ResistanceSketch",
+    "fits_dense",
     "build_laplacian",
     "solve_laplacian",
     "effective_resistance_exact",
@@ -36,12 +43,13 @@ __all__ = [
     "foster_sum",
 ]
 
-DENSE_LIMIT = 512
+# Byte budget of the dense path: the Laplacian, its grounded inverse and one
+# n x n temporary (3 n^2 float64). 1 GiB admits n <= 6,688.
+DENSE_BYTES = 1 << 30
 SKETCH_ROW_FACTOR = 24.0
 RESISTANCE_FLOOR = 1e-15
-CG_TOL = 1e-10
-CG_ITER_FACTOR = 20
-# Largest p x k float64 block a batched sketch query materialises at once.
+# Largest p x k float64 block a batched sketch query materialises at once,
+# and largest n x k right-hand side block of an exact query on the sparse LU.
 QUERY_BLOCK_BYTES = 1 << 25
 
 
@@ -49,54 +57,90 @@ class DisconnectedError(ValueError):
     """Resistance requested between vertices in different components."""
 
 
-class SolverError(RuntimeError):
-    """Iterative Laplacian solve failed to reach tolerance within its cap."""
+def fits_dense(n: int) -> bool:
+    """Whether an n-vertex Laplacian takes the dense path (3 n^2 float64 <= DENSE_BYTES)."""
+    return 24 * n * n <= DENSE_BYTES
 
 
 class Laplacian:
     """Positive-semidefinite graph Laplacian with component labeling.
 
-    `matrix` is a dense ndarray when n <= dense_limit, else a CSR sparse
-    matrix. The dense pseudo-inverse is computed lazily and cached.
+    `matrix` is a dense ndarray when `fits_dense(n)`, else a CSR sparse
+    matrix. `grounded` holds one vertex per component. The factor of the
+    grounded Laplacian is computed lazily and cached.
     """
 
-    __slots__ = ("n", "matrix", "components", "n_components", "_pinv", "_diag")
+    __slots__ = ("n", "matrix", "components", "n_components", "grounded", "_factor")
 
-    def __init__(self, n, matrix, components, n_components):
+    def __init__(self, n, matrix, components, n_components, grounded):
         self.n = n
         self.matrix = matrix
         self.components = components
         self.n_components = n_components
-        self._pinv = None
-        self._diag = None
+        self.grounded = grounded
+        self._factor = None
 
     @property
     def is_dense(self) -> bool:
         return isinstance(self.matrix, np.ndarray)
 
+    def factor(self):
+        """Grounded inverse F (dense path) or the grounded Laplacian's sparse
+        LU, cached. Raises np.linalg.LinAlgError (a ValueError) when rounding
+        leaves the grounded Laplacian singular."""
+        if self._factor is None:
+            g = self.grounded
+            if self.is_dense:
+                M = self.matrix.copy()
+                M[g, :] = 0.0
+                M[:, g] = 0.0
+                M[g, g] = 1.0
+                # M is symmetric, so its transpose is the Fortran-ordered
+                # matrix LAPACK overwrites in place.
+                F, info = lapack.dpotrf(M.T, overwrite_a=True)
+                if info == 0:
+                    F, info = lapack.dpotri(F, overwrite_c=True)
+                if info != 0:
+                    raise np.linalg.LinAlgError(f"grounded Laplacian is singular in floating point (info {info})")
+                F += np.triu(F, 1).T
+                F[g, g] = 0.0
+                self._factor = F
+            else:
+                keep = np.ones(self.n)
+                keep[g] = 0.0
+                D = sp.diags(keep)
+                M = D @ self.matrix @ D + sp.diags(1.0 - keep)
+                try:
+                    self._factor = splu(M.tocsc())
+                except RuntimeError as exc:
+                    raise np.linalg.LinAlgError(f"grounded Laplacian is singular in floating point ({exc})") from exc
+        return self._factor
+
+    def solve_grounded(self, B) -> np.ndarray:
+        """X with L X = B and X = 0 on grounded vertices, for B of shape (n,)
+        or (n, k) whose columns sum to zero on each component."""
+        F = self.factor()
+        if self.is_dense:
+            return F @ B
+        X = F.solve(np.asarray(B, dtype=float))
+        X[self.grounded] = 0.0
+        return X
+
     def pseudo_inverse(self) -> np.ndarray:
-        """Dense Moore-Penrose inverse, cached. Dense representation only."""
-        if self._pinv is None:
-            if not self.is_dense:
-                raise ValueError("pseudo_inverse requires the dense representation")
-            vals, vecs = np.linalg.eigh(self.matrix)
-            # The kernel dimension equals the component count; zero those modes.
-            inv = np.zeros_like(vals)
-            inv[self.n_components:] = 1.0 / vals[self.n_components:]
-            self._pinv = (vecs * inv) @ vecs.T
-        return self._pinv
-
-    def diagonal(self) -> np.ndarray:
-        if self._diag is None:
-            self._diag = self.matrix.diagonal().copy() if not self.is_dense else np.diag(self.matrix).copy()
-        return self._diag
+        """Dense Moore-Penrose inverse: F with per-component means removed
+        from its rows and columns. Dense representation only."""
+        if not self.is_dense:
+            raise ValueError("pseudo_inverse requires the dense representation")
+        return _project_out_kernel(self, _project_out_kernel(self, self.factor()).T)
 
 
-def build_laplacian(G: WeightedGraph, dense_limit: int = DENSE_LIMIT) -> Laplacian:
+def build_laplacian(G: WeightedGraph) -> Laplacian:
     """Assemble L = D - A, summing parallel edges, and label components.
 
     Components are taken over strictly positive-weight edges: a weight-0 edge
-    carries no conductance and does not connect.
+    carries no conductance and does not connect. Each component is grounded
+    at its largest-degree vertex (the first on a tie): a heavy cluster left
+    ungrounded would lose its light tie to the ground in rounding.
     """
     n = G.n
     support = G.w > 0.0
@@ -106,64 +150,66 @@ def build_laplacian(G: WeightedGraph, dense_limit: int = DENSE_LIMIT) -> Laplaci
     adj = adj + adj.T
     n_components, labels = connected_components(adj, directed=False)
     degrees = np.asarray(adj.sum(axis=1)).ravel()
-    if n <= dense_limit:
+    if fits_dense(n):
         matrix = np.diag(degrees) - adj.toarray()
     else:
         matrix = (sp.diags(degrees) - adj).tocsr()
-    return Laplacian(n, matrix, labels, n_components)
+    order = np.lexsort((-degrees, labels))
+    grounded = order[np.searchsorted(labels[order], np.arange(n_components))]
+    return Laplacian(n, matrix, labels, n_components, grounded)
 
 
 def _project_out_kernel(L: Laplacian, x: np.ndarray) -> np.ndarray:
-    """Remove per-component means (the kernel of L)."""
+    """Remove per-component means (the kernel of L) along the first axis."""
     x = np.asarray(x, dtype=float)
-    sums = np.bincount(L.components, weights=x, minlength=L.n_components)
     sizes = np.bincount(L.components, minlength=L.n_components)
-    return x - (sums / sizes)[L.components]
+    means = sp.csr_matrix(
+        (1.0 / sizes[L.components], (L.components, np.arange(L.n))),
+        shape=(L.n_components, L.n),
+    )
+    return x - (means @ x)[L.components]
 
 
-def solve_laplacian(L: Laplacian, b, tol: float = CG_TOL) -> np.ndarray:
-    """Return x = L^+ b; b is first projected onto range(L) per component.
-
-    Dense path goes through the cached eigendecomposition pseudo-inverse.
-    Sparse path runs Jacobi-preconditioned CG with an iteration cap of
-    20 * n and raises SolverError if the residual never reaches tol * ||b||.
-    """
+def solve_laplacian(L: Laplacian, b) -> np.ndarray:
+    """Return x = L^+ b; b is first projected onto range(L) per component."""
     b = np.asarray(b, dtype=float)
     if b.shape != (L.n,):
         raise ValueError(f"expected a length-{L.n} vector")
-    rhs = _project_out_kernel(L, b)
-    if L.is_dense:
-        return L.pseudo_inverse() @ rhs
+    return _project_out_kernel(L, L.solve_grounded(_project_out_kernel(L, b)))
 
-    diag = L.diagonal()
-    precond = np.where(diag > 0.0, 1.0 / np.where(diag > 0.0, diag, 1.0), 1.0)
-    target = tol * max(float(np.linalg.norm(b)), np.finfo(float).tiny)
-    x = np.zeros(L.n)
-    r = rhs.copy()
-    z = precond * r
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(CG_ITER_FACTOR * L.n):
-        if np.linalg.norm(r) <= target:
-            break
-        Ap = L.matrix @ p
-        denom = float(p @ Ap)
-        if denom <= 0.0:
-            break
-        alpha = rz / denom
-        x += alpha * p
-        r -= alpha * Ap
-        # Guard against kernel drift from rounding.
-        r = _project_out_kernel(L, r)
-        z = precond * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if np.linalg.norm(r) > target:
-        raise SolverError(
-            f"conjugate gradient stalled at residual {np.linalg.norm(r):.3e}"
-        )
-    return _project_out_kernel(L, x)
+
+def _check_pairs(components: np.ndarray, a, b):
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if (a == b).any():
+        raise ValueError("resistance requires distinct vertices")
+    if (components[a] != components[b]).any():
+        raise DisconnectedError("query pair spans two components")
+    return a, b
+
+
+def _exact_resistances(L: Laplacian, a, b) -> np.ndarray:
+    """Exact resistances between aligned vertex arrays, from the factor.
+
+    The dense path reads F; the sparse path solves for delta_a - delta_b in
+    blocks of at most QUERY_BLOCK_BYTES of right-hand sides.
+    """
+    a, b = _check_pairs(L.components, a, b)
+    if L.is_dense:
+        F = L.factor()
+        d = F.diagonal()
+        return d[a] + d[b] - 2.0 * F[a, b]
+    out = np.empty(len(a))
+    block = max(1, QUERY_BLOCK_BYTES // (8 * L.n))
+    for start in range(0, len(a), block):
+        ab, bb = a[start:start + block], b[start:start + block]
+        cols = np.arange(len(ab))
+        B = np.zeros((L.n, len(ab)))
+        B[ab, cols] = 1.0
+        B[bb, cols] = -1.0
+        X = L.solve_grounded(B)
+        out[start:start + block] = X[ab, cols] - X[bb, cols]
+    return out
 
 
 def effective_resistance_exact(G: WeightedGraph, a: int, b: int) -> float:
@@ -171,16 +217,7 @@ def effective_resistance_exact(G: WeightedGraph, a: int, b: int) -> float:
 
     Raises DisconnectedError when a and b sit in different components.
     """
-    if a == b:
-        raise ValueError("resistance requires two distinct vertices")
-    L = build_laplacian(G)
-    if L.components[a] != L.components[b]:
-        raise DisconnectedError(f"vertices {a} and {b} are not connected")
-    delta = np.zeros(G.n)
-    delta[a] = 1.0
-    delta[b] = -1.0
-    x = solve_laplacian(L, delta)
-    return float(delta @ x)
+    return float(_exact_resistances(build_laplacian(G), [a], [b])[0])
 
 
 def resistance_table(G: WeightedGraph, L: Laplacian | None = None) -> np.ndarray:
@@ -189,13 +226,12 @@ def resistance_table(G: WeightedGraph, L: Laplacian | None = None) -> np.ndarray
         L = build_laplacian(G)
     if not L.is_dense:
         raise ValueError("resistance_table requires the dense representation")
-    P = L.pseudo_inverse()
-    d = np.diag(P)
-    table = d[:, None] + d[None, :] - 2.0 * P
+    F = L.factor()
+    d = F.diagonal()
+    table = d[:, None] + d[None, :] - 2.0 * F
     np.fill_diagonal(table, 0.0)
-    table = np.maximum(table, 0.0)
-    cross = L.components[:, None] != L.components[None, :]
-    table[cross] = np.inf
+    np.maximum(table, 0.0, out=table)
+    table[L.components[:, None] != L.components[None, :]] = np.inf
     return table
 
 
@@ -224,10 +260,10 @@ def sketch_rows(n: int, eps_sketch: float) -> int:
 def build_sketch(G: WeightedGraph, eps_sketch: float, seed: int) -> ResistanceSketch:
     """Random +-1/sqrt(p) projection of the weighted incidence map through L^+.
 
-    Z = Pi W^{1/2} B L^+ with B the signed edge-vertex incidence operator.
-    The projection is applied blockwise so Pi is never fully materialized;
-    each of the p rows then passes through one Laplacian solve (batched as a
-    matrix product on the dense path).
+    Z = Pi W^{1/2} B L^+ with B the signed edge-vertex incidence operator,
+    up to a constant per component that no query sees. The projection is
+    applied blockwise so Pi is never fully materialized; the p rows then go
+    through the grounded factor as one multi-right-hand-side solve.
     """
     if not 0.0 < eps_sketch < 1.0:
         raise ValueError("eps_sketch must lie in (0, 1)")
@@ -260,23 +296,13 @@ def build_sketch(G: WeightedGraph, eps_sketch: float, seed: int) -> ResistanceSk
             signs = rng.integers(0, 2, size=(stop - start, m)) * 2.0 - 1.0
             Y[start:stop] = (signs @ incidence) * inv_root_p
 
-    if L.is_dense:
-        Z = Y @ L.pseudo_inverse()
-    else:
-        Z = np.empty_like(Y)
-        for i in range(p):
-            Z[i] = solve_laplacian(L, Y[i])
+    Z = L.solve_grounded(Y.T).T
     return ResistanceSketch(Z, p, eps_sketch, seed, L.components)
 
 
 def sketch_resistance(S: ResistanceSketch, a: int, b: int) -> float:
     """Sketched resistance ||Z(delta_a - delta_b)||^2 for one pair."""
-    if a == b:
-        raise ValueError("resistance requires two distinct vertices")
-    if S.components[a] != S.components[b]:
-        raise DisconnectedError(f"vertices {a} and {b} are not connected")
-    d = S.Z[:, a] - S.Z[:, b]
-    return max(float(d @ d), RESISTANCE_FLOOR)
+    return float(sketch_resistance_many(S, [a], [b])[0])
 
 
 def sketch_resistance_many(S: ResistanceSketch, a, b) -> np.ndarray:
@@ -285,12 +311,7 @@ def sketch_resistance_many(S: ResistanceSketch, a, b) -> np.ndarray:
     Pairs are taken in column blocks so no temporary exceeds
     QUERY_BLOCK_BYTES (at least one column per block).
     """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if (a == b).any():
-        raise ValueError("resistance requires distinct vertices")
-    if (S.components[a] != S.components[b]).any():
-        raise DisconnectedError("query pair spans two components")
+    a, b = _check_pairs(S.components, a, b)
     out = np.empty(len(a))
     block = max(1, QUERY_BLOCK_BYTES // (8 * S.p))
     for start in range(0, len(a), block):
@@ -303,50 +324,26 @@ def sketch_resistance_many(S: ResistanceSketch, a, b) -> np.ndarray:
 def edge_resistances(G: WeightedGraph, a, b, eps_sketch: float, seed: int) -> np.ndarray:
     """Resistances in G between aligned vertex arrays a and b.
 
-    On the dense representation (n <= DENSE_LIMIT) the values are exact,
-    read from `resistance_table`, which costs O(n^2) on top of the cached
-    pseudo-inverse; a sketch there would start from the same pseudo-inverse
-    and add work on top of it. Above that the sketch at eps_sketch and seed
-    is built and queried, so each value is within (1 +- eps_sketch) with high
-    probability. Both paths clamp at RESISTANCE_FLOOR and raise
+    Where `fits_dense(G.n)` the values are exact, read from the grounded
+    inverse; a sketch there would start from the same factor and add work on
+    top of it. Above that the sketch at eps_sketch and seed is built through
+    the sparse LU and queried, so each value is within (1 +- eps_sketch) with
+    high probability. Both paths clamp at RESISTANCE_FLOOR and raise
     DisconnectedError for a cross-component pair.
     """
-    L = build_laplacian(G)
-    if not L.is_dense:
+    if not fits_dense(G.n):
         return sketch_resistance_many(build_sketch(G, eps_sketch, seed), a, b)
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    if (a == b).any():
-        raise ValueError("resistance requires distinct vertices")
-    res = resistance_table(G, L)[a, b]
-    if np.isinf(res).any():
-        raise DisconnectedError("query pair spans two components")
-    return np.maximum(res, RESISTANCE_FLOOR)
+    return np.maximum(_exact_resistances(build_laplacian(G), a, b), RESISTANCE_FLOOR)
 
 
-def foster_sum(G: WeightedGraph) -> float:
+def foster_sum(G: WeightedGraph, L: Laplacian | None = None) -> float:
     """Sum of c_f * R_f over positive-weight edges, with exact resistances.
 
     For exact arithmetic this equals n minus the number of connected
     components (the trace of L L^+), so it never exceeds n - 1 on a
     connected graph.
     """
-    L = build_laplacian(G)
-    support = np.flatnonzero(G.w > 0.0)
-    if len(support) == 0:
-        return 0.0
-    if L.is_dense:
-        table = resistance_table(G, L)
-        res = table[G.u[support], G.v[support]]
-    else:
-        res = np.empty(len(support))
-        cache: dict[tuple[int, int], float] = {}
-        for k, idx in enumerate(support):
-            key = (min(G.u[idx], G.v[idx]), max(G.u[idx], G.v[idx]))
-            if key not in cache:
-                delta = np.zeros(G.n)
-                delta[key[0]] = 1.0
-                delta[key[1]] = -1.0
-                cache[key] = float(delta @ solve_laplacian(L, delta))
-            res[k] = cache[key]
-    return float(G.w[support] @ res)
+    if L is None:
+        L = build_laplacian(G)
+    support = G.w > 0.0
+    return float(G.w[support] @ _exact_resistances(L, G.u[support], G.v[support]))

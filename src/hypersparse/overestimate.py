@@ -1,12 +1,13 @@
 """Iterative reweighting that yields per-hyperedge leverage-score overestimates.
 
 Each round sparsifies the current star underlying graph, takes effective
-resistances on the sparsifier (exact on dense Laplacians, sketched above them;
-see `linalg.edge_resistances`), records slot leverages c~ * R~, and reassigns
-each hyperedge's weight across its star in proportion to those leverages. The
-averaged per-star leverage mass, scaled by a factor depending on the rank and
-the two accuracy knobs, upper-bounds the true hyperedge leverage scores of the
-averaged witness graph, while Foster's identity caps the total at O(n).
+resistances in the sparsifier (exact where the dense factor fits, sketched
+above it; see `linalg.edge_resistances`) for every slot of the current graph,
+records slot leverages c * R~, and reassigns each hyperedge's weight across
+its star in proportion to those leverages. The averaged per-star leverage
+mass, scaled by a factor depending on the rank and the two accuracy knobs,
+upper-bounds the true hyperedge leverage scores of the averaged witness
+graph, while Foster's identity caps the total at O(n).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .core import Hypergraph, UnderlyingGraph, flatten, init_underlying
 from .gsparse import DEFAULT_OVERSAMPLE, sparsify_graph
-from .linalg import DENSE_LIMIT, DisconnectedError, edge_resistances, resistance_table
+from .linalg import DisconnectedError, edge_resistances, fits_dense, resistance_table
 from .seeding import derive_seed
 
 __all__ = [
@@ -56,11 +57,11 @@ class OverestimateConfig:
     rounds: number of reweighting rounds (T >= 1).
     graph_eps: accuracy of the per-round graph sparsifier (alpha_1).
     sketch_eps: accuracy of the per-round resistance sketch (alpha_2), which
-        only runs above DENSE_LIMIT vertices; the mass bound keeps its
-        (1 + sketch_eps) factor either way.
+        only runs where the dense factor does not fit (`linalg.fits_dense`);
+        the mass bound keeps its (1 + sketch_eps) factor either way.
     exact: bypass sparsification (identity) so resistances are exact on the
         full graph, separating algorithmic correctness from stochastic error.
-        Needs n <= DENSE_LIMIT.
+        Needs the dense factor.
     """
 
     rounds: int
@@ -92,10 +93,10 @@ class OverestimateConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One round's sparsified underlying graph and per-slot resistances.
+    """One round's underlying graph and per-slot resistances in its sparsifier.
 
-    `resistances` aligns with the graph's slot layout; slots whose sparsified
-    weight is 0 were never queried and hold 0.
+    `resistances` aligns with the graph's slot layout; slots of weight 0 were
+    never queried and hold 0.
     """
 
     graph: UnderlyingGraph
@@ -152,18 +153,19 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig | None = None) -
     """Run the iterative reweighting and aggregate per-hyperedge scores.
 
     Round 1 starts from the uniform star initialization; round t sparsifies
-    the current graph at graph_eps, takes resistances on the sparsifier's
-    support through `edge_resistances` (exact up to DENSE_LIMIT vertices,
-    sketched at sketch_eps above), records slot leverages, and reassigns
-    weights for round t + 1. Slots off the support get resistance 0. The
+    the current graph U_t at graph_eps, takes resistances in the sparsifier
+    for every positive-weight slot of U_t through `edge_resistances` (exact
+    where the dense factor fits, sketched at sketch_eps above), records slot
+    leverages w_t(f) * R~(f), and reassigns weights for round t + 1. The
+    sparsifier only supplies resistances: a slot it drops still scores. The
     final score of hyperedge e is scale * (1 / T) * sum over rounds and star
     slots of the recorded leverages, and the total mass is asserted against
-    (1 + sketch_eps) * scale * n. Exact mode needs the dense representation.
+    (1 + sketch_eps) * scale * n. Exact mode needs the dense factor.
     """
     if cfg is None:
         cfg = OverestimateConfig(rounds=default_rounds(H.rank))
-    if cfg.exact and H.n > DENSE_LIMIT:
-        raise ValueError(f"exact mode needs n <= {DENSE_LIMIT}, got n = {H.n}")
+    if cfg.exact and not fits_dense(H.n):
+        raise ValueError(f"exact mode needs the dense factor, which n = {H.n} exceeds")
     U = init_underlying(H)
     slot_edges = U.slot_edges()
     tails = np.repeat(U.anchors, U.star_sizes())
@@ -179,19 +181,19 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig | None = None) -
                 derive_seed(cfg.seed, f"overestimate/round{t}/graph"),
                 oversample=cfg.oversample,
             )
-        support = np.flatnonzero(sparse_u.weights > 0.0)
-        res = np.zeros(sparse_u.slot_count)
+        support = np.flatnonzero(U.weights > 0.0)
+        res = np.zeros(U.slot_count)
         res[support] = edge_resistances(
             flatten(sparse_u),
             tails[support],
-            sparse_u.star_v[support],
+            U.star_v[support],
             cfg.sketch_eps,
             derive_seed(cfg.seed, f"overestimate/round{t}/sketch"),
         )
-        record = RoundRecord(sparse_u, res)
+        record = RoundRecord(U, res)
         rounds.append(record)
         np.add.at(acc, slot_edges, record.slot_leverages())
-        U = weight_compute(sparse_u, res, H)
+        U = weight_compute(U, res, H)
 
     scale = cfg.scale(H.rank)
     scores = scale * acc / cfg.rounds
@@ -252,8 +254,6 @@ class OverestimateValidation:
     mass_bound_doubled: float
     l1_ok: bool
     l1_ok_doubled: bool
-    star_sum_max_rel_dev: float
-    dead_stars: int
     checked: int = field(default=0)
 
     def as_dict(self) -> dict:
@@ -266,8 +266,6 @@ class OverestimateValidation:
             "mass_bound_doubled": self.mass_bound_doubled,
             "l1_ok": self.l1_ok,
             "l1_ok_doubled": self.l1_ok_doubled,
-            "star_sum_max_rel_dev": self.star_sum_max_rel_dev,
-            "dead_stars": self.dead_stars,
             "checked": self.checked,
         }
 
@@ -275,34 +273,16 @@ class OverestimateValidation:
 def validate_overestimate(H: Hypergraph, result: OverestimateResult) -> OverestimateValidation:
     """Check the two overestimate conditions against the averaged witness.
 
-    The witness weights average the per-round sparsifier weights label-wise.
-    Averaged stars need not sum to w_e, so each star is rescaled to restore
-    the constraint (the largest pre-rescale relative deviation is reported);
-    stars with zero averaged mass fall back to the uniform share and are
-    counted. Violations list (hyperedge, score, required leverage); the l1
-    mass is compared against the asserted bound and its doubled variant.
+    The witness weights average the per-round graph weights label-wise; each
+    round's stars sum to w_e, so the averaged stars do too. Violations list
+    (hyperedge, score, required leverage); the l1 mass is compared against
+    the asserted bound and its doubled variant.
     """
     if not result.rounds:
         raise ValueError("result carries no round data")
     template = result.rounds[0].graph
-    mean_weights = np.mean([rec.graph.weights for rec in result.rounds], axis=0)
-
-    sizes = template.star_sizes()
-    sums = np.add.reduceat(mean_weights, template.offsets[:-1])
-    target = H.weights
-    positive = target > 0.0
-    rel_dev = np.zeros(H.m)
-    rel_dev[positive] = np.abs(sums[positive] - target[positive]) / target[positive]
-    dead = positive & (sums <= 0.0)
-
-    ratio = np.ones(H.m)
-    live = sums > 0.0
-    ratio[live] = target[live] / sums[live]
-    witness_weights = mean_weights * np.repeat(ratio, sizes)
-    if dead.any():
-        uniform = np.repeat(target / sizes.astype(float), sizes)
-        witness_weights = np.where(np.repeat(dead, sizes), uniform, witness_weights)
-    witness = template.with_weights(witness_weights)
+    witness = template.with_weights(np.mean([rec.graph.weights for rec in result.rounds], axis=0))
+    positive = H.weights > 0.0
 
     table = resistance_table(flatten(witness))
     required = _leverages_from_table(H, table)
@@ -328,7 +308,5 @@ def validate_overestimate(H: Hypergraph, result: OverestimateResult) -> Overesti
         mass_bound_doubled=2.0 * result.mass_bound,
         l1_ok=l1_ok,
         l1_ok_doubled=l1_ok_doubled,
-        star_sum_max_rel_dev=float(rel_dev.max()) if H.m else 0.0,
-        dead_stars=int(dead.sum()),
         checked=int(positive.sum()),
     )

@@ -197,4 +197,4 @@ def foster_check(U: UnderlyingGraph) -> bool:
     """Resistance-mass cap: sum of c_f R_f <= n - #components + 1e-9."""
     G = flatten(U)
     L = build_laplacian(G)
-    return foster_sum(G) <= G.n - L.n_components + 1e-9
+    return foster_sum(G, L) <= G.n - L.n_components + 1e-9

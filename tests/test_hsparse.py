@@ -147,6 +147,21 @@ class TestSparsifyHypergraph:
         with pytest.raises(ScorePositivityError):
             sparsify_hypergraph(H, SparsifyConfig(eps=0.4, seed=0), overestimate=broken)
 
+    def test_many_more_hyperedges_than_draws(self):
+        # Slots outnumber each round's graph draws, so every round's
+        # sparsifier drops stars; the dropped ones must still score.
+        from hypersparse.verify import verify_cut_sparsifier
+
+        rng = np.random.default_rng(75)
+        n, m = 18, 40_000
+        sizes = rng.integers(2, 6, size=m)
+        members = np.argsort(rng.random((m, n)), axis=1)[np.arange(n) < sizes[:, None]]
+        indptr = np.concatenate([[0], np.cumsum(sizes)])
+        H = Hypergraph.from_arrays(n, indptr, members, rng.uniform(0.5, 2.0, size=m))
+        rep = sparsify_hypergraph(H, SparsifyConfig(eps=0.25, seed=7))
+        assert rep.distinct_edges < m / 4
+        assert verify_cut_sparsifier(H, rep.hypergraph, 0.25).passed
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SparsifyConfig(eps=0.0)

@@ -7,13 +7,13 @@ import pytest
 from hypersparse import linalg
 from hypersparse.core import WeightedGraph
 from hypersparse.linalg import (
-    DENSE_LIMIT,
     RESISTANCE_FLOOR,
     DisconnectedError,
     build_laplacian,
     build_sketch,
     edge_resistances,
     effective_resistance_exact,
+    fits_dense,
     foster_sum,
     resistance_table,
     sketch_resistance,
@@ -82,18 +82,6 @@ class TestSolveLaplacian:
         expected = np.linalg.pinv(build_laplacian(G).matrix) @ b
         np.testing.assert_allclose(solve_laplacian(L, b), expected, atol=1e-8)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_cg_path_matches_dense(self, seed):
-        G = random_weighted_graph(seed + 40, n=30, m=70)
-        dense = build_laplacian(G)
-        sparse = build_laplacian(G, dense_limit=0)
-        assert not sparse.is_dense
-        rng = np.random.default_rng(seed)
-        b = rng.standard_normal(30)
-        np.testing.assert_allclose(
-            solve_laplacian(sparse, b), solve_laplacian(dense, b), atol=1e-7
-        )
-
     def test_output_orthogonal_to_component_indicators(self):
         G = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.5)])
         L = build_laplacian(G)
@@ -113,14 +101,116 @@ class TestSolveLaplacian:
         sums = np.bincount(L.components, weights=out)
         np.testing.assert_allclose(sums, 0.0, atol=1e-12)
 
-    def test_iteration_cap_failure_is_signaled(self, monkeypatch):
-        import hypersparse.linalg as linalg
 
-        monkeypatch.setattr(linalg, "CG_ITER_FACTOR", 0)
-        G = random_weighted_graph(50, n=10, m=20)
-        L = build_laplacian(G, dense_limit=0)
-        with pytest.raises(linalg.SolverError):
-            solve_laplacian(L, np.arange(10, dtype=float))
+def isolated_ends():
+    # Vertices 0 and 7 have no edge.
+    G = random_weighted_graph(44, n=6, m=12)
+    return WeightedGraph.from_arrays(8, G.u + 1, G.v + 1, G.w)
+
+
+def zero_weights():
+    # The weight-0 edges would join {0, 1} to {2, ..., 5}; they do not.
+    return WeightedGraph(6, [(0, 1, 1.0), (1, 2, 0.0), (2, 3, 2.0), (3, 4, 1.5),
+                             (4, 2, 0.0), (0, 2, 0.0), (4, 5, 0.5)])
+
+
+def components_901():
+    # 900 of 1,000 vertices isolated: 901 components.
+    G = random_weighted_graph(7, 100, 300)
+    return WeightedGraph.from_arrays(1000, G.u, G.v, G.w)
+
+
+FACTOR_INSTANCES = {
+    "random0": lambda: random_weighted_graph(40, n=30, m=70),
+    "random1": lambda: random_weighted_graph(41, n=30, m=70),
+    "random2": lambda: random_weighted_graph(42, n=30, m=70),
+    "empty": lambda: WeightedGraph(5, []),
+    "isolated_ends": isolated_ends,
+    "zero_weights": zero_weights,
+    "components_901": components_901,
+    "two_vertices": lambda: WeightedGraph(2, [(0, 1, 3.0)]),
+}
+
+
+def component_pairs(G, limit=200):
+    """Up to `limit` vertex pairs that share a component."""
+    comp = build_laplacian(G).components
+    a, b = np.triu_indices(G.n, k=1)
+    keep = comp[a] == comp[b]
+    return a[keep][:limit], b[keep][:limit]
+
+
+def assert_relative(got, want, rel=1e-9):
+    want = np.asarray(want, dtype=float)
+    np.testing.assert_allclose(got, want, rtol=rel, atol=rel * np.abs(want).max(initial=0.0))
+
+
+@pytest.fixture(params=["dense", "lu"])
+def factor_path(request, monkeypatch):
+    """Run the test on the dense inverse and again on the sparse LU."""
+    if request.param == "lu":
+        monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+    return request.param
+
+
+class TestGroundedFactor:
+    @pytest.mark.parametrize("name", FACTOR_INSTANCES)
+    def test_dense_matches_pinv(self, name):
+        G = FACTOR_INSTANCES[name]()
+        L = build_laplacian(G)
+        assert L.is_dense
+        P = np.linalg.pinv(L.matrix)
+        assert_relative(L.pseudo_inverse(), P)
+        b = np.random.default_rng(0).standard_normal(G.n)
+        assert_relative(solve_laplacian(L, b), P @ b)
+        a, c = component_pairs(G)
+        assert_relative(edge_resistances(G, a, c, 0.3, seed=0), P[a, a] + P[c, c] - 2.0 * P[a, c])
+        assert foster_sum(G) == pytest.approx(G.n - L.n_components, abs=1e-9)
+
+    @pytest.mark.parametrize("name", FACTOR_INSTANCES)
+    def test_lu_path_matches_dense(self, monkeypatch, name):
+        G = FACTOR_INSTANCES[name]()
+        a, b = component_pairs(G)
+        x = np.random.default_rng(1).standard_normal(G.n)
+
+        def run():
+            L = build_laplacian(G)
+            return L.is_dense, [
+                solve_laplacian(L, x),
+                [effective_resistance_exact(G, u, v) for u, v in zip(a[:3], b[:3])],
+                foster_sum(G),
+                sketch_resistance_many(build_sketch(G, 0.5, seed=3), a, b),
+            ]
+
+        dense_path, dense = run()
+        monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        lu_path, lu = run()
+        assert dense_path and not lu_path
+        for got, want in zip(lu, dense):
+            assert_relative(got, want)
+
+    def test_empty_graph_grounds_every_vertex(self, factor_path):
+        G = WeightedGraph(4, [])
+        L = build_laplacian(G)
+        np.testing.assert_array_equal(np.sort(L.grounded), np.arange(4))
+        np.testing.assert_array_equal(solve_laplacian(L, np.arange(4.0)), 0.0)
+        assert foster_sum(G) == 0.0
+        with pytest.raises(DisconnectedError):
+            effective_resistance_exact(G, 0, 3)
+
+    def test_heavy_cluster_is_grounded(self, factor_path):
+        # Grounding vertex 0 would leave {1, 2} tied to the ground by a unit
+        # edge that rounding erases next to 1e300.
+        G = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1e300)])
+        assert effective_resistance_exact(G, 0, 1) == pytest.approx(1.0, rel=1e-12)
+        assert effective_resistance_exact(G, 1, 2) == pytest.approx(1e-300, rel=1e-12)
+
+    def test_singular_in_floating_point_raises(self, factor_path):
+        # Two clusters of weight 2^1000 joined by a unit edge: whichever one
+        # is not grounded leaves an exactly zero pivot.
+        G = WeightedGraph(4, [(0, 1, 2.0**1000), (1, 2, 1.0), (2, 3, 2.0**1000)])
+        with pytest.raises(np.linalg.LinAlgError):
+            effective_resistance_exact(G, 1, 2)
 
 
 class TestExactResistance:
@@ -280,7 +370,7 @@ class TestEdgeResistances:
     def check_dense(G, a, b):
         got = edge_resistances(G, a, b, 0.3, seed=0)
         np.testing.assert_allclose(got, resistance_table(G)[a, b], rtol=0.0, atol=1e-12)
-        # Independent of the cached eigendecomposition: an SVD pseudo-inverse.
+        # Independent of the cached grounded inverse: an SVD pseudo-inverse.
         P = np.linalg.pinv(build_laplacian(G).matrix)
         np.testing.assert_allclose(got, P[a, a] + P[b, b] - 2.0 * P[a, b], rtol=1e-9)
 
@@ -307,10 +397,12 @@ class TestEdgeResistances:
         G = WeightedGraph(3, [(0, 1, 1e300), (1, 2, 1.0)])
         assert edge_resistances(G, [0], [1], 0.3, seed=0)[0] == RESISTANCE_FLOOR
 
-    def test_sketch_branch_within_envelope(self):
+    def test_sketch_branch_within_envelope(self, monkeypatch):
         eps = 0.5
-        G = random_weighted_graph(50, n=DENSE_LIMIT + 8, m=4 * (DENSE_LIMIT + 8))
-        assert not build_laplacian(G).is_dense
+        G = random_weighted_graph(50, n=520, m=4 * 520)
+        # The first size past the cutoff is G.n; exact values come from the LU.
+        monkeypatch.setattr(linalg, "DENSE_BYTES", 24 * (G.n - 1) ** 2)
+        assert fits_dense(G.n - 1) and not build_laplacian(G).is_dense
         pairs = [(0, 1), (3, 300), (17, 518), (100, 200), (250, 5)]
         a, b = map(np.array, zip(*pairs))
         got = edge_resistances(G, a, b, eps, seed=2)

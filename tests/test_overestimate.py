@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hypersparse.core import Hypergraph, flatten, init_underlying
-from hypersparse.linalg import DENSE_LIMIT, DisconnectedError, resistance_table
+from hypersparse.linalg import DisconnectedError, fits_dense, resistance_table
 from hypersparse import overestimate
 from hypersparse.overestimate import (
     OverestimateConfig,
@@ -88,7 +88,7 @@ class TestComputeOverestimate:
     def test_single_pair_stochastic_stays_in_sketch_envelope(self):
         # One label: sampling must return it with its full weight, so the only
         # noise left is the resistance of the unit edge (exact at this size,
-        # sketched only above DENSE_LIMIT vertices).
+        # sketched only where the dense factor does not fit).
         H = Hypergraph(2, [((0, 1), 1.0)])
         scale = OverestimateConfig(rounds=1).scale(2)
         for seed in range(20):
@@ -96,7 +96,8 @@ class TestComputeOverestimate:
             assert 0.9 * scale <= res.scores[0] <= 1.1 * scale
 
     def test_exact_mode_needs_dense_representation(self):
-        H = Hypergraph(DENSE_LIMIT + 1, [((0, 1), 1.0)])
+        assert fits_dense(6688) and not fits_dense(6689)
+        H = Hypergraph(6689, [((0, 1), 1.0)])
         with pytest.raises(ValueError, match="exact mode"):
             compute_overestimate(H, OverestimateConfig(rounds=1, exact=True))
 
@@ -203,6 +204,12 @@ class TestLeverageExact:
             leverage_exact(H, U)
 
 
+def assert_witness_star_sums_exact(H, res):
+    """The label-wise average of the round graphs is the witness; its stars sum to w_e."""
+    mean = np.mean([rec.graph.weights for rec in res.rounds], axis=0)
+    np.testing.assert_allclose(res.rounds[0].graph.with_weights(mean).star_sums(), H.weights, rtol=1e-12)
+
+
 class TestValidateOverestimate:
     def test_exact_mode_has_no_violations(self):
         for seed in range(5):
@@ -212,8 +219,7 @@ class TestValidateOverestimate:
             report = validate_overestimate(H, res)
             assert report.ok
             assert report.violations == []
-            assert report.dead_stars == 0
-            assert report.star_sum_max_rel_dev < 1e-9
+            assert_witness_star_sums_exact(H, res)
 
     def test_stochastic_runs_report_mass_check(self):
         H = random_hypergraph(60, n=10, m=30, rank=4)
@@ -223,6 +229,7 @@ class TestValidateOverestimate:
         assert report.l1_ok_doubled
         assert report.mass_bound_doubled == pytest.approx(2.0 * report.mass_bound)
         assert report.checked == int((H.weights > 0).sum())
+        assert_witness_star_sums_exact(H, res)
 
     def test_report_dict_round_trip(self):
         H = random_hypergraph(61, n=8, m=16, rank=3)
