@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     sparsify.add_argument("--seed", type=int, default=0)
     sparsify.add_argument("--sample-constant", type=float, default=4.0)
     sparsify.add_argument("--sum-estimate-eps", type=float, default=0.0)
-    sparsify.add_argument("--graph-oversample", type=float, default=9.0)
     sparsify.add_argument("-o", "--output", required=True)
     sparsify.add_argument("--json", action="store_true")
 
@@ -121,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     over.add_argument("--rounds", type=int, default=0, help="0 = rank-driven default")
     over.add_argument("--graph-eps", type=float, default=0.1)
     over.add_argument("--sketch-eps", type=float, default=0.1)
-    over.add_argument("--graph-oversample", type=float, default=9.0)
     over.add_argument("--exact", action="store_true")
     over.add_argument("--seed", type=int, default=0)
     over.add_argument("--json", action="store_true")
@@ -135,7 +133,6 @@ def _cmd_sparsify(args) -> int:
         sample_constant=args.sample_constant,
         sum_estimate_eps=args.sum_estimate_eps,
         seed=args.seed,
-        graph_oversample=args.graph_oversample,
     )
     report = sparsify_hypergraph(H, cfg)
     serialize_hypergraph(report.hypergraph, args.output)
@@ -226,7 +223,6 @@ def _cmd_overestimate(args) -> int:
         sketch_eps=args.sketch_eps,
         seed=derive_seed(args.seed, "cli/overestimate"),
         exact=args.exact,
-        oversample=args.graph_oversample,
     )
     result = compute_overestimate(H, cfg)
     payload = {

@@ -17,8 +17,10 @@ from .core import UnderlyingGraph, flatten
 from .linalg import edge_resistances
 from .seeding import derive_seed
 
-__all__ = ["sparsify_graph", "sample_size", "DEFAULT_OVERSAMPLE", "INTERNAL_SKETCH_EPS"]
+__all__ = ["sparsify_graph", "slot_resistances", "sample_size", "DEFAULT_OVERSAMPLE", "INTERNAL_SKETCH_EPS"]
 
+# Constant of the O(n log n / eps^2) draw count of the graph sparsification
+# theorem; eps is the sparsifier's only parameter.
 DEFAULT_OVERSAMPLE = 9.0
 # Accuracy of the resistance sketch, used only where the dense grounded inverse
 # does not fit (`linalg.fits_dense`; smaller graphs get exact resistances).
@@ -32,14 +34,21 @@ def sample_size(n: int, eps: float, oversample: float = DEFAULT_OVERSAMPLE) -> i
     return math.ceil(oversample * n * math.log(n) / eps**2)
 
 
-def sparsify_graph(
-    U: UnderlyingGraph,
-    eps: float,
-    seed: int,
-    *,
-    oversample: float = DEFAULT_OVERSAMPLE,
-    sketch_eps: float = INTERNAL_SKETCH_EPS,
-) -> UnderlyingGraph:
+def slot_resistances(U: UnderlyingGraph, X: UnderlyingGraph, eps_sketch: float, seed: int) -> np.ndarray:
+    """Per-slot resistances in flatten(X), for X over the same labels as U.
+
+    Each positive-weight slot of U gets the resistance between its endpoints
+    in flatten(X) (see `linalg.edge_resistances`); every other slot gets 0.
+    Raises DisconnectedError when X splits a queried slot's endpoints.
+    """
+    G = flatten(X)
+    support = np.flatnonzero(U.weights > 0.0)
+    res = np.zeros(U.slot_count)
+    res[support] = edge_resistances(G, G.u[support], G.v[support], eps_sketch, seed)
+    return res
+
+
+def sparsify_graph(U: UnderlyingGraph, eps: float, seed: int) -> UnderlyingGraph:
     """Reweighted sub-multigraph over the same label space.
 
     Sampling masses c_f * R_f are evaluated per edge, and every positive-weight
@@ -54,18 +63,11 @@ def sparsify_graph(
     if len(support) == 0:
         return U.with_weights(np.zeros_like(weights))
 
-    tails = np.repeat(U.anchors, U.star_sizes())
-    res = edge_resistances(
-        flatten(U),
-        tails[support],
-        U.star_v[support],
-        sketch_eps,
-        derive_seed(seed, "gsparse/sketch"),
-    )
-    masses = weights[support] * res
+    res = slot_resistances(U, U, INTERNAL_SKETCH_EPS, derive_seed(seed, "gsparse/sketch"))
+    masses = weights[support] * res[support]
     probs = masses / masses.sum()
 
-    q = sample_size(U.base.n, eps, oversample)
+    q = sample_size(U.base.n, eps)
     rng = np.random.default_rng(derive_seed(seed, "gsparse/draw"))
     counts = rng.multinomial(q, probs)
 

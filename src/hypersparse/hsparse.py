@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Hypergraph
-from .gsparse import DEFAULT_OVERSAMPLE
 from .overestimate import (
     OverestimateConfig,
     OverestimateResult,
@@ -40,14 +39,12 @@ class ScorePositivityError(RuntimeError):
 @dataclass(frozen=True)
 class SparsifyConfig:
     """Sampling knobs: target accuracy, sample-size constant, mass-estimate
-    error (0 = exact), the master seed, and the per-round graph-sparsifier
-    oversampling constant."""
+    error (0 = exact) and the master seed."""
 
     eps: float
     sample_constant: float = 4.0
     sum_estimate_eps: float = 0.0
     seed: int = 0
-    graph_oversample: float = DEFAULT_OVERSAMPLE
 
     def __post_init__(self):
         if not self.eps > 0.0:
@@ -56,8 +53,6 @@ class SparsifyConfig:
             raise ValueError("sample_constant must be positive")
         if not 0.0 <= self.sum_estimate_eps < 1.0:
             raise ValueError("sum_estimate_eps must lie in [0, 1)")
-        if not self.graph_oversample > 0.0:
-            raise ValueError("graph_oversample must be positive")
 
 
 @dataclass(frozen=True)
@@ -117,28 +112,20 @@ def sparsify_hypergraph(
     overestimate scores and accumulate reweighted contributions.
 
     Unless a precomputed result is supplied, the overestimate runs with the
-    rank-driven round count, a graph sparsifier at accuracy 0.1 per round, and
-    exact resistances on it (a sketch at accuracy 0.1 where the dense factor
-    does not fit, see `linalg.fits_dense`). Only hyperedges with accumulated
-    weight > 0 appear in the output, at most min(M, m) distinct.
+    rank-driven round count and `OverestimateConfig`'s default accuracies.
+    Only hyperedges with accumulated weight > 0 appear in the output, at most
+    min(M, m) distinct.
     """
     if overestimate is None:
         ov_cfg = OverestimateConfig(
-            rounds=default_rounds(H.rank),
-            graph_eps=0.1,
-            sketch_eps=0.1,
-            seed=derive_seed(cfg.seed, "hsparse/overestimate"),
-            oversample=cfg.graph_oversample,
+            rounds=default_rounds(H.rank), seed=derive_seed(cfg.seed, "hsparse/overestimate")
         )
         overestimate = compute_overestimate(H, ov_cfg)
     scores = overestimate.scores
     positive = H.weights > 0.0
     if (scores[positive] <= 0.0).any():
         bad = int(np.flatnonzero(positive & (scores <= 0.0))[0])
-        raise ScorePositivityError(
-            f"hyperedge {bad} has positive weight but zero overestimate score; "
-            "rerun with a larger graph oversampling constant or in exact mode"
-        )
+        raise ScorePositivityError(f"hyperedge {bad} has positive weight but zero overestimate score")
 
     M = sample_count(H.n, H.rank, cfg.eps, cfg.sample_constant)
     draws = sample_hyperedges(scores, M, derive_seed(cfg.seed, "hsparse/sample"))

@@ -95,9 +95,15 @@ class Laplacian:
                 M[g, :] = 0.0
                 M[:, g] = 0.0
                 M[g, g] = 1.0
+                diag = M.diagonal().copy()
                 # M is symmetric, so its transpose is the Fortran-ordered
                 # matrix LAPACK overwrites in place.
                 F, info = lapack.dpotrf(M.T, overwrite_a=True)
+                # A squared pivot within roundoff (n eps) of its row's diagonal
+                # is cancellation noise, and so would be the inverse built on it.
+                lost = np.flatnonzero(F.diagonal() <= np.sqrt(self.n * np.finfo(float).eps * diag))
+                if info == 0 and len(lost):
+                    info = int(lost[0]) + 1
                 if info == 0:
                     F, info = lapack.dpotri(F, overwrite_c=True)
                 if info != 0:
@@ -242,13 +248,11 @@ class ResistanceSketch:
     later divisions stay safe.
     """
 
-    __slots__ = ("Z", "p", "eps_sketch", "seed", "components")
+    __slots__ = ("Z", "p", "components")
 
-    def __init__(self, Z, p, eps_sketch, seed, components):
+    def __init__(self, Z, p, components):
         self.Z = Z
         self.p = p
-        self.eps_sketch = eps_sketch
-        self.seed = seed
         self.components = components
 
 
@@ -297,7 +301,7 @@ def build_sketch(G: WeightedGraph, eps_sketch: float, seed: int) -> ResistanceSk
             Y[start:stop] = (signs @ incidence) * inv_root_p
 
     Z = L.solve_grounded(Y.T).T
-    return ResistanceSketch(Z, p, eps_sketch, seed, L.components)
+    return ResistanceSketch(Z, p, L.components)
 
 
 def sketch_resistance(S: ResistanceSketch, a: int, b: int) -> float:

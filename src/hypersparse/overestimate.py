@@ -19,8 +19,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .core import Hypergraph, UnderlyingGraph, flatten, init_underlying
-from .gsparse import DEFAULT_OVERSAMPLE, sparsify_graph
-from .linalg import DisconnectedError, edge_resistances, fits_dense, resistance_table
+from .gsparse import slot_resistances, sparsify_graph
+from .linalg import DisconnectedError, fits_dense, resistance_table
 from .seeding import derive_seed
 
 __all__ = [
@@ -69,7 +69,6 @@ class OverestimateConfig:
     sketch_eps: float = 0.1
     seed: int = 0
     exact: bool = False
-    oversample: float = DEFAULT_OVERSAMPLE
 
     def __post_init__(self):
         if self.rounds < 1:
@@ -123,8 +122,8 @@ def weight_compute(U: UnderlyingGraph, resistances, H: Hypergraph) -> Underlying
 
     Per hyperedge e the new slot weights are c_f R_f / (sum_g c_g R_g) * w_e,
     so each star again sums to w_e. A star whose resistance-weighted mass is
-    zero (everything dropped by sparsification) falls back to the uniform
-    share w_e / (|e| - 1).
+    zero (w_e = 0, or caller-supplied resistances that vanish on the star)
+    falls back to the uniform share w_e / (|e| - 1).
     """
     res = np.asarray(resistances, dtype=float)
     if res.shape != U.weights.shape:
@@ -154,7 +153,7 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig | None = None) -
 
     Round 1 starts from the uniform star initialization; round t sparsifies
     the current graph U_t at graph_eps, takes resistances in the sparsifier
-    for every positive-weight slot of U_t through `edge_resistances` (exact
+    for every positive-weight slot of U_t through `slot_resistances` (exact
     where the dense factor fits, sketched at sketch_eps above), records slot
     leverages w_t(f) * R~(f), and reassigns weights for round t + 1. The
     sparsifier only supplies resistances: a slot it drops still scores. The
@@ -168,27 +167,15 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig | None = None) -
         raise ValueError(f"exact mode needs the dense factor, which n = {H.n} exceeds")
     U = init_underlying(H)
     slot_edges = U.slot_edges()
-    tails = np.repeat(U.anchors, U.star_sizes())
     acc = np.zeros(H.m)
     rounds: list[RoundRecord] = []
     for t in range(cfg.rounds):
         if cfg.exact:
             sparse_u = U
         else:
-            sparse_u = sparsify_graph(
-                U,
-                cfg.graph_eps,
-                derive_seed(cfg.seed, f"overestimate/round{t}/graph"),
-                oversample=cfg.oversample,
-            )
-        support = np.flatnonzero(U.weights > 0.0)
-        res = np.zeros(U.slot_count)
-        res[support] = edge_resistances(
-            flatten(sparse_u),
-            tails[support],
-            U.star_v[support],
-            cfg.sketch_eps,
-            derive_seed(cfg.seed, f"overestimate/round{t}/sketch"),
+            sparse_u = sparsify_graph(U, cfg.graph_eps, derive_seed(cfg.seed, f"overestimate/round{t}/graph"))
+        res = slot_resistances(
+            U, sparse_u, cfg.sketch_eps, derive_seed(cfg.seed, f"overestimate/round{t}/sketch")
         )
         record = RoundRecord(U, res)
         rounds.append(record)

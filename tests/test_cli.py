@@ -133,6 +133,12 @@ class TestErrorsAndDeterminism:
         code, _ = run(["mincut", sample_file, "--bogus"])
         assert code == 2
 
+    def test_graph_oversample_is_not_an_option(self, sample_file, tmp_path):
+        out = str(tmp_path / "out.hgr")
+        for argv in (["sparsify", sample_file, "--epsilon", "0.3", "-o", out], ["overestimate", sample_file]):
+            code, _ = run([*argv, "--graph-oversample", "9"])
+            assert code == 2
+
     def test_malformed_file_exits_two(self, tmp_path):
         path = tmp_path / "bad.hgr"
         path.write_text("1 3 1\n1 2 2\n")

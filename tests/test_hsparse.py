@@ -162,6 +162,17 @@ class TestSparsifyHypergraph:
         assert rep.distinct_edges < m / 4
         assert verify_cut_sparsifier(H, rep.hypergraph, 0.25).passed
 
+    def test_default_overestimate_is_rank_driven_default_config(self):
+        H = random_hypergraph(73, n=10, m=30, rank=5)
+        cfg = SparsifyConfig(eps=0.35, seed=42)
+        ov_cfg = OverestimateConfig(
+            rounds=default_rounds(H.rank), seed=derive_seed(cfg.seed, "hsparse/overestimate")
+        )
+        given = sparsify_hypergraph(H, cfg, compute_overestimate(H, ov_cfg))
+        default = sparsify_hypergraph(H, cfg)
+        assert default.as_dict() == given.as_dict()
+        assert default.hypergraph == given.hypergraph
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SparsifyConfig(eps=0.0)

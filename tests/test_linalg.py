@@ -206,11 +206,18 @@ class TestGroundedFactor:
         assert effective_resistance_exact(G, 1, 2) == pytest.approx(1e-300, rel=1e-12)
 
     def test_singular_in_floating_point_raises(self, factor_path):
-        # Two clusters of weight 2^1000 joined by a unit edge: whichever one
-        # is not grounded leaves an exactly zero pivot.
-        G = WeightedGraph(4, [(0, 1, 2.0**1000), (1, 2, 1.0), (2, 3, 2.0**1000)])
-        with pytest.raises(np.linalg.LinAlgError):
-            effective_resistance_exact(G, 1, 2)
+        # Two heavy clusters joined by a unit edge: whichever one is not
+        # grounded leaves a pivot that rounding zeroes (2^1000) or leaves
+        # within roundoff of zero (1e300).
+        for heavy in (2.0**1000, 1e300):
+            G = WeightedGraph(4, [(0, 1, heavy), (1, 2, 1.0), (2, 3, heavy)])
+            with pytest.raises(np.linalg.LinAlgError):
+                effective_resistance_exact(G, 1, 2)
+
+    def test_dense_resolves_twelve_decade_cancellation(self):
+        # The same shape at 1e12 loses twelve digits to cancellation, not all.
+        G = WeightedGraph(4, [(0, 1, 1e12), (1, 2, 1.0), (2, 3, 1e12)])
+        assert effective_resistance_exact(G, 1, 2) == pytest.approx(1.0, rel=1e-9)
 
 
 class TestExactResistance:
