@@ -71,58 +71,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Hypergraph spectral sparsification, verification, and cut solvers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("input")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--json", action="store_true")
 
-    sparsify = sub.add_parser("sparsify", help="build a spectral sparsifier")
-    sparsify.add_argument("input")
+    sparsify = sub.add_parser("sparsify", parents=[common], help="build a spectral sparsifier")
     sparsify.add_argument("--epsilon", type=float, required=True)
-    sparsify.add_argument("--seed", type=int, default=0)
     sparsify.add_argument("--sample-constant", type=float, default=4.0)
     sparsify.add_argument("--sum-estimate-eps", type=float, default=0.0)
     sparsify.add_argument("-o", "--output", required=True)
-    sparsify.add_argument("--json", action="store_true")
 
-    verify = sub.add_parser("verify", help="check a sparsifier against the original")
-    verify.add_argument("input")
+    verify = sub.add_parser("verify", parents=[common], help="check a sparsifier against the original")
     verify.add_argument("candidate")
     verify.add_argument("--mode", choices=("cut", "spectral"), required=True)
     verify.add_argument("--epsilon", type=float, required=True)
     verify.add_argument("--trials", type=int, default=200)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--json", action="store_true")
 
-    mincut = sub.add_parser("mincut", help="global minimum cut (0 = exact)")
-    mincut.add_argument("input")
+    mincut = sub.add_parser("mincut", parents=[common], help="global minimum cut (0 = exact)")
     mincut.add_argument("--epsilon", type=float, default=0.0)
-    mincut.add_argument("--seed", type=int, default=0)
-    mincut.add_argument("--json", action="store_true")
 
-    stmincut = sub.add_parser("stmincut", help="s-t minimum cut (0 = exact)")
-    stmincut.add_argument("input")
+    stmincut = sub.add_parser("stmincut", parents=[common], help="s-t minimum cut (0 = exact)")
     stmincut.add_argument("--source", type=int, required=True, help="1-indexed")
     stmincut.add_argument("--sink", type=int, required=True, help="1-indexed")
     stmincut.add_argument("--epsilon", type=float, default=0.0)
-    stmincut.add_argument("--seed", type=int, default=0)
-    stmincut.add_argument("--json", action="store_true")
 
     resistance = sub.add_parser(
-        "resistance", help="effective resistance in the initial underlying graph"
+        "resistance", parents=[common], help="effective resistance in the initial underlying graph"
     )
-    resistance.add_argument("input")
     resistance.add_argument("a", type=int, help="1-indexed")
     resistance.add_argument("b", type=int, help="1-indexed")
     resistance.add_argument("--sketch-eps", type=float, default=0.0,
                             help="0 = exact, else sketch accuracy")
-    resistance.add_argument("--seed", type=int, default=0)
-    resistance.add_argument("--json", action="store_true")
 
-    over = sub.add_parser("overestimate", help="leverage-score overestimates")
-    over.add_argument("input")
-    over.add_argument("--rounds", type=int, default=0, help="0 = rank-driven default")
-    over.add_argument("--graph-eps", type=float, default=0.1)
-    over.add_argument("--sketch-eps", type=float, default=0.1)
+    over = sub.add_parser("overestimate", parents=[common], help="leverage-score overestimates")
     over.add_argument("--exact", action="store_true")
-    over.add_argument("--seed", type=int, default=0)
-    over.add_argument("--json", action="store_true")
     return parser
 
 
@@ -216,14 +199,8 @@ def _cmd_resistance(args) -> int:
 
 def _cmd_overestimate(args) -> int:
     H = parse_hypergraph(args.input)
-    rounds = args.rounds if args.rounds > 0 else default_rounds(H.rank)
-    cfg = OverestimateConfig(
-        rounds=rounds,
-        graph_eps=args.graph_eps,
-        sketch_eps=args.sketch_eps,
-        seed=derive_seed(args.seed, "cli/overestimate"),
-        exact=args.exact,
-    )
+    rounds = default_rounds(H.rank)
+    cfg = OverestimateConfig(rounds=rounds, seed=derive_seed(args.seed, "cli/overestimate"), exact=args.exact)
     result = compute_overestimate(H, cfg)
     payload = {
         "command": "overestimate",

@@ -27,6 +27,7 @@ __all__ = [
 
 # Largest hyperedges-by-directions float64 block the energy kernel gathers.
 ENERGY_BLOCK_BYTES = 1 << 22
+STAR_SUM_REL_TOL = 1e-9
 
 
 class HyperedgeError(ValueError):
@@ -252,12 +253,13 @@ class UnderlyingGraph:
         """Same label space (base, anchors, slots), new slot weights."""
         return UnderlyingGraph(self.base, self.anchors, self.star_v, self.offsets, weights)
 
-    def validate_star_sums(self, rel_tol: float = 1e-9) -> None:
-        """Check the per-star weight-conservation constraint; raise if violated."""
+    def validate_star_sums(self) -> None:
+        """Check the per-star weight-conservation constraint to STAR_SUM_REL_TOL
+        (relative, absolute below weight 1); raise if violated."""
         sums = self.star_sums()
         target = self.base.weights
         scale = np.maximum(np.abs(target), 1.0)
-        bad = np.abs(sums - target) > rel_tol * scale
+        bad = np.abs(sums - target) > STAR_SUM_REL_TOL * scale
         if bad.any():
             e = int(np.flatnonzero(bad)[0])
             raise ValueError(

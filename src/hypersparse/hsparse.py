@@ -112,9 +112,8 @@ def sparsify_hypergraph(
     overestimate scores and accumulate reweighted contributions.
 
     Unless a precomputed result is supplied, the overestimate runs with the
-    rank-driven round count and `OverestimateConfig`'s default accuracies.
-    Only hyperedges with accumulated weight > 0 appear in the output, at most
-    min(M, m) distinct.
+    rank-driven round count. Only hyperedges with accumulated weight > 0
+    appear in the output, at most min(M, m) distinct.
     """
     if overestimate is None:
         ov_cfg = OverestimateConfig(

@@ -49,7 +49,8 @@ DENSE_BYTES = 1 << 30
 SKETCH_ROW_FACTOR = 24.0
 RESISTANCE_FLOOR = 1e-15
 # Largest p x k float64 block a batched sketch query materialises at once,
-# and largest n x k right-hand side block of an exact query on the sparse LU.
+# largest n x k right-hand side block of an exact query on the sparse LU, and
+# largest block of sketch sign rows drawn at once.
 QUERY_BLOCK_BYTES = 1 << 25
 
 
@@ -117,7 +118,10 @@ class Laplacian:
                 D = sp.diags(keep)
                 M = D @ self.matrix @ D + sp.diags(1.0 - keep)
                 try:
-                    self._factor = splu(M.tocsc())
+                    # M is symmetric positive definite: a symmetric ordering
+                    # with diagonal pivots keeps its Cholesky structure.
+                    self._factor = splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                        options={"SymmetricMode": True})
                 except RuntimeError as exc:
                     raise np.linalg.LinAlgError(f"grounded Laplacian is singular in floating point ({exc})") from exc
         return self._factor
@@ -226,10 +230,9 @@ def effective_resistance_exact(G: WeightedGraph, a: int, b: int) -> float:
     return float(_exact_resistances(build_laplacian(G), [a], [b])[0])
 
 
-def resistance_table(G: WeightedGraph, L: Laplacian | None = None) -> np.ndarray:
+def resistance_table(G: WeightedGraph) -> np.ndarray:
     """All-pairs exact resistances; inf across components, 0 on the diagonal."""
-    if L is None:
-        L = build_laplacian(G)
+    L = build_laplacian(G)
     if not L.is_dense:
         raise ValueError("resistance_table requires the dense representation")
     F = L.factor()
@@ -293,7 +296,8 @@ def build_sketch(G: WeightedGraph, eps_sketch: float, seed: int) -> ResistanceSk
     rng = np.random.default_rng(seed)
     inv_root_p = 1.0 / math.sqrt(p)
     Y = np.zeros((p, n))
-    block = 256
+    # Each sign row costs 16 bytes per edge: the int64 draw and its float copy.
+    block = max(1, QUERY_BLOCK_BYTES // (16 * max(m, 1)))
     for start in range(0, p, block):
         stop = min(start + block, p)
         if m:

@@ -5,9 +5,10 @@ resistances in the sparsifier (exact where the dense factor fits, sketched
 above it; see `linalg.edge_resistances`) for every slot of the current graph,
 records slot leverages c * R~, and reassigns each hyperedge's weight across
 its star in proportion to those leverages. The averaged per-star leverage
-mass, scaled by a factor depending on the rank and the two accuracy knobs,
-upper-bounds the true hyperedge leverage scores of the averaged witness
-graph, while Foster's identity caps the total at O(n).
+mass, scaled by a factor depending on the rank and the two constant
+accuracies GRAPH_EPS and SKETCH_EPS, upper-bounds the true hyperedge leverage
+scores of the averaged witness graph, while Foster's identity caps the total
+at O(n).
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ from .linalg import DisconnectedError, fits_dense, resistance_table
 from .seeding import derive_seed
 
 __all__ = [
+    "GRAPH_EPS",
+    "SKETCH_EPS",
+    "COMBINED_EPS",
     "OverestimateConfig",
     "OverestimateResult",
     "OverestimateValidation",
@@ -50,44 +54,40 @@ def default_rounds(rank: int) -> int:
     return max(1, math.ceil(math.log2(max(2, rank - 1))))
 
 
+# Constants of the analysis: every round sparsifies its graph at accuracy
+# GRAPH_EPS (alpha_1) and, where the dense factor does not fit
+# (`linalg.fits_dense`), sketches resistances at SKETCH_EPS (alpha_2). The mass
+# bound keeps its (1 + SKETCH_EPS) factor either way. COMBINED_EPS is the
+# worst-case relative resistance error after both approximations.
+GRAPH_EPS = SKETCH_EPS = 0.1
+COMBINED_EPS = (GRAPH_EPS + SKETCH_EPS) / (1.0 - GRAPH_EPS)
+
+
 @dataclass(frozen=True)
 class OverestimateConfig:
-    """Knobs for the iterative overestimate.
+    """Settings of the iterative overestimate.
 
     rounds: number of reweighting rounds (T >= 1).
-    graph_eps: accuracy of the per-round graph sparsifier (alpha_1).
-    sketch_eps: accuracy of the per-round resistance sketch (alpha_2), which
-        only runs where the dense factor does not fit (`linalg.fits_dense`);
-        the mass bound keeps its (1 + sketch_eps) factor either way.
     exact: bypass sparsification (identity) so resistances are exact on the
         full graph, separating algorithmic correctness from stochastic error.
         Needs the dense factor.
     """
 
     rounds: int
-    graph_eps: float = 0.1
-    sketch_eps: float = 0.1
     seed: int = 0
     exact: bool = False
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("rounds must be at least 1")
-        if not (0.0 < self.graph_eps < 1.0 and 0.0 < self.sketch_eps < 1.0):
-            raise ValueError("accuracy parameters must lie in (0, 1)")
-
-    @property
-    def combined_eps(self) -> float:
-        """Worst-case relative resistance error after both approximations."""
-        return (self.graph_eps + self.sketch_eps) / (1.0 - self.graph_eps)
 
     def scale(self, rank: int) -> float:
-        """Aggregation coefficient 2 (1 + combined_eps) exp(ln(rank) / rounds)."""
-        return 2.0 * (1.0 + self.combined_eps) * math.exp(math.log(rank) / self.rounds)
+        """Aggregation coefficient 2 (1 + COMBINED_EPS) exp(ln(rank) / rounds)."""
+        return 2.0 * (1.0 + COMBINED_EPS) * math.exp(math.log(rank) / self.rounds)
 
     def mass_bound(self, n: int, rank: int) -> float:
-        """Guaranteed cap on the l1 mass: (1 + sketch_eps) * scale * n."""
-        return (1.0 + self.sketch_eps) * self.scale(rank) * n
+        """Guaranteed cap on the l1 mass: (1 + SKETCH_EPS) * scale * n."""
+        return (1.0 + SKETCH_EPS) * self.scale(rank) * n
 
 
 @dataclass(frozen=True)
@@ -148,21 +148,19 @@ def weight_compute(U: UnderlyingGraph, resistances, H: Hypergraph) -> Underlying
     return U.with_weights(new_weights)
 
 
-def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig | None = None) -> OverestimateResult:
+def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig) -> OverestimateResult:
     """Run the iterative reweighting and aggregate per-hyperedge scores.
 
     Round 1 starts from the uniform star initialization; round t sparsifies
-    the current graph U_t at graph_eps, takes resistances in the sparsifier
+    the current graph U_t at GRAPH_EPS, takes resistances in the sparsifier
     for every positive-weight slot of U_t through `slot_resistances` (exact
-    where the dense factor fits, sketched at sketch_eps above), records slot
+    where the dense factor fits, sketched at SKETCH_EPS above), records slot
     leverages w_t(f) * R~(f), and reassigns weights for round t + 1. The
     sparsifier only supplies resistances: a slot it drops still scores. The
     final score of hyperedge e is scale * (1 / T) * sum over rounds and star
     slots of the recorded leverages, and the total mass is asserted against
-    (1 + sketch_eps) * scale * n. Exact mode needs the dense factor.
+    (1 + SKETCH_EPS) * scale * n. Exact mode needs the dense factor.
     """
-    if cfg is None:
-        cfg = OverestimateConfig(rounds=default_rounds(H.rank))
     if cfg.exact and not fits_dense(H.n):
         raise ValueError(f"exact mode needs the dense factor, which n = {H.n} exceeds")
     U = init_underlying(H)
@@ -173,10 +171,8 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig | None = None) -
         if cfg.exact:
             sparse_u = U
         else:
-            sparse_u = sparsify_graph(U, cfg.graph_eps, derive_seed(cfg.seed, f"overestimate/round{t}/graph"))
-        res = slot_resistances(
-            U, sparse_u, cfg.sketch_eps, derive_seed(cfg.seed, f"overestimate/round{t}/sketch")
-        )
+            sparse_u = sparsify_graph(U, GRAPH_EPS, derive_seed(cfg.seed, f"overestimate/round{t}/graph"))
+        res = slot_resistances(U, sparse_u, SKETCH_EPS, derive_seed(cfg.seed, f"overestimate/round{t}/sketch"))
         record = RoundRecord(U, res)
         rounds.append(record)
         np.add.at(acc, slot_edges, record.slot_leverages())

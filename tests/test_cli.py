@@ -139,6 +139,11 @@ class TestErrorsAndDeterminism:
             code, _ = run([*argv, "--graph-oversample", "9"])
             assert code == 2
 
+    def test_overestimate_accuracies_and_rounds_are_not_options(self, sample_file):
+        for flag, value in (("--rounds", "2"), ("--graph-eps", "0.2"), ("--sketch-eps", "0.2")):
+            code, _ = run(["overestimate", sample_file, flag, value])
+            assert code == 2
+
     def test_malformed_file_exits_two(self, tmp_path):
         path = tmp_path / "bad.hgr"
         path.write_text("1 3 1\n1 2 2\n")

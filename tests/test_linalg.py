@@ -214,9 +214,13 @@ class TestGroundedFactor:
             with pytest.raises(np.linalg.LinAlgError):
                 effective_resistance_exact(G, 1, 2)
 
-    def test_dense_resolves_twelve_decade_cancellation(self):
-        # The same shape at 1e12 loses twelve digits to cancellation, not all.
-        G = WeightedGraph(4, [(0, 1, 1e12), (1, 2, 1.0), (2, 3, 1e12)])
+    @pytest.mark.parametrize("heavy", [1e12, 1e15], ids=["1e12", "1e15"])
+    def test_resolves_cancellation(self, factor_path, heavy):
+        # The same shape at 1e12 or 1e15 loses twelve or fifteen digits to
+        # cancellation, not all. The LU needs diagonal pivots in a symmetric
+        # ordering, as Cholesky takes them: free pivoting was off by 1e-4
+        # (1e12) and 0.14 (1e15).
+        G = WeightedGraph(4, [(0, 1, heavy), (1, 2, 1.0), (2, 3, heavy)])
         assert effective_resistance_exact(G, 1, 2) == pytest.approx(1.0, rel=1e-9)
 
 
@@ -370,6 +374,16 @@ class TestSketchQueryBlocks:
     def test_empty_query(self):
         S = build_sketch(path_graph(4), 0.5, seed=0)
         assert sketch_resistance_many(S, [], []).shape == (0,)
+
+    def test_sign_block_budget_keeps_the_draw(self, monkeypatch):
+        # The generator fills row-major, so the sign rows do not depend on
+        # how many of them one block draws.
+        G = random_weighted_graph(33, n=20, m=60)
+        Z = build_sketch(G, 0.5, seed=6).Z
+        monkeypatch.setattr(linalg, "QUERY_BLOCK_BYTES", 16 * G.m * 3)
+        np.testing.assert_array_equal(build_sketch(G, 0.5, seed=6).Z, Z)
+        monkeypatch.setattr(linalg, "QUERY_BLOCK_BYTES", 1)
+        np.testing.assert_array_equal(build_sketch(G, 0.5, seed=6).Z, Z)
 
 
 class TestEdgeResistances:

@@ -5,6 +5,7 @@ from hypersparse.core import Hypergraph, flatten, init_underlying
 from hypersparse.linalg import DisconnectedError, fits_dense, resistance_table
 from hypersparse import overestimate
 from hypersparse.overestimate import (
+    COMBINED_EPS,
     OverestimateConfig,
     OverestimateResult,
     _leverages_from_table,
@@ -29,7 +30,7 @@ class TestConfig:
 
     def test_scale_closed_forms(self):
         cfg = OverestimateConfig(rounds=1)
-        assert cfg.combined_eps == pytest.approx(0.2 / 0.9)
+        assert COMBINED_EPS == pytest.approx(0.2 / 0.9)
         assert cfg.scale(2) == pytest.approx(4.888888888888889)
         cfg3 = OverestimateConfig(rounds=3)
         assert cfg3.scale(8) == pytest.approx(4.888888888888889)
@@ -41,8 +42,6 @@ class TestConfig:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             OverestimateConfig(rounds=0)
-        with pytest.raises(ValueError):
-            OverestimateConfig(rounds=1, graph_eps=1.0)
 
 
 class TestWeightCompute:
