@@ -1,7 +1,7 @@
 """Command-line surface: sparsify, verify, mincut, stmincut, resistance,
 overestimate. One global --seed fans out into per-module seeds, so identical
 invocations produce byte-identical output. Exit codes: 0 success, 1
-verification violation, 2 usage or input error."""
+verification violation, 2 usage or input error or out of memory."""
 
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ _USAGE_ERRORS = (
     ScorePositivityError,
     MassBoundError,
     ValueError,
+    MemoryError,
 )
 
 
@@ -233,7 +234,10 @@ def run_command(argv) -> int:
     try:
         return _DISPATCH[args.command](args)
     except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        detail = str(exc)
+        if isinstance(exc, MemoryError):
+            detail = "out of memory" + (f" ({detail})" if detail else "")
+        print(f"error: {detail}", file=sys.stderr)
         return 2
 
 

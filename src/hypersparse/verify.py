@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import ENERGY_BLOCK_BYTES, Hypergraph, UnderlyingGraph, energies, flatten
+from . import core
+from .core import Hypergraph, UnderlyingGraph, energies, flatten
 from .linalg import build_laplacian, foster_sum
 
 __all__ = [
@@ -109,7 +110,7 @@ def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutRepor
     near = np.flatnonzero(q_h <= 2.0**32 * (tol_h + tol_t))
     # The energy of a cut's indicator sums only the hyperedges crossing it:
     # roundoff relative to Q(S), and 0 when nothing crosses S.
-    step = max(1, ENERGY_BLOCK_BYTES // (8 * H.n))
+    step = max(1, core.ENERGY_BLOCK_BYTES // (8 * H.n))
     for start in range(0, near.size, step):
         cuts = near[start:start + step]
         X = ((cuts + 1) >> np.arange(H.n)[:, None]) & 1

@@ -8,10 +8,12 @@ from itertools import combinations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from hypersparse.apps import lawler_reduction, max_flow
 from hypersparse.core import Hypergraph, UnderlyingGraph
-from hypersparse.linalg import build_laplacian
+from hypersparse.linalg import Laplacian, build_laplacian
 from hypersparse.verify import _ABS_TOL
 
 
@@ -103,6 +105,20 @@ def loop_violations(H: Hypergraph, scores, required) -> tuple[list, float]:
         if np.isfinite(shortfall):
             max_shortfall = max(max_shortfall, float(shortfall))
     return violations, max_shortfall
+
+
+def coo_laplacian(G) -> Laplacian:
+    """Dense Laplacian assembled COO -> CSR -> dense, components from the CSR,
+    each grounded at its largest-degree vertex (the first on a tie)."""
+    n = G.n
+    support = G.w > 0.0
+    adj = sp.coo_matrix((G.w[support], (G.u[support], G.v[support])), shape=(n, n))
+    adj = adj + adj.T
+    n_components, labels = connected_components(adj, directed=False)
+    degrees = np.asarray(adj.sum(axis=1)).ravel()
+    order = np.lexsort((-degrees, labels))
+    grounded = order[np.searchsorted(labels[order], np.arange(n_components))]
+    return Laplacian(n, np.diag(degrees) - adj.toarray(), labels, n_components, grounded)
 
 
 def loop_project_out_kernel(labels, n_components, x) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from hypersparse import cli
 from hypersparse.cli import run_command
 from hypersparse.hgio import parse_hypergraph, serialize_hypergraph
 
@@ -143,6 +144,19 @@ class TestErrorsAndDeterminism:
         for flag, value in (("--rounds", "2"), ("--graph-eps", "0.2"), ("--sketch-eps", "0.2")):
             code, _ = run(["overestimate", sample_file, flag, value])
             assert code == 2
+
+    @pytest.mark.parametrize("exc", [MemoryError(), MemoryError("Unable to allocate 8.0 GiB")])
+    def test_out_of_memory_exits_two(self, sample_file, monkeypatch, capsys, exc):
+        def exhausted(args):
+            raise exc
+
+        monkeypatch.setitem(cli._DISPATCH, "mincut", exhausted)
+        code, text = run(["mincut", sample_file])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory")
+        assert str(exc) in err
 
     def test_malformed_file_exits_two(self, tmp_path):
         path = tmp_path / "bad.hgr"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -22,7 +23,7 @@ from hypersparse.linalg import (
     solve_laplacian,
 )
 
-from helpers import loop_project_out_kernel, random_weighted_graph
+from helpers import coo_laplacian, loop_project_out_kernel, random_weighted_graph
 
 
 def path_graph(n, weight=1.0):
@@ -130,6 +131,75 @@ FACTOR_INSTANCES = {
     "components_901": components_901,
     "two_vertices": lambda: WeightedGraph(2, [(0, 1, 3.0)]),
 }
+
+
+def multigraph():
+    # Parallel edges in both orientations, weight-0 edges beside positive ones
+    # and alone, and isolated vertices 0 and 8: components {0}, {1, 2},
+    # {3, 4}, {5, 6, 7}, {8}.
+    return WeightedGraph(9, [(1, 2, 1.5), (2, 1, 0.25), (1, 2, 3.0), (2, 3, 0.0), (3, 2, 0.0),
+                             (3, 4, 2.0), (4, 3, 1e-3), (4, 5, 0.0), (5, 6, 7.0), (6, 5, 7.0),
+                             (5, 7, 0.5), (7, 5, 0.0), (6, 7, 1.0)])
+
+
+def crowded_multigraph():
+    # About 60 parallel edges per vertex pair, either orientation, some weight 0.
+    rng = np.random.default_rng(5)
+    u = rng.integers(0, 12, 4000)
+    v = (u + rng.integers(1, 12, 4000)) % 12
+    w = rng.uniform(0.0, 3.0, 4000) * (rng.random(4000) < 0.9)
+    return WeightedGraph.from_arrays(12, u, v, w)
+
+
+ASSEMBLY_INSTANCES = {**FACTOR_INSTANCES, "multigraph": multigraph, "crowded_multigraph": crowded_multigraph}
+
+
+class TestAssembly:
+    """The bincount assembly against the COO -> CSR -> dense oracle."""
+
+    @pytest.mark.parametrize("name", ASSEMBLY_INSTANCES)
+    def test_matches_coo_oracle(self, name):
+        G = ASSEMBLY_INSTANCES[name]()
+        L, want = build_laplacian(G), coo_laplacian(G)
+        assert L.is_dense
+        scale = np.abs(want.matrix).max(initial=0.0)
+        np.testing.assert_allclose(L.matrix, want.matrix, rtol=1e-12, atol=1e-12 * scale)
+        assert np.array_equal(L.matrix, L.matrix.T)
+        assert L.n_components == want.n_components
+        np.testing.assert_array_equal(L.components, want.components)
+        np.testing.assert_array_equal(L.grounded, want.grounded)
+
+    @pytest.mark.parametrize("name", ASSEMBLY_INSTANCES)
+    def test_sparse_path_labels_alike(self, name, monkeypatch):
+        G = ASSEMBLY_INSTANCES[name]()
+        dense = build_laplacian(G)
+        monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        sparse = build_laplacian(G)
+        assert not sparse.is_dense
+        assert sparse.n_components == dense.n_components
+        np.testing.assert_array_equal(sparse.components, dense.components)
+        np.testing.assert_array_equal(sparse.grounded, dense.grounded)
+
+    def test_multigraph_components(self):
+        L = build_laplacian(multigraph())
+        np.testing.assert_array_equal(L.components, [0, 1, 1, 2, 2, 3, 3, 3, 4])
+        np.testing.assert_allclose(L.matrix[1, 2], -4.75, rtol=1e-15)
+
+    def test_dense_peak_memory(self):
+        # L itself and the buffer of the transposed sum are the only n x n
+        # float64 arrays; a third one live beside them lifts the peak to 3 n^2.
+        n, m = 1500, 30_000
+        rng = np.random.default_rng(9)
+        u = rng.integers(0, n, m)
+        G = WeightedGraph.from_arrays(n, u, (u + rng.integers(1, n, m)) % n, rng.uniform(0.5, 2.0, m))
+        assert fits_dense(n)
+        tracemalloc.start()
+        try:
+            build_laplacian(G)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * n + 64 * m
 
 
 def component_pairs(G, limit=200):
