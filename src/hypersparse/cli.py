@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="0 = exact, else sketch accuracy")
 
     over = sub.add_parser("overestimate", parents=[common], help="leverage-score overestimates")
-    over.add_argument("--exact", action="store_true")
+    over.add_argument("--exact", action="store_true",
+                      help="require exact resistances; refused above n = 6,688, the default at or below it")
     return parser
 
 

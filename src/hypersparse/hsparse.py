@@ -82,13 +82,18 @@ def sample_count(n: int, rank: int, eps: float, constant: float) -> int:
 
 
 def sample_hyperedges(scores, count: int, seed: int) -> np.ndarray:
-    """count i.i.d. indices, each drawn with probability scores_e / sum(scores)."""
+    """Per-hyperedge counts of count i.i.d. draws of e with probability
+    scores_e / sum(scores), by inverse CDF over sorted uniforms; at the same
+    seed they equal `bincount(rng.choice(m, count, p=...))`."""
     scores = np.asarray(scores, dtype=float)
     total = scores.sum()
-    if not total > 0.0:
-        raise ValueError("scores must have positive total mass")
-    rng = np.random.default_rng(seed)
-    return rng.choice(len(scores), size=count, p=scores / total)
+    if not (0.0 < total < np.inf and (scores >= 0.0).all()):
+        raise ValueError("scores must be finite and non-negative with positive total mass")
+    cdf = np.cumsum(scores / total)
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(count)
+    u.sort()
+    return np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
 
 
 def sum_estimate(values, eps: float, seed: int) -> float:
@@ -127,12 +132,11 @@ def sparsify_hypergraph(
         raise ScorePositivityError(f"hyperedge {bad} has positive weight but zero overestimate score")
 
     M = sample_count(H.n, H.rank, cfg.eps, cfg.sample_constant)
-    draws = sample_hyperedges(scores, M, derive_seed(cfg.seed, "hsparse/sample"))
+    counts = sample_hyperedges(scores, M, derive_seed(cfg.seed, "hsparse/sample"))
     mass = sum_estimate(
         scores, cfg.sum_estimate_eps, derive_seed(cfg.seed, "hsparse/sumestimate")
     )
 
-    counts = np.bincount(draws, minlength=H.m)
     sampled = counts > 0
     new_weights = np.zeros(H.m)
     new_weights[sampled] = (

@@ -1,14 +1,15 @@
 """Iterative reweighting that yields per-hyperedge leverage-score overestimates.
 
-Each round sparsifies the current star underlying graph, takes effective
-resistances in the sparsifier (exact where the dense factor fits, sketched
-above it; see `linalg.edge_resistances`) for every slot of the current graph,
-records slot leverages c * R~, and reassigns each hyperedge's weight across
-its star in proportion to those leverages. The averaged per-star leverage
-mass, scaled by a factor depending on the rank and the two constant
-accuracies GRAPH_EPS and SKETCH_EPS, upper-bounds the true hyperedge leverage
-scores of the averaged witness graph, while Foster's identity caps the total
-at O(n).
+Each round takes effective resistances for every slot of the current star
+underlying graph, records slot leverages c * R~, and reassigns each
+hyperedge's weight across its star in proportion to those leverages. Where the
+dense factor fits (`linalg.fits_dense`) the resistances are exact in the graph
+itself, so the default run equals exact mode; only above that cutoff does the
+round sparsify the graph and sketch resistances in the sparsifier. The
+averaged per-star leverage mass, scaled by a factor depending on the rank and
+the two constant accuracies GRAPH_EPS and SKETCH_EPS, upper-bounds the true
+hyperedge leverage scores of the averaged witness graph, while Foster's
+identity caps the total at O(n).
 """
 
 from __future__ import annotations
@@ -68,9 +69,9 @@ class OverestimateConfig:
     """Settings of the iterative overestimate.
 
     rounds: number of reweighting rounds (T >= 1).
-    exact: bypass sparsification (identity) so resistances are exact on the
-        full graph, separating algorithmic correctness from stochastic error.
-        Needs the dense factor.
+    exact: demand exact resistances on the full graph, separating algorithmic
+        correctness from stochastic error. Raises above the dense cutoff;
+        below it every run is exact, so the flag changes nothing there.
     """
 
     rounds: int
@@ -92,7 +93,7 @@ class OverestimateConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One round's underlying graph and per-slot resistances in its sparsifier.
+    """One round's underlying graph and per-slot resistances in its query graph.
 
     `resistances` aligns with the graph's slot layout; slots of weight 0 were
     never queried and hold 0.
@@ -151,14 +152,15 @@ def weight_compute(U: UnderlyingGraph, resistances, H: Hypergraph) -> Underlying
 def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig) -> OverestimateResult:
     """Run the iterative reweighting and aggregate per-hyperedge scores.
 
-    Round 1 starts from the uniform star initialization; round t sparsifies
-    the current graph U_t at GRAPH_EPS, takes resistances in the sparsifier
-    for every positive-weight slot of U_t through `slot_resistances` (exact
-    where the dense factor fits, sketched at SKETCH_EPS above), records slot
-    leverages w_t(f) * R~(f), and reassigns weights for round t + 1. The
-    sparsifier only supplies resistances: a slot it drops still scores. The
-    final score of hyperedge e is scale * (1 / T) * sum over rounds and star
-    slots of the recorded leverages, and the total mass is asserted against
+    Round 1 starts from the uniform star initialization; round t takes
+    resistances for every positive-weight slot of the current graph U_t
+    through `slot_resistances`, records slot leverages w_t(f) * R~(f), and
+    reassigns weights for round t + 1. Where `fits_dense(H.n)` the query reads
+    U_t itself (one factorization per round, bit-identical to exact mode);
+    above it, a sparsifier of U_t drawn at GRAPH_EPS, sketched at SKETCH_EPS.
+    A slot the sparsifier drops still scores. The final score of hyperedge e
+    is scale * (1 / T) * sum over rounds and star slots of the recorded
+    leverages, and the total mass is asserted against
     (1 + SKETCH_EPS) * scale * n. Exact mode needs the dense factor.
     """
     if cfg.exact and not fits_dense(H.n):
@@ -168,10 +170,8 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig) -> Overestimate
     acc = np.zeros(H.m)
     rounds: list[RoundRecord] = []
     for t in range(cfg.rounds):
-        if cfg.exact:
-            sparse_u = U
-        else:
-            sparse_u = sparsify_graph(U, GRAPH_EPS, derive_seed(cfg.seed, f"overestimate/round{t}/graph"))
+        graph_seed = derive_seed(cfg.seed, f"overestimate/round{t}/graph")
+        sparse_u = U if fits_dense(H.n) else sparsify_graph(U, GRAPH_EPS, graph_seed)
         res = slot_resistances(U, sparse_u, SKETCH_EPS, derive_seed(cfg.seed, f"overestimate/round{t}/sketch"))
         record = RoundRecord(U, res)
         rounds.append(record)

@@ -60,6 +60,16 @@ def loop_init_underlying(H: Hypergraph) -> UnderlyingGraph:
     return UnderlyingGraph(H, anchors, star_v, offsets, weights)
 
 
+def search_sample_counts(scores, count, seed) -> np.ndarray:
+    """Per-hyperedge counts from one binary search per draw over the unsorted
+    uniforms, as `rng.choice(m, count, p=...)` draws them."""
+    scores = np.asarray(scores, dtype=float)
+    cdf = np.cumsum(scores / scores.sum())
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(count)
+    return np.bincount(np.searchsorted(cdf, u, side="right"), minlength=len(scores))
+
+
 def loop_edge_bits(H: Hypergraph) -> np.ndarray:
     bits = np.zeros(H.m, dtype=np.int64)
     for e, vs in enumerate(H.vertex_sets):

@@ -13,27 +13,51 @@ from hypersparse.hsparse import (
 from hypersparse.overestimate import OverestimateConfig, compute_overestimate, default_rounds
 from hypersparse.seeding import derive_seed
 
-from helpers import edges, random_hypergraph
+from helpers import edges, random_hypergraph, search_sample_counts
 
 
 class TestSampleHyperedges:
     def test_point_mass_always_picks_it(self):
-        draws = sample_hyperedges(np.array([1.0, 0.0, 0.0]), 50, seed=3)
-        assert (draws == 0).all()
+        counts = sample_hyperedges(np.array([1.0, 0.0, 0.0]), 50, seed=3)
+        np.testing.assert_array_equal(counts, [50, 0, 0])
 
     def test_fair_coin_frequency(self):
-        draws = sample_hyperedges(np.array([1.0, 1.0]), 100_000, seed=4)
-        freq = (draws == 0).mean()
-        assert abs(freq - 0.5) <= 0.01
+        counts = sample_hyperedges(np.array([1.0, 1.0]), 100_000, seed=4)
+        assert counts.sum() == 100_000
+        assert abs(counts[0] / 100_000 - 0.5) <= 0.01
 
     def test_three_to_one_frequency(self):
-        draws = sample_hyperedges(np.array([1.0, 3.0]), 100_000, seed=5)
-        freq = (draws == 1).mean()
-        assert abs(freq - 0.75) <= 0.01
+        counts = sample_hyperedges(np.array([1.0, 3.0]), 100_000, seed=5)
+        assert counts.sum() == 100_000
+        assert abs(counts[1] / 100_000 - 0.75) <= 0.01
+
+    @pytest.mark.parametrize(
+        "scores, count",
+        [
+            (np.array([0.0, 0.0, 1.0, 2.0, 3.0]), 200),
+            (np.array([1.0, 2.0, 0.0, 0.0, 3.0]), 200),
+            (np.array([1.0, 2.0, 3.0, 0.0, 0.0]), 200),
+            (np.array([2.5]), 17),
+            (np.array([1.0, 0.0, 4.0, 2.0]), 0),
+            (np.random.default_rng(0).random(7), 50_000),
+            (np.random.default_rng(1).random(5_000) ** 4, 30),
+        ],
+    )
+    def test_matches_per_draw_search(self, scores, count):
+        for seed in range(4):
+            counts = sample_hyperedges(scores, count, seed)
+            assert counts.shape == scores.shape and counts.sum() == count
+            np.testing.assert_array_equal(counts, search_sample_counts(scores, count, seed))
+            assert (counts[scores == 0.0] == 0).all()
 
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError):
             sample_hyperedges(np.zeros(3), 10, seed=0)
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf, -np.inf])
+    def test_invalid_score_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            sample_hyperedges(np.array([1.0, bad, 2.0]), 10, seed=0)
 
     def test_deterministic(self):
         z = np.array([0.2, 0.5, 0.3])

@@ -3,7 +3,7 @@ import pytest
 
 from hypersparse.core import Hypergraph, flatten, init_underlying
 from hypersparse.linalg import DisconnectedError, fits_dense, resistance_table
-from hypersparse import overestimate
+from hypersparse import linalg, overestimate
 from hypersparse.overestimate import (
     COMBINED_EPS,
     OverestimateConfig,
@@ -149,6 +149,52 @@ class TestComputeOverestimate:
         a = compute_overestimate(H, cfg)
         b = compute_overestimate(H, OverestimateConfig(rounds=2, exact=True, seed=99))
         np.testing.assert_array_equal(a.scores, b.scores)
+
+
+def _round_instances():
+    """Connected, disconnected and zero-weight inputs for the round tests."""
+    out = [random_hypergraph(s, n=10, m=30, rank=4) for s in (40, 41)]
+    out.append(random_hypergraph(42, n=14, m=8, rank=3, connected=False))
+    H = random_hypergraph(43, n=9, m=25, rank=5)
+    out.append(Hypergraph(H.n, [(vs, 0.0 if i % 4 == 0 else w) for i, (vs, w) in enumerate(edges(H))]))
+    return out
+
+
+class TestRoundGraph:
+    """Below the dense cutoff a round queries its own graph; above it, a draw."""
+
+    @pytest.mark.parametrize("H", _round_instances())
+    def test_default_equals_exact_on_dense_path(self, H):
+        assert fits_dense(H.n)
+        for seed in (0, 7):
+            a = compute_overestimate(H, OverestimateConfig(rounds=3, seed=seed))
+            b = compute_overestimate(H, OverestimateConfig(rounds=3, seed=seed, exact=True))
+            np.testing.assert_array_equal(a.scores, b.scores)
+            for ra, rb in zip(a.rounds, b.rounds, strict=True):
+                np.testing.assert_array_equal(ra.resistances, rb.resistances)
+                np.testing.assert_array_equal(ra.graph.weights, rb.graph.weights)
+
+    def test_one_factorization_per_round_on_dense_path(self, monkeypatch):
+        calls = []
+        factor = linalg.Laplacian.factor
+        monkeypatch.setattr(linalg.Laplacian, "factor", lambda L: calls.append(L) or factor(L))
+        H = random_hypergraph(44, n=12, m=40, rank=5)
+        compute_overestimate(H, OverestimateConfig(rounds=3, seed=1))
+        assert len(calls) == 3
+        assert all(L.is_dense for L in calls)
+
+    def test_draw_path_above_cutoff(self, monkeypatch):
+        monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        drawn = []
+        draw = overestimate.sparsify_graph
+        monkeypatch.setattr(overestimate, "sparsify_graph", lambda *a: drawn.append(a) or draw(*a))
+        for seed in range(3):
+            H = random_hypergraph(45 + seed, n=10, m=30, rank=4)
+            drawn.clear()
+            res = compute_overestimate(H, OverestimateConfig(rounds=2, seed=seed))
+            assert len(drawn) == 2
+            assert res.l1 <= res.mass_bound * (1.0 + 1e-12)
+            assert (res.scores[H.weights > 0] > 0).all()
 
 
 class TestLeveragesFromTable:
