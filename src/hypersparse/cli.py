@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     over = sub.add_parser("overestimate", parents=[common], help="leverage-score overestimates")
     over.add_argument("--exact", action="store_true",
-                      help="require exact resistances; refused above n = 6,688, the default at or below it")
+                      help="exact resistances; every run is exact, so this changes nothing")
     return parser
 
 
@@ -202,8 +202,7 @@ def _cmd_resistance(args) -> int:
 def _cmd_overestimate(args) -> int:
     H = parse_hypergraph(args.input)
     rounds = default_rounds(H.rank)
-    cfg = OverestimateConfig(rounds=rounds, seed=derive_seed(args.seed, "cli/overestimate"), exact=args.exact)
-    result = compute_overestimate(H, cfg)
+    result = compute_overestimate(H, OverestimateConfig(rounds=rounds, exact=args.exact))
     payload = {
         "command": "overestimate",
         "rounds": rounds,

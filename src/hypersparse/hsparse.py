@@ -47,10 +47,10 @@ class SparsifyConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.eps > 0.0:
-            raise ValueError("eps must be positive")
-        if not self.sample_constant > 0.0:
-            raise ValueError("sample_constant must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
+        if not 0.0 < self.sample_constant < math.inf:
+            raise ValueError("sample_constant must be positive and finite")
         if not 0.0 <= self.sum_estimate_eps < 1.0:
             raise ValueError("sum_estimate_eps must lie in [0, 1)")
 
@@ -75,10 +75,13 @@ class SparsifierReport:
 
 
 def sample_count(n: int, rank: int, eps: float, constant: float) -> int:
-    """ceil(constant * n * ln(n) * ln(max(rank, 2)) / eps^2)."""
-    return math.ceil(
-        constant * n * math.log(n) * math.log(max(rank, 2)) / eps**2
-    )
+    """ceil(constant * n * ln(n) * ln(max(rank, 2)) / eps^2). Raises
+    ValueError when that is not finite, as when eps^2 underflows to 0."""
+    square = eps**2
+    count = constant * n * math.log(n) * math.log(max(rank, 2)) / square if square else math.inf
+    if not math.isfinite(count):
+        raise ValueError(f"sample count is not finite at eps={eps!r}, constant={constant!r}")
+    return math.ceil(count)
 
 
 def sample_hyperedges(scores, count: int, seed: int) -> np.ndarray:
@@ -121,10 +124,7 @@ def sparsify_hypergraph(
     appear in the output, at most min(M, m) distinct.
     """
     if overestimate is None:
-        ov_cfg = OverestimateConfig(
-            rounds=default_rounds(H.rank), seed=derive_seed(cfg.seed, "hsparse/overestimate")
-        )
-        overestimate = compute_overestimate(H, ov_cfg)
+        overestimate = compute_overestimate(H, OverestimateConfig(rounds=default_rounds(H.rank)))
     scores = overestimate.scores
     positive = H.weights > 0.0
     if (scores[positive] <= 0.0).any():

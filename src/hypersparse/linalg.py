@@ -13,9 +13,10 @@ components are hard errors rather than infinities.
 A dense Laplacian comes from one bincount over the vertex-pair ids u n + v,
 formed in place (peak about two n x n arrays); parallel edges cost no sort.
 
-`edge_resistances` is the one entry point for per-edge resistances: exact
-values read from F where it fits, and a Johnson-Lindenstrauss sketch built
-through the sparse LU only above it.
+`edge_resistances` is the one entry point for per-edge resistances, exact on
+both paths: read from F where it fits, and above it from the columns of F
+that a sweep of the sparse LU over the distinct queried vertices solves for.
+The Johnson-Lindenstrauss sketch stays available for approximate queries.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ DENSE_BYTES = 1 << 30
 SKETCH_ROW_FACTOR = 24.0
 RESISTANCE_FLOOR = 1e-15
 # Largest p x k float64 block a batched sketch query materialises at once,
-# largest n x k right-hand side block of an exact query on the sparse LU, and
-# largest block of sketch sign rows drawn at once.
+# largest n x k block of columns of F an exact query solves for on the sparse
+# LU, and largest block of sketch sign rows drawn at once.
 QUERY_BLOCK_BYTES = 1 << 25
 
 
@@ -130,8 +131,8 @@ class Laplacian:
         return self._factor
 
     def solve_grounded(self, B) -> np.ndarray:
-        """X with L X = B and X = 0 on grounded vertices, for B of shape (n,)
-        or (n, k) whose columns sum to zero on each component."""
+        """X = F B for B of shape (n,) or (n, k): X vanishes on grounded
+        vertices, and L X = B where B's columns sum to zero on each component."""
         F = self.factor()
         if self.is_dense:
             return F @ B
@@ -206,6 +207,9 @@ def solve_laplacian(L: Laplacian, b) -> np.ndarray:
 def _check_pairs(components: np.ndarray, a, b):
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
+    n = len(components)
+    if ((a < 0) | (a >= n) | (b < 0) | (b >= n)).any():
+        raise ValueError(f"vertex id outside the graph's {n} vertices")
     if (a == b).any():
         raise ValueError("resistance requires distinct vertices")
     if (components[a] != components[b]).any():
@@ -214,27 +218,35 @@ def _check_pairs(components: np.ndarray, a, b):
 
 
 def _exact_resistances(L: Laplacian, a, b) -> np.ndarray:
-    """Exact resistances between aligned vertex arrays, from the factor.
+    """Exact resistances d_a + d_b - 2 F_ab between aligned vertex arrays,
+    with d the diagonal of F.
 
-    The dense path reads F; the sparse path solves for delta_a - delta_b in
-    blocks of at most QUERY_BLOCK_BYTES of right-hand sides.
+    The dense path reads F. The sparse path sweeps the distinct queried
+    vertices in blocks J of at most QUERY_BLOCK_BYTES of columns: one solve
+    of e_J gives F[:, J], hence d_J and F_ab for every pair with b in J.
     """
     a, b = _check_pairs(L.components, a, b)
     if L.is_dense:
         F = L.factor()
         d = F.diagonal()
         return d[a] + d[b] - 2.0 * F[a, b]
-    out = np.empty(len(a))
+    verts, at = np.unique(np.concatenate([a, b]), return_inverse=True)
+    ia, ib = at[:len(a)], at[len(a):]
+    by_b = np.argsort(ib, kind="stable")
     block = max(1, QUERY_BLOCK_BYTES // (8 * L.n))
-    for start in range(0, len(a), block):
-        ab, bb = a[start:start + block], b[start:start + block]
-        cols = np.arange(len(ab))
-        B = np.zeros((L.n, len(ab)))
-        B[ab, cols] = 1.0
-        B[bb, cols] = -1.0
+    d = np.empty(len(verts))
+    f_ab = np.empty(len(a))
+    for start in range(0, len(verts), block):
+        J = verts[start:start + block]
+        cols = np.arange(len(J))
+        B = np.zeros((L.n, len(J)))
+        B[J, cols] = 1.0
         X = L.solve_grounded(B)
-        out[start:start + block] = X[ab, cols] - X[bb, cols]
-    return out
+        d[start:start + len(J)] = X[J, cols]
+        lo, hi = np.searchsorted(ib, [start, start + len(J)], sorter=by_b)
+        pairs = by_b[lo:hi]
+        f_ab[pairs] = X[a[pairs], ib[pairs] - start]
+    return d[ia] + d[ib] - 2.0 * f_ab
 
 
 def effective_resistance_exact(G: WeightedGraph, a: int, b: int) -> float:
@@ -344,18 +356,10 @@ def sketch_resistance_many(S: ResistanceSketch, a, b) -> np.ndarray:
     return np.maximum(out, RESISTANCE_FLOOR)
 
 
-def edge_resistances(G: WeightedGraph, a, b, eps_sketch: float, seed: int) -> np.ndarray:
-    """Resistances in G between aligned vertex arrays a and b.
-
-    Where `fits_dense(G.n)` the values are exact, read from the grounded
-    inverse; a sketch there would start from the same factor and add work on
-    top of it. Above that the sketch at eps_sketch and seed is built through
-    the sparse LU and queried, so each value is within (1 +- eps_sketch) with
-    high probability. Both paths clamp at RESISTANCE_FLOOR and raise
-    DisconnectedError for a cross-component pair.
-    """
-    if not fits_dense(G.n):
-        return sketch_resistance_many(build_sketch(G, eps_sketch, seed), a, b)
+def edge_resistances(G: WeightedGraph, a, b) -> np.ndarray:
+    """Exact resistances in G between aligned vertex arrays a and b, clamped
+    at RESISTANCE_FLOOR, from the dense F or the sparse LU's column sweep.
+    Raises DisconnectedError for a cross-component pair."""
     return np.maximum(_exact_resistances(build_laplacian(G), a, b), RESISTANCE_FLOOR)
 
 

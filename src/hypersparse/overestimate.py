@@ -1,15 +1,14 @@
 """Iterative reweighting that yields per-hyperedge leverage-score overestimates.
 
-Each round takes effective resistances for every slot of the current star
-underlying graph, records slot leverages c * R~, and reassigns each
-hyperedge's weight across its star in proportion to those leverages. Where the
-dense factor fits (`linalg.fits_dense`) the resistances are exact in the graph
-itself, so the default run equals exact mode; only above that cutoff does the
-round sparsify the graph and sketch resistances in the sparsifier. The
-averaged per-star leverage mass, scaled by a factor depending on the rank and
-the two constant accuracies GRAPH_EPS and SKETCH_EPS, upper-bounds the true
-hyperedge leverage scores of the averaged witness graph, while Foster's
-identity caps the total at O(n).
+Each round takes exact effective resistances for every slot of the current
+star underlying graph, records slot leverages c * R, and reassigns each
+hyperedge's weight across its star in proportion to those leverages. Every
+run is exact: the paper's per-round graph sparsifier and resistance sketch
+only make that query cheaper, and the exact query (one factorization per
+round) is the cheaper one here. The averaged per-star leverage mass, scaled
+by a factor depending on the rank and the two constant accuracies GRAPH_EPS
+and SKETCH_EPS, upper-bounds the true hyperedge leverage scores of the
+averaged witness graph, while Foster's identity caps the total at O(n).
 """
 
 from __future__ import annotations
@@ -21,9 +20,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .core import Hypergraph, UnderlyingGraph, flatten, init_underlying
-from .gsparse import slot_resistances, sparsify_graph
-from .linalg import DisconnectedError, fits_dense, resistance_table
-from .seeding import derive_seed
+from .gsparse import slot_resistances
+from .linalg import DisconnectedError, resistance_table
 
 __all__ = [
     "GRAPH_EPS",
@@ -55,11 +53,11 @@ def default_rounds(rank: int) -> int:
     return max(1, math.ceil(math.log2(max(2, rank - 1))))
 
 
-# Constants of the analysis: every round sparsifies its graph at accuracy
-# GRAPH_EPS (alpha_1) and, where the dense factor does not fit
-# (`linalg.fits_dense`), sketches resistances at SKETCH_EPS (alpha_2). The mass
-# bound keeps its (1 + SKETCH_EPS) factor either way. COMBINED_EPS is the
-# worst-case relative resistance error after both approximations.
+# Constants of the analysis: the paper's round sparsifies its graph at
+# accuracy GRAPH_EPS (alpha_1) and sketches resistances at SKETCH_EPS
+# (alpha_2). The rounds here are exact, which both bounds cover, and
+# `scale` and `mass_bound` keep both factors. COMBINED_EPS is the worst-case
+# relative resistance error after both approximations.
 GRAPH_EPS = SKETCH_EPS = 0.1
 COMBINED_EPS = (GRAPH_EPS + SKETCH_EPS) / (1.0 - GRAPH_EPS)
 
@@ -69,9 +67,8 @@ class OverestimateConfig:
     """Settings of the iterative overestimate.
 
     rounds: number of reweighting rounds (T >= 1).
-    exact: demand exact resistances on the full graph, separating algorithmic
-        correctness from stochastic error. Raises above the dense cutoff;
-        below it every run is exact, so the flag changes nothing there.
+    seed, exact: accepted and ignored. Every run is exact and draws nothing,
+        so neither changes the result.
     """
 
     rounds: int
@@ -93,7 +90,7 @@ class OverestimateConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One round's underlying graph and per-slot resistances in its query graph.
+    """One round's underlying graph and its exact per-slot resistances.
 
     `resistances` aligns with the graph's slot layout; slots of weight 0 were
     never queried and hold 0.
@@ -152,27 +149,20 @@ def weight_compute(U: UnderlyingGraph, resistances, H: Hypergraph) -> Underlying
 def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig) -> OverestimateResult:
     """Run the iterative reweighting and aggregate per-hyperedge scores.
 
-    Round 1 starts from the uniform star initialization; round t takes
+    Round 1 starts from the uniform star initialization; round t takes exact
     resistances for every positive-weight slot of the current graph U_t
-    through `slot_resistances`, records slot leverages w_t(f) * R~(f), and
-    reassigns weights for round t + 1. Where `fits_dense(H.n)` the query reads
-    U_t itself (one factorization per round, bit-identical to exact mode);
-    above it, a sparsifier of U_t drawn at GRAPH_EPS, sketched at SKETCH_EPS.
-    A slot the sparsifier drops still scores. The final score of hyperedge e
-    is scale * (1 / T) * sum over rounds and star slots of the recorded
-    leverages, and the total mass is asserted against
-    (1 + SKETCH_EPS) * scale * n. Exact mode needs the dense factor.
+    through `slot_resistances` (one factorization of U_t), records slot
+    leverages w_t(f) * R(f), and reassigns weights for round t + 1. The final
+    score of hyperedge e is scale * (1 / T) * sum over rounds and star slots
+    of the recorded leverages, and the total mass is asserted against
+    (1 + SKETCH_EPS) * scale * n.
     """
-    if cfg.exact and not fits_dense(H.n):
-        raise ValueError(f"exact mode needs the dense factor, which n = {H.n} exceeds")
     U = init_underlying(H)
     slot_edges = U.slot_edges()
     acc = np.zeros(H.m)
     rounds: list[RoundRecord] = []
-    for t in range(cfg.rounds):
-        graph_seed = derive_seed(cfg.seed, f"overestimate/round{t}/graph")
-        sparse_u = U if fits_dense(H.n) else sparsify_graph(U, GRAPH_EPS, graph_seed)
-        res = slot_resistances(U, sparse_u, SKETCH_EPS, derive_seed(cfg.seed, f"overestimate/round{t}/sketch"))
+    for _ in range(cfg.rounds):
+        res = slot_resistances(U)
         record = RoundRecord(U, res)
         rounds.append(record)
         np.add.at(acc, slot_edges, record.slot_leverages())

@@ -131,6 +131,18 @@ def coo_laplacian(G) -> Laplacian:
     return Laplacian(n, np.diag(degrees) - adj.toarray(), labels, n_components, grounded)
 
 
+def pair_solve_resistances(L: Laplacian, a, b) -> np.ndarray:
+    """Resistances from one grounded solve of delta_a - delta_b per pair, the
+    sparse-LU query that the column sweep replaced."""
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    cols = np.arange(len(a))
+    B = np.zeros((L.n, len(a)))
+    B[a, cols] = 1.0
+    B[b, cols] = -1.0
+    X = L.solve_grounded(B)
+    return X[a, cols] - X[b, cols]
+
+
 def loop_project_out_kernel(labels, n_components, x) -> np.ndarray:
     out = np.asarray(x, dtype=float).copy()
     for c in range(n_components):

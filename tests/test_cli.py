@@ -100,6 +100,15 @@ class TestResistance:
         assert code == 0
         assert "mode=sketch" in text
 
+    @pytest.mark.parametrize("ids", [("0", "2"), ("4", "2"), ("1", "4")])
+    @pytest.mark.parametrize("mode", [[], ["--sketch-eps", "0.4"]], ids=["exact", "sketch"])
+    def test_vertex_out_of_range_is_error(self, sample_file, capsys, ids, mode):
+        # sample_file has 3 vertices; ids are 1-indexed, so 0 and 4 lie outside.
+        code, text = run(["resistance", sample_file, *ids, *mode])
+        assert code == 2
+        assert text == ""
+        assert "outside the graph's 3 vertices" in capsys.readouterr().err
+
     def test_disconnected_pair_is_error(self, tmp_path):
         path = tmp_path / "two.hgr"
         path.write_text("2 4 1\n1 1 2\n1 3 4\n")
@@ -157,6 +166,20 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory")
         assert str(exc) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sparsify", "--epsilon", "1e-200"],
+        ["sparsify", "--epsilon", "inf"],
+        ["sparsify", "--epsilon", "0.3", "--sample-constant", "inf"],
+        ["mincut", "--epsilon", "1e-200"],
+        ["stmincut", "--source", "1", "--sink", "3", "--epsilon", "inf"],
+    ])
+    def test_non_finite_sample_count_exits_two(self, sample_file, tmp_path, capsys, argv):
+        out = ["-o", str(tmp_path / "out.hgr")] if argv[0] == "sparsify" else []
+        code, text = run([argv[0], sample_file, *argv[1:], *out])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_malformed_file_exits_two(self, tmp_path):
         path = tmp_path / "bad.hgr"

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from hypersparse import linalg
 from hypersparse.core import Hypergraph, flatten, init_underlying
 from hypersparse.gsparse import sample_size, slot_resistances, sparsify_graph
-from hypersparse.linalg import DisconnectedError, build_laplacian, effective_resistance_exact, resistance_table
+from hypersparse.linalg import build_laplacian, effective_resistance_exact, resistance_table
 
 from helpers import pencil_relative_eigs, random_hypergraph
 
@@ -97,24 +98,21 @@ class TestSparsifyGraph:
 
 
 class TestSlotResistances:
-    @pytest.mark.parametrize("sparsify", [False, True])
-    def test_matches_exact_per_slot(self, sparsify):
+    @pytest.mark.parametrize("lu", [False, True])
+    def test_matches_exact_per_slot(self, monkeypatch, lu):
+        # lu=True forces the sparse LU's column sweep; the reference values
+        # come from the dense path either way.
         H = random_hypergraph(8, n=10, m=40, rank=4)
         weights = H.weights.copy()
         weights[::5] = 0.0
         H = Hypergraph.from_arrays(H.n, H.indptr, H.indices, weights)
         U = init_underlying(H)
-        X = sparsify_graph(U, 0.5, seed=2) if sparsify else U
-        res = slot_resistances(U, X, 0.3, seed=0)
-        G = flatten(X)
+        G = flatten(U)
         zero = U.weights == 0.0
         assert zero.any()
-        np.testing.assert_array_equal(res[zero], 0.0)
         want = [effective_resistance_exact(G, a, b) for a, b in zip(G.u[~zero], G.v[~zero])]
+        if lu:
+            monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        res = slot_resistances(U)
+        np.testing.assert_array_equal(res[zero], 0.0)
         np.testing.assert_allclose(res[~zero], want, rtol=1e-9)
-
-    def test_split_endpoints_raise(self):
-        U = init_underlying(Hypergraph(3, [((0, 1, 2), 1.0)]))
-        X = U.with_weights([1.0, 0.0])
-        with pytest.raises(DisconnectedError):
-            slot_resistances(U, X, 0.3, seed=0)

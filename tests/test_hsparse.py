@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from hypersparse.apps import global_mincut, st_mincut
 from hypersparse.core import Hypergraph
 from hypersparse.hsparse import (
     ScorePositivityError,
@@ -96,6 +99,42 @@ class TestSampleCount:
         # ln(max(r, 2)) keeps the count positive at rank 2.
         assert sample_count(10, 2, 0.3, 4.0) == 710
 
+    def test_underflowing_eps_raises(self):
+        # 1e-200 ** 2 underflows to 0.
+        with pytest.raises(ValueError, match="not finite"):
+            sample_count(30, 4, 1e-200, 4.0)
+
+    def test_infinite_constant_raises(self):
+        with pytest.raises(ValueError, match="not finite"):
+            sample_count(30, 4, 0.25, math.inf)
+
+
+class TestNonFiniteSampleCounts:
+    """Each way a sample count stops being finite is a ValueError, in the
+    sparsifier and in the approximate mincuts that call it."""
+
+    H = Hypergraph(4, [((0, 1, 2), 1.0), ((1, 3), 2.0), ((0, 3), 0.5)])
+
+    def test_underflowing_eps(self):
+        with pytest.raises(ValueError, match="not finite"):
+            sparsify_hypergraph(self.H, SparsifyConfig(eps=1e-200))
+
+    def test_infinite_sample_constant(self):
+        with pytest.raises(ValueError, match="sample_constant"):
+            SparsifyConfig(eps=0.3, sample_constant=math.inf)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_non_finite_eps(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            SparsifyConfig(eps=eps)
+
+    @pytest.mark.parametrize("eps", [1e-200, math.inf])
+    def test_approximate_mincuts(self, eps):
+        with pytest.raises(ValueError):
+            global_mincut(self.H, eps)
+        with pytest.raises(ValueError):
+            st_mincut(self.H, 0, 3, eps)
+
 
 class TestSparsifyHypergraph:
     def test_single_hyperedge_recovers_weight_exactly(self):
@@ -189,10 +228,7 @@ class TestSparsifyHypergraph:
     def test_default_overestimate_is_rank_driven_default_config(self):
         H = random_hypergraph(73, n=10, m=30, rank=5)
         cfg = SparsifyConfig(eps=0.35, seed=42)
-        ov_cfg = OverestimateConfig(
-            rounds=default_rounds(H.rank), seed=derive_seed(cfg.seed, "hsparse/overestimate")
-        )
-        given = sparsify_hypergraph(H, cfg, compute_overestimate(H, ov_cfg))
+        given = sparsify_hypergraph(H, cfg, compute_overestimate(H, OverestimateConfig(rounds=default_rounds(H.rank))))
         default = sparsify_hypergraph(H, cfg)
         assert default.as_dict() == given.as_dict()
         assert default.hypergraph == given.hypergraph

@@ -23,7 +23,7 @@ from hypersparse.linalg import (
     solve_laplacian,
 )
 
-from helpers import coo_laplacian, loop_project_out_kernel, random_weighted_graph
+from helpers import coo_laplacian, loop_project_out_kernel, pair_solve_resistances, random_weighted_graph
 
 
 def path_graph(n, weight=1.0):
@@ -203,7 +203,7 @@ class TestAssembly:
 
 
 def component_pairs(G, limit=200):
-    """Up to `limit` vertex pairs that share a component."""
+    """Up to `limit` vertex pairs a < b that share a component."""
     comp = build_laplacian(G).components
     a, b = np.triu_indices(G.n, k=1)
     keep = comp[a] == comp[b]
@@ -234,7 +234,7 @@ class TestGroundedFactor:
         b = np.random.default_rng(0).standard_normal(G.n)
         assert_relative(solve_laplacian(L, b), P @ b)
         a, c = component_pairs(G)
-        assert_relative(edge_resistances(G, a, c, 0.3, seed=0), P[a, a] + P[c, c] - 2.0 * P[a, c])
+        assert_relative(edge_resistances(G, a, c), P[a, a] + P[c, c] - 2.0 * P[a, c])
         assert foster_sum(G) == pytest.approx(G.n - L.n_components, abs=1e-9)
 
     @pytest.mark.parametrize("name", FACTOR_INSTANCES)
@@ -459,7 +459,7 @@ class TestSketchQueryBlocks:
 class TestEdgeResistances:
     @staticmethod
     def check_dense(G, a, b):
-        got = edge_resistances(G, a, b, 0.3, seed=0)
+        got = edge_resistances(G, a, b)
         np.testing.assert_allclose(got, resistance_table(G)[a, b], rtol=0.0, atol=1e-12)
         # Independent of the cached grounded inverse: an SVD pseudo-inverse.
         P = np.linalg.pinv(build_laplacian(G).matrix)
@@ -477,29 +477,103 @@ class TestEdgeResistances:
     def test_cross_component_pair_raises(self):
         G = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(DisconnectedError):
-            edge_resistances(G, [0, 1], [1, 2], 0.3, seed=0)
+            edge_resistances(G, [0, 1], [1, 2])
 
     def test_repeated_vertex_rejected(self):
         with pytest.raises(ValueError):
-            edge_resistances(path_graph(3), [0, 1], [1, 1], 0.3, seed=0)
+            edge_resistances(path_graph(3), [0, 1], [1, 1])
 
     def test_clamped_at_floor(self):
         # A huge conductance pushes the exact resistance to the rounding level.
         G = WeightedGraph(3, [(0, 1, 1e300), (1, 2, 1.0)])
-        assert edge_resistances(G, [0], [1], 0.3, seed=0)[0] == RESISTANCE_FLOOR
+        assert edge_resistances(G, [0], [1])[0] == RESISTANCE_FLOOR
 
-    def test_sketch_branch_within_envelope(self, monkeypatch):
-        eps = 0.5
+    def test_first_size_past_cutoff_is_exact(self, monkeypatch):
         G = random_weighted_graph(50, n=520, m=4 * 520)
-        # The first size past the cutoff is G.n; exact values come from the LU.
+        a, b = map(np.array, zip(*[(0, 1), (3, 300), (17, 518), (100, 200), (250, 5)]))
+        want = edge_resistances(G, a, b)
+        # The first size past the cutoff is G.n; the values come from the LU.
         monkeypatch.setattr(linalg, "DENSE_BYTES", 24 * (G.n - 1) ** 2)
         assert fits_dense(G.n - 1) and not build_laplacian(G).is_dense
-        pairs = [(0, 1), (3, 300), (17, 518), (100, 200), (250, 5)]
-        a, b = map(np.array, zip(*pairs))
-        got = edge_resistances(G, a, b, eps, seed=2)
-        for (u, v), value in zip(pairs, got):
-            exact = effective_resistance_exact(G, u, v)
-            assert (1.0 - eps) * exact <= value <= (1.0 + eps) * exact
+        np.testing.assert_allclose(edge_resistances(G, a, b), want, rtol=1e-9)
+
+
+def disconnected():
+    # Components {0..9}, {10..19} and the isolated vertices 20..24.
+    left, right = random_weighted_graph(60, n=10, m=25), random_weighted_graph(61, n=10, m=25)
+    return WeightedGraph.from_arrays(
+        25, np.concatenate([left.u, right.u + 10]), np.concatenate([left.v, right.v + 10]),
+        np.concatenate([left.w, right.w]))
+
+
+SWEEP_INSTANCES = {**FACTOR_INSTANCES, "disconnected": disconnected}
+
+
+def sweep_pairs(G):
+    """Same-component pairs and each grounded vertex with a partner, in both
+    orientations, then as many again (at least 3n) drawn with repeats."""
+    L = build_laplacian(G)
+    a, b = (list(x) for x in component_pairs(G, limit=600))
+    for g in L.grounded:
+        mates = np.flatnonzero((L.components == L.components[g]) & (np.arange(G.n) != g))
+        if len(mates):
+            a.append(g)
+            b.append(mates[0])
+    a, b = np.array(a + b, dtype=np.int64), np.array(b + a, dtype=np.int64)
+    if len(a):
+        extra = np.random.default_rng(G.n).integers(0, len(a), size=max(len(a), 3 * G.n))
+        a, b = np.concatenate([a, a[extra]]), np.concatenate([b, b[extra]])
+    return a, b
+
+
+class TestColumnSweep:
+    """The LU path's column sweep against one solve per pair and the dense F."""
+
+    @pytest.mark.parametrize("columns", [1, 3, None], ids=["1col", "3col", "budget"])
+    @pytest.mark.parametrize("name", SWEEP_INSTANCES)
+    def test_matches_pair_solves_and_dense(self, monkeypatch, name, columns):
+        G = SWEEP_INSTANCES[name]()
+        a, b = sweep_pairs(G)
+        F = build_laplacian(G).factor()
+        want = F.diagonal()[a] + F.diagonal()[b] - 2.0 * F[a, b]
+        monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        L = build_laplacian(G)
+        assert not L.is_dense
+        oracle = pair_solve_resistances(L, a, b)
+        if columns:
+            monkeypatch.setattr(linalg, "QUERY_BLOCK_BYTES", 8 * G.n * columns)
+        blocks = []
+        solve = linalg.Laplacian.solve_grounded
+        monkeypatch.setattr(linalg.Laplacian, "solve_grounded", lambda L, B: blocks.append(B.shape[1]) or solve(L, B))
+        got = linalg._exact_resistances(L, a, b)
+        assert_relative(got, oracle)
+        assert_relative(got, want)
+        distinct = len(np.unique(np.concatenate([a, b])))
+        assert sum(blocks) == distinct
+        if columns:
+            assert len(blocks) == -(-distinct // columns)
+        if len(a):
+            assert len(a) > 3 * G.n
+            assert np.isin(a, L.grounded).any() and np.isin(b, L.grounded).any()
+
+    def test_empty_query(self, factor_path):
+        assert linalg._exact_resistances(build_laplacian(path_graph(3)), [], []).shape == (0,)
+
+
+class TestVertexRange:
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_exact_queries_reject(self, factor_path, bad):
+        G = path_graph(3)
+        with pytest.raises(ValueError, match="outside"):
+            effective_resistance_exact(G, bad, 1)
+        with pytest.raises(ValueError, match="outside"):
+            edge_resistances(G, [0, 1], [1, bad])
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_sketch_query_rejects(self, bad):
+        S = build_sketch(path_graph(3), 0.5, seed=0)
+        with pytest.raises(ValueError, match="outside"):
+            sketch_resistance(S, 1, bad)
 
 
 class TestFosterSum:

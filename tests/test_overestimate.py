@@ -3,7 +3,8 @@ import pytest
 
 from hypersparse.core import Hypergraph, flatten, init_underlying
 from hypersparse.linalg import DisconnectedError, fits_dense, resistance_table
-from hypersparse import linalg, overestimate
+import hypersparse
+from hypersparse import apps, cli, gsparse, hsparse, linalg, overestimate
 from hypersparse.overestimate import (
     COMBINED_EPS,
     OverestimateConfig,
@@ -85,20 +86,21 @@ class TestComputeOverestimate:
         assert res.l1 <= res.mass_bound
 
     def test_single_pair_stochastic_stays_in_sketch_envelope(self):
-        # One label: sampling must return it with its full weight, so the only
-        # noise left is the resistance of the unit edge (exact at this size,
-        # sketched only where the dense factor does not fit).
+        # One label: the score is scale times the unit edge's resistance, which
+        # every run takes exactly, whatever the seed.
         H = Hypergraph(2, [((0, 1), 1.0)])
         scale = OverestimateConfig(rounds=1).scale(2)
         for seed in range(20):
             res = compute_overestimate(H, OverestimateConfig(rounds=1, seed=seed))
             assert 0.9 * scale <= res.scores[0] <= 1.1 * scale
 
-    def test_exact_mode_needs_dense_representation(self):
+    def test_exact_mode_runs_past_cutoff(self):
         assert fits_dense(6688) and not fits_dense(6689)
-        H = Hypergraph(6689, [((0, 1), 1.0)])
-        with pytest.raises(ValueError, match="exact mode"):
-            compute_overestimate(H, OverestimateConfig(rounds=1, exact=True))
+        H = Hypergraph(6689, [((0, 1), 1.0), ((1, 2, 6688), 2.0)])
+        exact = compute_overestimate(H, OverestimateConfig(rounds=2, exact=True))
+        default = compute_overestimate(H, OverestimateConfig(rounds=2, seed=5))
+        np.testing.assert_array_equal(exact.scores, default.scores)
+        assert exact.scores[0] == pytest.approx(OverestimateConfig(rounds=2).scale(3), rel=1e-12)
 
     def test_mass_bound_holds_on_stochastic_runs(self):
         for seed in range(5):
@@ -161,7 +163,7 @@ def _round_instances():
 
 
 class TestRoundGraph:
-    """Below the dense cutoff a round queries its own graph; above it, a draw."""
+    """Every round queries its own graph exactly, on either factor path."""
 
     @pytest.mark.parametrize("H", _round_instances())
     def test_default_equals_exact_on_dense_path(self, H):
@@ -183,18 +185,49 @@ class TestRoundGraph:
         assert len(calls) == 3
         assert all(L.is_dense for L in calls)
 
-    def test_draw_path_above_cutoff(self, monkeypatch):
-        monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
-        drawn = []
-        draw = overestimate.sparsify_graph
-        monkeypatch.setattr(overestimate, "sparsify_graph", lambda *a: drawn.append(a) or draw(*a))
-        for seed in range(3):
-            H = random_hypergraph(45 + seed, n=10, m=30, rank=4)
-            drawn.clear()
-            res = compute_overestimate(H, OverestimateConfig(rounds=2, seed=seed))
-            assert len(drawn) == 2
-            assert res.l1 <= res.mass_bound * (1.0 + 1e-12)
-            assert (res.scores[H.weights > 0] > 0).all()
+    def test_lu_path_matches_dense(self, monkeypatch):
+        for H in _round_instances():
+            want = compute_overestimate(H, OverestimateConfig(rounds=3))
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "DENSE_BYTES", 0)
+                got = compute_overestimate(H, OverestimateConfig(rounds=3))
+            np.testing.assert_allclose(got.scores, want.scores, rtol=1e-12, atol=0.0)
+            for rg, rw in zip(got.rounds, want.rounds, strict=True):
+                np.testing.assert_allclose(rg.resistances, rw.resistances, rtol=1e-12, atol=0.0)
+            assert validate_overestimate(H, got).ok
+
+    @pytest.mark.parametrize("lu", [False, True], ids=["dense", "lu"])
+    def test_default_sparsify_never_sketches_or_draws(self, monkeypatch, lu):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sketch or the graph draw was reached")
+
+        for module in (hypersparse, linalg, gsparse, overestimate, hsparse, apps, cli):
+            for name in ("build_sketch", "sparsify_graph"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        if lu:
+            monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        solves = []
+        solve = linalg.Laplacian.solve_grounded
+        monkeypatch.setattr(linalg.Laplacian, "solve_grounded",
+                            lambda L, B: solves.append((L, np.shape(B)[1])) or solve(L, B))
+        H = random_hypergraph(46, n=16, m=60, rank=5, connected=False)
+        H = Hypergraph(H.n, [(vs, 0.0 if i % 5 == 0 else w) for i, (vs, w) in enumerate(edges(H))])
+        report = hsparse.sparsify_hypergraph(H, hsparse.SparsifyConfig(eps=0.5, seed=3))
+        assert report.distinct_edges > 0
+        if not lu:
+            assert solves == []
+            return
+        # One Laplacian per round, each swept over at most the distinct
+        # endpoints of the positive slots.
+        G = flatten(init_underlying(H))
+        positive = G.w > 0.0
+        endpoints = len(np.unique(np.concatenate([G.u[positive], G.v[positive]])))
+        columns = {}
+        for L, width in solves:
+            columns[id(L)] = columns.get(id(L), 0) + width
+        assert len(columns) == default_rounds(H.rank)
+        assert max(columns.values()) <= endpoints
 
 
 class TestLeveragesFromTable:
