@@ -3,16 +3,18 @@ max-flow on the in/out-node digraph.
 
 The global mincut contracts one vertex per maximum-adjacency phase on the CSR
 arrays; its witness is the side holding vertex 0, and a value of 0 comes with
-vertex 0's component. For s-t cuts each hyperedge e becomes a gadget e_in ->
-e_out of capacity w_e; every member vertex connects to e_in and from e_out
-with effectively unlimited capacity, so a directed s-t cut must pay w_e
-exactly when e has vertices on both sides. Approximate variants run the exact
-solver on a spectral sparsifier built with a third of the accuracy budget.
+vertex 0's component. For s-t cuts Lawler's reduction turns each hyperedge e
+into a gadget e_in -> e_out of capacity w_e; every member vertex connects to
+e_in and from e_out with effectively unlimited capacity, so a directed s-t
+cut must pay w_e exactly when e has vertices on both sides. The network is
+one (A, 3) array of arcs, and Dinic's max-flow builds each phase's level
+graph with numpy, leaving only the blocking-flow DFS to Python. Approximate
+variants run the exact solver on a spectral sparsifier built with a third of
+the accuracy budget.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -33,23 +35,29 @@ __all__ = [
 _SENTINEL_MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowNetwork:
-    """Directed flow network: arcs are (tail, head, capacity) triples."""
+    """Directed flow network on nodes 0..node_count-1. `arcs` is an (A, 3)
+    float array of (tail, head, capacity) rows; a sequence of triples is
+    converted. Endpoints must be node ids and capacities finite and >= 0."""
 
     node_count: int
-    arcs: tuple
+    arcs: np.ndarray
     source: int
     sink: int
 
     def __post_init__(self):
+        arcs = np.asarray(self.arcs, dtype=float).reshape(len(self.arcs), 3)
+        object.__setattr__(self, "arcs", arcs)
         if self.source == self.sink:
             raise ValueError("source and sink must differ")
-        for u, v, cap in self.arcs:
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValueError("arc endpoint outside the node range")
-            if not cap >= 0.0:
-                raise ValueError("arc capacity must be nonnegative")
+        if not (0 <= self.source < self.node_count and 0 <= self.sink < self.node_count):
+            raise ValueError("source/sink outside the node range")
+        ends = arcs[:, :2]
+        if not ((ends >= 0) & (ends < self.node_count) & (ends == np.floor(ends))).all():
+            raise ValueError("arc endpoint is not a node id in the node range")
+        if not ((arcs[:, 2] >= 0.0) & (arcs[:, 2] < np.inf)).all():
+            raise ValueError("arc capacity must be finite and nonnegative")
 
 
 def _check_terminals(H: Hypergraph, s: int, t: int) -> None:
@@ -64,104 +72,96 @@ def lawler_reduction(H: Hypergraph, s: int, t: int) -> FlowNetwork:
     hypergraph s-t mincut.
 
     Nodes 0..n-1 are the original vertices; hyperedge e owns nodes
-    n + 2e (in) and n + 2e + 1 (out). Arc count is m + 2 * sum(|e|).
+    n + 2e (in) and n + 2e + 1 (out). Hyperedge e's rows are (e_in, e_out,
+    w_e), then (v, e_in, U) and (e_out, v, U) per member v: m + 2 * sum(|e|)
+    arcs, with U above any feasible flow.
     """
     _check_terminals(H, s, t)
     unlimited = float(H.weights.sum()) * (1.0 + _SENTINEL_MARGIN)
-    indices = H.indices.tolist()
-    bounds = H.indptr.tolist()
-    arcs = []
-    for e, w in enumerate(H.weights.tolist()):
-        e_in = H.n + 2 * e
-        e_out = e_in + 1
-        arcs.append((e_in, e_out, w))
-        for v in indices[bounds[e]:bounds[e + 1]]:
-            arcs.append((v, e_in, unlimited))
-            arcs.append((e_out, v, unlimited))
-    return FlowNetwork(H.n + 2 * H.m, tuple(arcs), s, t)
-
-
-class _Dinic:
-    """Shortest-augmenting blocking-flow solver on an arc-pair residual graph."""
-
-    def __init__(self, net: FlowNetwork):
-        self.n = net.node_count
-        self.to: list[int] = []
-        self.cap: list[float] = []
-        self.adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, c in net.arcs:
-            self._add(u, v, c)
-        self.source = net.source
-        self.sink = net.sink
-
-    def _add(self, u, v, c):
-        self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0.0)
-
-    def _levels(self):
-        level = [-1] * self.n
-        level[self.source] = 0
-        queue = deque([self.source])
-        while queue:
-            u = queue.popleft()
-            for k in self.adj[u]:
-                v = self.to[k]
-                if self.cap[k] > 0.0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level
-
-    def _augment(self, level, it):
-        """One source-to-sink path in the level graph; returns its bottleneck."""
-        path = []
-        u = self.source
-        while True:
-            if u == self.sink:
-                bottleneck = min(self.cap[k] for k in path)
-                for k in path:
-                    self.cap[k] -= bottleneck
-                    self.cap[k ^ 1] += bottleneck
-                return bottleneck
-            advanced = False
-            while it[u] < len(self.adj[u]):
-                k = self.adj[u][it[u]]
-                v = self.to[k]
-                if self.cap[k] > 0.0 and level[v] == level[u] + 1:
-                    path.append(k)
-                    u = v
-                    advanced = True
-                    break
-                it[u] += 1
-            if not advanced:
-                if not path:
-                    return 0.0
-                # Dead end: retreat and skip the arc that led here.
-                k = path.pop()
-                u = self.to[k ^ 1]
-                it[u] += 1
-
-    def run(self):
-        flow = 0.0
-        while True:
-            level = self._levels()
-            if level[self.sink] < 0:
-                break
-            it = [0] * self.n
-            while True:
-                pushed = self._augment(level, it)
-                if pushed <= 0.0:
-                    break
-                flow += pushed
-        return flow
+    e_in = H.n + 2 * np.arange(H.m)
+    pin_edge = np.repeat(np.arange(H.m), np.diff(H.indptr))
+    # Hyperedge e's block starts at row e + 2 * indptr[e]; pin p's pair follows.
+    into = pin_edge + 2 * np.arange(len(pin_edge)) + 1
+    arcs = np.full((H.m + 2 * len(pin_edge), 3), unlimited)
+    arcs[np.arange(H.m) + 2 * H.indptr[:-1]] = np.column_stack((e_in, e_in + 1, H.weights))
+    arcs[into, 0] = arcs[into + 1, 1] = H.indices
+    arcs[into, 1] = e_in[pin_edge]
+    arcs[into + 1, 0] = e_in[pin_edge] + 1
+    return FlowNetwork(H.n + 2 * H.m, arcs, s, t)
 
 
 def max_flow(net: FlowNetwork) -> float:
-    """Exact maximum s-t flow via level-graph blocking flows."""
-    return _Dinic(net).run()
+    """Exact maximum s-t flow by Dinic's blocking flows.
+
+    Residual arc 2i is input arc i and 2i + 1 its reverse. Each phase builds
+    its level graph with numpy: BFS levels d from s up to the sink's, each
+    level one scan of the arcs with residual capacity (O(depth * arcs)), then
+    a reverse sweep from the sink over the arcs with d[head] = d[tail] + 1
+    keeps those on a shortest s-t path. Only the blocking-flow DFS, with
+    current-arc pointers over those arcs grouped by tail, runs in Python.
+    """
+    n, s, t = net.node_count, net.source, net.sink
+    ends = net.arcs[:, :2].astype(np.intp)
+    tail, head = ends.ravel(), ends[:, ::-1].ravel()
+    rc = np.zeros(len(tail))
+    rc[::2] = net.arcs[:, 2]
+    flow = 0.0
+    while True:
+        live = np.flatnonzero(rc > 0.0)
+        lt, lh = tail[live], head[live]
+        d = np.full(n, -1)
+        d[s] = 0
+        level = 0
+        while d[t] < 0:
+            nxt = lh[d[lt] == level]
+            nxt = nxt[d[nxt] < 0]
+            if not len(nxt):
+                return flow
+            level += 1
+            d[nxt] = level
+        layer = d[lt]
+        step = (d[lh] == layer + 1) & (layer >= 0)
+        live, lt, lh, layer = live[step], lt[step], lh[step], layer[step]
+        reach = np.zeros(n, dtype=bool)
+        reach[t] = True
+        # Layer 0 is s alone; its arcs are kept by their heads.
+        for k in range(level - 1, 0, -1):
+            at = layer == k
+            reach[lt[at][reach[lh[at]]]] = True
+        sel = np.flatnonzero(reach[lh])
+        sel = sel[np.argsort(lt[sel], kind="stable")]
+        arcs, lt, lh = live[sel], lt[sel], lh[sel]
+        bounds = np.searchsorted(lt, np.arange(n + 1))
+        cap, tails, heads = rc[arcs].tolist(), lt.tolist(), lh.tolist()
+        it, end = bounds[:-1].tolist(), bounds[1:].tolist()
+        path = []
+        u = s
+        while True:
+            if u == t:
+                pushed = min(cap[p] for p in path)
+                flow += pushed
+                for p in path:
+                    cap[p] -= pushed
+                # Resume from the tail of the first arc it saturated.
+                j = next(j for j, p in enumerate(path) if cap[p] == 0.0)
+                u = tails[path[j]]
+                del path[j:]
+            elif it[u] < end[u]:
+                p = it[u]
+                if cap[p] > 0.0:
+                    path.append(p)
+                    u = heads[p]
+                else:
+                    it[u] += 1
+            elif u == s:
+                break
+            else:
+                # Dead end: retreat and skip the arc that led here.
+                u = tails[path.pop()]
+                it[u] += 1
+        cap = np.array(cap)
+        rc[arcs ^ 1] += rc[arcs] - cap
+        rc[arcs] = cap
 
 
 def _sparsify_for_apps(H, eps, cfg):

@@ -74,13 +74,22 @@ class SparsifierReport:
         }
 
 
+# The most float64 draws one array can hold: numpy caps an array at intp.max bytes.
+_MAX_DRAWS = np.iinfo(np.intp).max // 8
+
+
 def sample_count(n: int, rank: int, eps: float, constant: float) -> int:
     """ceil(constant * n * ln(n) * ln(max(rank, 2)) / eps^2). Raises
-    ValueError when that is not finite, as when eps^2 underflows to 0."""
+    ValueError when that is not finite, as when eps^2 underflows to 0, or
+    when no array can hold that many draws."""
     square = eps**2
     count = constant * n * math.log(n) * math.log(max(rank, 2)) / square if square else math.inf
     if not math.isfinite(count):
         raise ValueError(f"sample count is not finite at eps={eps!r}, constant={constant!r}")
+    if count > _MAX_DRAWS:
+        raise ValueError(
+            f"sample count {count:.4g} at eps={eps!r} exceeds {_MAX_DRAWS} draws, the most one array holds"
+        )
     return math.ceil(count)
 
 
@@ -94,7 +103,10 @@ def sample_hyperedges(scores, count: int, seed: int) -> np.ndarray:
         raise ValueError("scores must be finite and non-negative with positive total mass")
     cdf = np.cumsum(scores / total)
     cdf /= cdf[-1]
-    u = np.random.default_rng(seed).random(count)
+    try:
+        u = np.random.default_rng(seed).random(count)
+    except MemoryError as exc:
+        raise MemoryError(f"{count} sample draws need {8 * count} bytes") from exc
     u.sort()
     return np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
 

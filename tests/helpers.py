@@ -4,6 +4,7 @@ The `loop_*` functions are the per-hyperedge Python loops that the library's
 array code replaced; the differential tests compare the two.
 """
 
+from collections import deque
 from itertools import combinations
 
 import numpy as np
@@ -100,6 +101,60 @@ def loop_lawler_arcs(H: Hypergraph) -> tuple:
             arcs.append((v, e_in, unlimited))
             arcs.append((e_in + 1, v, unlimited))
     return tuple(arcs)
+
+
+def loop_max_flow(net) -> float:
+    """Dinic's algorithm with per-arc Python lists: each phase visits every
+    residual arc for its BFS levels, then augments one path at a time with
+    current-arc pointers. The library's former solver."""
+    n, s, t = net.node_count, net.source, net.sink
+    to, cap = [], []
+    adj = [[] for _ in range(n)]
+    for u, v, c in net.arcs.tolist():
+        u, v = int(u), int(v)
+        adj[u].append(len(to))
+        to.append(v)
+        cap.append(c)
+        adj[v].append(len(to))
+        to.append(u)
+        cap.append(0.0)
+    flow = 0.0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for k in adj[u]:
+                if cap[k] > 0.0 and level[to[k]] < 0:
+                    level[to[k]] = level[u] + 1
+                    queue.append(to[k])
+        if level[t] < 0:
+            return flow
+        it = [0] * n
+        path, u = [], s
+        while True:
+            if u == t:
+                pushed = min(cap[k] for k in path)
+                for k in path:
+                    cap[k] -= pushed
+                    cap[k ^ 1] += pushed
+                flow += pushed
+                path, u = [], s
+                continue
+            while it[u] < len(adj[u]):
+                k = adj[u][it[u]]
+                if cap[k] > 0.0 and level[to[k]] == level[u] + 1:
+                    path.append(k)
+                    u = to[k]
+                    break
+                it[u] += 1
+            else:
+                if not path:
+                    break
+                # Dead end: retreat and skip the arc that led here.
+                u = to[path.pop() ^ 1]
+                it[u] += 1
 
 
 def loop_violations(H: Hypergraph, scores, required) -> tuple[list, float]:

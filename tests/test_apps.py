@@ -20,6 +20,7 @@ from helpers import (
     flow_global_mincut,
     loop_component,
     loop_lawler_arcs,
+    loop_max_flow,
     random_hypergraph,
 )
 
@@ -43,8 +44,10 @@ class TestLawlerReduction:
     def test_arcs_match_per_hyperedge_loop(self, seed):
         H = random_hypergraph(seed + 600, n=10, m=25, rank=6, connected=False)
         net = lawler_reduction(H, 0, 9)
-        assert net.arcs == loop_lawler_arcs(H)
-        assert all(type(v) is int and type(c) is float for u, v, c in net.arcs)
+        expected = np.array(loop_lawler_arcs(H))
+        assert net.arcs.dtype == np.float64
+        assert net.arcs.shape == expected.shape
+        assert np.array_equal(net.arcs, expected)
 
     def test_same_terminals_rejected(self):
         H = Hypergraph(2, [((0, 1), 1.0)])
@@ -93,6 +96,80 @@ class TestMaxFlow:
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError):
             FlowNetwork(2, ((0, 1, -1.0),), 0, 1)
+
+    @pytest.mark.parametrize("cap", [np.inf, np.nan])
+    def test_non_finite_capacity_rejected(self, cap):
+        with pytest.raises(ValueError, match="finite"):
+            FlowNetwork(3, ((0, 1, cap), (1, 2, cap)), 0, 2)
+        with pytest.raises(ValueError, match="finite"):
+            FlowNetwork(3, ((0, 1, 1.0), (1, 2, cap)), 0, 2)
+
+    @pytest.mark.parametrize("s, t", [(0, 5), (5, 0), (-1, 1), (0, 2), (2, 1)])
+    def test_terminal_outside_node_range_rejected(self, s, t):
+        with pytest.raises(ValueError, match="node range"):
+            FlowNetwork(2, ((0, 1, 1.0),), s, t)
+
+    @pytest.mark.parametrize("arc", [(0, 2, 1.0), (-1, 1, 1.0), (0.5, 1, 1.0), (np.nan, 1, 1.0)])
+    def test_arc_endpoint_outside_node_range_rejected(self, arc):
+        with pytest.raises(ValueError, match="node range"):
+            FlowNetwork(2, (arc,), 0, 1)
+
+    @pytest.mark.parametrize("arcs", [((0, 1),), ((0, 1), (1, 0), (0, 1)), (0, 1, 1.0)])
+    def test_arcs_not_triples_rejected(self, arcs):
+        with pytest.raises(ValueError):
+            FlowNetwork(2, arcs, 0, 1)
+
+    def test_no_arcs_gives_zero(self):
+        net = FlowNetwork(3, (), 0, 2)
+        assert net.arcs.shape == (0, 3)
+        assert max_flow(net) == 0.0
+
+
+def _random_digraph(seed):
+    """Up to 12 nodes with zero, parallel and antiparallel arcs and
+    capacities log-uniform over 1e-8..1e8; every fourth seed has no arc
+    into the sink."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    tails = rng.integers(0, n, size=int(rng.integers(1, 6 * n)))
+    heads = (tails + rng.integers(1, n, size=len(tails))) % n
+    caps = 10.0 ** rng.uniform(-8.0, 8.0, size=len(tails))
+    caps[rng.random(len(tails)) < 0.15] = 0.0
+    arcs = list(zip(tails.tolist(), heads.tolist(), caps.tolist()))
+    dup = rng.integers(0, len(arcs), size=len(arcs) // 3 + 1)
+    arcs += [arcs[i] for i in dup]  # parallel
+    arcs += [(v, u, float(10.0 ** rng.uniform(-8.0, 8.0))) for u, v, _ in (arcs[i] for i in dup)]
+    s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+    if seed % 4 == 3:
+        arcs = [a for a in arcs if a[1] != t]
+    return FlowNetwork(n, tuple(arcs), s, t)
+
+
+class TestMatchesPerArcDinic:
+    """The array solver against the per-arc solver it replaced."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_digraphs(self, seed):
+        net = _random_digraph(seed)
+        expected = loop_max_flow(net)
+        assert max_flow(net) == pytest.approx(expected, rel=1e-12, abs=0.0)
+        if seed % 4 == 3:
+            assert expected == 0.0
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("kind", ["connected", "disconnected", "zero weights"])
+    def test_lawler_networks(self, kind, seed):
+        n = 12
+        pairs = list(edges(random_hypergraph(seed + 1000, n=n, m=30, rank=5)))
+        if kind == "disconnected":
+            # No hyperedge joins vertices below n/2 to those above.
+            pairs = [(vs, w) for vs, w in pairs if (min(vs) < n // 2) == (max(vs) < n // 2)]
+        elif kind == "zero weights":
+            pairs = [(vs, 0.0 if e % 3 == 0 else w) for e, (vs, w) in enumerate(pairs)]
+        H = Hypergraph(n, pairs)
+        for s, t in [(0, n - 1), (1, n // 2), (n // 3, 2 * n // 3), (0, n // 2 - 1)]:
+            net = lawler_reduction(H, s, t)
+            assert max_flow(net) == pytest.approx(loop_max_flow(net), rel=1e-12, abs=0.0)
 
 
 class TestStMincut:

@@ -1,14 +1,21 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 from hypersparse import cli
 from hypersparse.cli import run_command
 from hypersparse.hgio import parse_hypergraph, serialize_hypergraph
+from hypersparse.hsparse import sample_count
 
 from helpers import brute_st_mincut, edges, random_hypergraph
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run(argv):
@@ -181,11 +188,53 @@ class TestErrorsAndDeterminism:
         assert text == ""
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_count_beyond_any_array_exits_two(self, sample_file, tmp_path, capsys):
+        code, text = run(["sparsify", sample_file, "--epsilon", "1e-150", "-o", str(tmp_path / "o.hgr")])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: sample count ") and "eps=1e-150" in err
+
+    def test_draw_out_of_memory_names_its_bytes(self, sample_file, tmp_path, capsys, monkeypatch):
+        class Exhausted:
+            def random(self, size):
+                raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Exhausted())
+        code, text = run(["sparsify", sample_file, "--epsilon", "0.3", "-o", str(tmp_path / "o.hgr")])
+        assert code == 2
+        assert text == ""
+        count = sample_count(3, 3, 0.3, 4.0)
+        err = capsys.readouterr().err
+        assert err == f"error: out of memory ({count} sample draws need {8 * count} bytes)\n"
+
     def test_malformed_file_exits_two(self, tmp_path):
         path = tmp_path / "bad.hgr"
         path.write_text("1 3 1\n1 2 2\n")
         code, _ = run(["mincut", str(path)])
         assert code == 2
+
+    def test_module_entry_point(self, sample_file, tmp_path):
+        def module_run(*argv):
+            cmd = [sys.executable, "-m", "hypersparse.cli", *argv]
+            env = {**os.environ, "PYTHONPATH": SRC}
+            return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+
+        out = str(tmp_path / "out.hgr")
+        argv = ["sparsify", sample_file, "--epsilon", "0.3", "--seed", "5", "-o", out]
+        done = module_run(*argv)
+        assert done.returncode == 0
+        written = open(out).read()
+        assert parse_hypergraph(out).n == 3
+        # The same stdout and file as the in-process command.
+        assert done.stdout != ""
+        assert done.stdout == run(argv)[1]
+        assert open(out).read() == written
+        bad = tmp_path / "bad.hgr"
+        bad.write_text("1 3 1\n1 2 2\n")
+        done = module_run("mincut", str(bad))
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
 
     def test_byte_identical_repeat_runs(self, random_file, tmp_path):
         path, _ = random_file

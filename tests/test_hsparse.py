@@ -108,6 +108,30 @@ class TestSampleCount:
         with pytest.raises(ValueError, match="not finite"):
             sample_count(30, 4, 0.25, math.inf)
 
+    def test_count_beyond_any_array_raises(self):
+        # Finite, but more float64 draws than an array can hold.
+        with pytest.raises(ValueError, match=r"sample count 1\.448e\+301 at eps=1e-150 exceeds"):
+            sample_count(3, 3, 1e-150, 4.0)
+
+    def test_half_the_limit_is_still_a_count(self):
+        # eps at which the count is intp.max / 16 draws, half of the limit.
+        eps = math.sqrt(4.0 * 3 * math.log(3) * math.log(3) / np.iinfo(np.intp).max * 16)
+        assert sample_count(3, 3, eps, 4.0) == pytest.approx(np.iinfo(np.intp).max / 16, rel=1e-12)
+
+
+class _ExhaustedGenerator:
+    """Stands in for numpy's generator: any draw is out of memory."""
+
+    def random(self, size):
+        raise MemoryError(f"Unable to allocate array with shape ({size},)")
+
+
+class TestDrawOutOfMemory:
+    def test_error_names_count_and_bytes(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _ExhaustedGenerator())
+        with pytest.raises(MemoryError, match=r"^1000000000000 sample draws need 8000000000000 bytes$"):
+            sample_hyperedges([1.0, 2.0], 10**12, seed=0)
+
 
 class TestNonFiniteSampleCounts:
     """Each way a sample count stops being finite is a ValueError, in the
