@@ -13,7 +13,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from hypersparse.apps import lawler_reduction, max_flow
-from hypersparse.core import Hypergraph, UnderlyingGraph
+from hypersparse.core import HyperedgeError, Hypergraph, UnderlyingGraph
+from hypersparse.hgio import HgrFormatError
 from hypersparse.linalg import Laplacian, build_laplacian
 from hypersparse.verify import _ABS_TOL
 
@@ -59,6 +60,59 @@ def loop_init_underlying(H: Hypergraph) -> UnderlyingGraph:
         weights.extend([share] * (len(vs) - 1))
         offsets.append(len(star_v))
     return UnderlyingGraph(H, anchors, star_v, offsets, weights)
+
+
+def loop_parse_hypergraph_text(text: str) -> Hypergraph:
+    """Parse a .hgr document one line at a time with str.splitlines(),
+    str.split(), float() and int()."""
+    content = []
+    for i, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("%"):
+            content.append((i, line))
+    if not content:
+        raise HgrFormatError(1, "missing header line")
+
+    header_no, header = content[0]
+    fields = header.split()
+    if len(fields) != 3:
+        raise HgrFormatError(header_no, "header must be 'm n 1'")
+    try:
+        m, n = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise HgrFormatError(header_no, "header counts must be integers") from None
+    if fields[2] != "1":
+        raise HgrFormatError(header_no, "unsupported format flag; expected '1'")
+    if m < 1 or n < 1:
+        raise HgrFormatError(header_no, "counts must be positive")
+
+    body = content[1:]
+    if len(body) < m:
+        raise HgrFormatError(
+            body[-1][0] if body else header_no,
+            f"expected {m} hyperedge lines, found {len(body)}",
+        )
+    if len(body) > m:
+        raise HgrFormatError(body[m][0], "unexpected extra line")
+
+    indptr = np.zeros(m + 1, dtype=np.int64)
+    ids = []
+    weights = np.empty(m)
+    for e, (line_no, line) in enumerate(body):
+        tokens = line.split()
+        try:
+            weights[e] = float(tokens[0])
+        except ValueError:
+            raise HgrFormatError(line_no, f"invalid weight {tokens[0]!r}") from None
+        try:
+            ids.extend(map(int, tokens[1:]))
+        except ValueError:
+            raise HgrFormatError(line_no, "invalid vertex id") from None
+        indptr[e + 1] = len(ids)
+    try:
+        return Hypergraph.from_arrays(n, indptr, np.array(ids, dtype=np.int64) - 1, weights)
+    except HyperedgeError as err:
+        raise HgrFormatError(body[err.edge][0], str(err)) from None
 
 
 def search_sample_counts(scores, count, seed) -> np.ndarray:

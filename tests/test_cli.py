@@ -214,6 +214,23 @@ class TestErrorsAndDeterminism:
         code, _ = run(["mincut", str(path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"1 3 1\n1 1 99999999999999999999\n", 2),
+            (b"1 99999999999999999999 1\n1 1 2\n", 1),
+            (b"% r\xc3\xa9sum\xc3\xa9\n1 3 1\n1 1 2\n", 1),
+        ],
+    )
+    def test_unreadable_input_names_its_line(self, data, line, tmp_path, capsys):
+        path = tmp_path / "bad.hgr"
+        path.write_bytes(data)
+        code, text = run(["mincut", str(path)])
+        assert code == 2
+        assert text == ""
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: line {line}: ")
+
     def test_module_entry_point(self, sample_file, tmp_path):
         def module_run(*argv):
             cmd = [sys.executable, "-m", "hypersparse.cli", *argv]

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypersparse import hgio
 from hypersparse.core import Hypergraph
 from hypersparse.hgio import (
     HgrFormatError,
@@ -11,6 +14,8 @@ from hypersparse.hgio import (
     serialize_hypergraph,
     serialize_hypergraph_text,
 )
+
+from helpers import loop_parse_hypergraph_text
 
 
 SAMPLE = "2 3 1\n1.5 1 2 3\n2 1 2\n"
@@ -93,6 +98,111 @@ class TestParseErrors:
         with pytest.raises(OSError):
             parse_hypergraph(tmp_path / "absent.hgr")
 
+    @pytest.mark.parametrize("token", ["99999999999999999999", "9223372036854775808", "-9223372036854775809"])
+    def test_vertex_id_beyond_int64_names_its_line(self, token):
+        text = f"2 3 1\n1 1 2\n% comment\n1 1 {token}\n"
+        with pytest.raises(HgrFormatError, match="invalid vertex id") as err:
+            parse_hypergraph_text(text)
+        assert err.value.line_no == 4
+        with pytest.raises(OverflowError):
+            loop_parse_hypergraph_text(text)
+
+    @pytest.mark.parametrize("header", ["1 99999999999999999999 1", "99999999999999999999 3 1"])
+    def test_header_count_beyond_int64_names_the_header(self, header):
+        with pytest.raises(HgrFormatError, match="64 bits") as err:
+            parse_hypergraph_text(f"% c\n{header}\n1 1 2\n")
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize(
+        "data, line",
+        [
+            (b"1 3 1\n1 caf\xc3\xa9 2\n", 2),
+            (b"% caf\xc3\xa9\r\n1 3 1\n1 1 2\n", 1),
+            (b"1 3 1\r\n\r\n% x\r1 1 2\x0b\xff", 5),
+        ],
+    )
+    def test_non_ascii_byte_names_its_line(self, data, line, tmp_path):
+        path = tmp_path / "bad.hgr"
+        path.write_bytes(data)
+        for parse, arg in ((parse_hypergraph_text, data), (parse_hypergraph, path)):
+            with pytest.raises(HgrFormatError, match="non-ASCII") as err:
+                parse(arg)
+            assert err.value.line_no == line
+            assert type(err.value.line_no) is int
+        with pytest.raises(HgrFormatError) as err:
+            parse_hypergraph_text(data.decode("utf-8", "replace"))
+        assert err.value.line_no == line
+
+
+class TestTokens:
+    """Whitespace and line breaks are those of str.split() and
+    str.splitlines(), restricted to ASCII."""
+
+    @pytest.mark.parametrize("brk", ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e"])
+    def test_line_breaks(self, brk):
+        text = brk.join(["% c", "2 3 1", "", "1.5 1 2 3", "2 1 2"])
+        assert parse_hypergraph_text(text) == parse_hypergraph_text(SAMPLE)
+        with pytest.raises(HgrFormatError) as err:
+            parse_hypergraph_text(text + brk + "1 1 3")
+        assert err.value.line_no == 6
+
+    @pytest.mark.parametrize("byte", ["\x00", "\x08", "\x0e", "\x1b", "\x7f"])
+    def test_other_control_bytes_belong_to_tokens(self, byte):
+        with pytest.raises(HgrFormatError, match="invalid vertex id") as err:
+            parse_hypergraph_text(f"1 3 1\n1 1{byte}2\n")
+        assert err.value.line_no == 2
+        with pytest.raises(HgrFormatError, match="invalid weight") as err:
+            parse_hypergraph_text(f"1 3 1\n% x\n{byte}1 1 2\n")
+        assert err.value.line_no == 3
+
+    def test_ids_that_are_not_plain_digits_go_through_int(self):
+        H = parse_hypergraph_text("2 12 1\n1 +3 1_0\n2 0000000000000000000012 007\n")
+        assert H.vertex_sets == ((2, 9), (6, 11))
+
+    def test_ids_of_every_digit_count(self):
+        # Digit sums must not wrap in a narrow type at any power of ten.
+        tokens = [str(v) for k in range(1, 19) for v in (10 ** (k - 1), 3 * 10 ** (k - 1), 10**k - 1)]
+        data = " ".join(tokens).encode()
+        a = np.frombuffer(data, np.uint8)
+        ends = np.cumsum([len(t) + 1 for t in tokens]) - 1
+        starts = ends - [len(t) for t in tokens]
+        ids, bad = hgio._vertex_ids(data, a, starts, ends)
+        assert bad == len(tokens)
+        assert ids.tolist() == [int(t) for t in tokens]
+        text = "1 70000 1\n1 300 999 1000 9999 25600 65536 70000\n"
+        assert parse_hypergraph_text(text) == loop_parse_hypergraph_text(text)
+        assert parse_hypergraph_text(text).vertex_sets == ((299, 998, 999, 9998, 25599, 65535, 69999),)
+
+    def test_first_bad_line_wins_and_its_weight_first(self):
+        with pytest.raises(HgrFormatError, match="invalid vertex id") as err:
+            parse_hypergraph_text("2 3 1\n1 1 x\nbad 1 2\n")
+        assert err.value.line_no == 2
+        with pytest.raises(HgrFormatError, match="invalid weight 'bad'") as err:
+            parse_hypergraph_text("2 3 1\nbad 1 x\n1 1 y\n")
+        assert err.value.line_no == 2
+
+
+def test_peak_memory_of_a_wide_file(tmp_path):
+    # The shape of the benchmark's wide instance: n = 30, m = 1e5, sizes 2-6.
+    n, m = 30, 100_000
+    rng = np.random.default_rng(3)
+    sizes = rng.integers(2, 7, m)
+    order = np.argsort(rng.random((m, n)), axis=1)
+    keep = np.arange(n) < sizes[:, None]
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    H = Hypergraph.from_arrays(n, indptr, order[keep], rng.uniform(0.5, 2.0, m))
+    path = tmp_path / "wide.hgr"
+    serialize_hypergraph(H, path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        parsed = parse_hypergraph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == H
+    assert peak <= 16 * size
+
 
 @settings(max_examples=40, deadline=None)
 @given(
@@ -115,3 +225,69 @@ def test_round_trip_random_hypergraphs(n, raw):
         edges.append((vs, w))
     H = Hypergraph(n, edges)
     assert parse_hypergraph_text(serialize_hypergraph_text(H)) == H
+
+
+SPACES = [" ", "  ", "\t", " \t", "\x1f"]
+BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e"]
+ODD_IDS = ["0", "-1", "+2", "1_0", "007", "0000000000000000000003", "9223372036854775807",
+           "1.0", "x", "1\x00", "\x7f", ""]
+ODD_WEIGHTS = ["0", "-0", "1e-3", "+2.5", ".5", "5.", "1_0.5", "1E5", "1e400", "inf", "nan",
+               "-1", "0x1p3", "abc", "1,5", "\x01"]
+
+
+@st.composite
+def hgr_documents(draw):
+    """A valid .hgr document, then mutated: comments, blank lines, every ASCII
+    line break and whitespace, odd ids and weights, a changed header, and
+    lines added or dropped. Ids stay within int64; n reaches the thousands so
+    that ids of three to five digits occur."""
+    n = draw(st.one_of(st.integers(1, 12), st.integers(100, 20_000)))
+    m = draw(st.integers(1, 5))
+    lines = []
+    for _ in range(m):
+        picks = draw(st.lists(st.integers(1, n), min_size=min(2, n), max_size=min(4, n), unique=True))
+        weight = repr(draw(st.floats(0, 100, allow_nan=False, allow_infinity=False)))
+        lines.append([weight, *map(str, picks)])
+    header = [str(m), str(n), "1"]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["id", "weight", "header", "extra", "drop", "short"]))
+        line = draw(st.sampled_from(lines))
+        if kind == "id" and len(line) > 1:
+            line[draw(st.integers(1, len(line) - 1))] = draw(st.sampled_from(ODD_IDS))
+        elif kind == "weight":
+            line[0] = draw(st.sampled_from(ODD_WEIGHTS))
+        elif kind == "header":
+            header[draw(st.integers(0, 2))] = draw(st.sampled_from(["0", "-1", "2", "x", "1_0", "+1", "1.0"]))
+        elif kind == "extra":
+            lines.append(["1", "1", "2"])
+        elif kind == "drop" and len(lines) > 1:
+            lines.pop()
+        elif kind == "short":
+            line[1:] = []
+    rows = [header, *lines]
+    for _ in range(draw(st.integers(0, 3))):
+        filler = draw(st.sampled_from([[], ["%"], ["%", "comment", "1", "2"], ["%1", "2"]]))
+        rows.insert(draw(st.integers(0, len(rows))), filler)
+    out = []
+    for row in rows:
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        out.append(lead + "".join(tok + draw(st.sampled_from(SPACES)) for tok in row[:-1]) + (row[-1] if row else ""))
+    text = "".join(line + draw(st.sampled_from(BREAKS)) for line in out)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def parse_outcome(parse, document):
+    """The parsed hypergraph with its weights' bytes, or the error's class, line and message."""
+    try:
+        H = parse(document)
+    except Exception as err:
+        return type(err), getattr(err, "line_no", None), str(err)
+    return H, H.weights.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hgr_documents())
+def test_parser_matches_line_loop(document):
+    expected = parse_outcome(loop_parse_hypergraph_text, document)
+    assert parse_outcome(parse_hypergraph_text, document) == expected
+    assert parse_outcome(parse_hypergraph_text, document.encode("ascii")) == expected
