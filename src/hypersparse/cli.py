@@ -105,9 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     resistance.add_argument("--sketch-eps", type=float, default=0.0,
                             help="0 = exact, else sketch accuracy")
 
-    over = sub.add_parser("overestimate", parents=[common], help="leverage-score overestimates")
-    over.add_argument("--exact", action="store_true",
-                      help="exact resistances; every run is exact, so this changes nothing")
+    sub.add_parser("overestimate", parents=[common], help="leverage-score overestimates")
     return parser
 
 
@@ -181,7 +179,7 @@ def _cmd_resistance(args) -> int:
     H = parse_hypergraph(args.input)
     G = flatten(init_underlying(H))
     a, b = args.a - 1, args.b - 1
-    if args.sketch_eps > 0.0:
+    if args.sketch_eps != 0.0:
         sketch = build_sketch(G, args.sketch_eps, derive_seed(args.seed, "cli/resistance"))
         value = sketch_resistance(sketch, a, b)
         mode = "sketch"
@@ -202,11 +200,10 @@ def _cmd_resistance(args) -> int:
 def _cmd_overestimate(args) -> int:
     H = parse_hypergraph(args.input)
     rounds = default_rounds(H.rank)
-    result = compute_overestimate(H, OverestimateConfig(rounds=rounds, exact=args.exact))
+    result = compute_overestimate(H, OverestimateConfig(rounds=rounds))
     payload = {
         "command": "overestimate",
         "rounds": rounds,
-        "exact": args.exact,
         "l1_norm": result.l1,
         "mass_bound": result.mass_bound,
     }

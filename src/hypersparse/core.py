@@ -206,34 +206,27 @@ class UnderlyingGraph:
     """Star-pattern weight assignment over a hypergraph.
 
     Hyperedge e with anchor a_e contributes one labeled slot per non-anchor
-    vertex v of e, for the pair {a_e, v}. Slot weights live in one flat array;
-    `offsets` delimits each hyperedge's star CSR-style, and slots are ordered
-    by (hyperedge index, non-anchor vertex id). A conforming assignment has
-    each star summing to the hyperedge weight; reweighted instances produced
-    by graph sparsification deliberately break that sum, so it is checked via
-    validate_star_sums() rather than at construction.
+    vertex v of e, for the pair {a_e, v}. `graph` holds the slots as edges:
+    `graph.u` is each slot's anchor, `graph.v` its other vertex and `graph.w`
+    its weight. `offsets` delimits each hyperedge's star CSR-style, and slots
+    are ordered by (hyperedge index, non-anchor vertex id). A conforming
+    assignment has each star summing to the hyperedge weight; reweighted
+    instances produced by graph sparsification deliberately break that sum,
+    so it is checked via validate_star_sums() rather than at construction.
     """
 
-    __slots__ = ("base", "anchors", "star_v", "offsets", "weights")
+    __slots__ = ("base", "offsets", "graph")
 
-    def __init__(self, base, anchors, star_v, offsets, weights):
-        anchors = np.asarray(anchors, dtype=np.int64)
-        star_v = np.asarray(star_v, dtype=np.int64)
+    def __init__(self, base, offsets, graph):
         offsets = np.asarray(offsets, dtype=np.int64)
-        weights = np.asarray(weights, dtype=float)
-        if len(anchors) != base.m or len(offsets) != base.m + 1:
-            raise ValueError("anchor/offset arrays do not match hyperedge count")
-        if len(star_v) != len(weights) or len(star_v) != offsets[-1]:
-            raise ValueError("star arrays do not match offsets")
-        if len(weights) and not (weights >= 0.0).all():
-            raise ValueError("star weights must be nonnegative")
-        self.base = base
-        self.anchors = anchors
-        self.star_v = star_v
-        self.offsets = offsets
-        self.weights = weights
-        for arr in (self.anchors, self.star_v, self.offsets, self.weights):
-            arr.flags.writeable = False
+        if len(offsets) != base.m + 1 or offsets[-1] != graph.m or graph.n != base.n:
+            raise ValueError("star offsets or graph do not match the hypergraph")
+        offsets.flags.writeable = False
+        self.base, self.offsets, self.graph = base, offsets, graph
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.graph.w
 
     @property
     def slot_count(self) -> int:
@@ -251,8 +244,15 @@ class UnderlyingGraph:
         return np.repeat(np.arange(self.base.m), self.star_sizes())
 
     def with_weights(self, weights) -> "UnderlyingGraph":
-        """Same label space (base, anchors, slots), new slot weights."""
-        return UnderlyingGraph(self.base, self.anchors, self.star_v, self.offsets, weights)
+        """Same label space (base, offsets and the graph's u and v, shared,
+        not copied), new slot weights; only the weights are checked."""
+        w = np.asarray(weights, dtype=float)
+        if w.shape != self.weights.shape or not ((w >= 0.0) & np.isfinite(w)).all():
+            raise ValueError(f"expected {self.slot_count} slot weights, each finite and nonnegative")
+        w.flags.writeable = False
+        graph = WeightedGraph.__new__(WeightedGraph)
+        graph.n, graph.u, graph.v, graph.w = self.base.n, self.graph.u, self.graph.v, w
+        return UnderlyingGraph(self.base, self.offsets, graph)
 
     def validate_star_sums(self) -> None:
         """Check the per-star weight-conservation constraint to STAR_SUM_REL_TOL
@@ -329,20 +329,17 @@ def init_underlying(H: Hypergraph) -> UnderlyingGraph:
     others = np.ones(len(H.indices), dtype=bool)
     others[starts] = False
     slots = np.diff(H.indptr) - 1
-    return UnderlyingGraph(
-        H,
-        H.indices[starts],
-        H.indices[others],
-        H.indptr - np.arange(H.m + 1),
-        np.repeat(H.weights / slots, slots),
+    graph = WeightedGraph.from_arrays(
+        H.n, np.repeat(H.indices[starts], slots), H.indices[others], np.repeat(H.weights / slots, slots)
     )
+    return UnderlyingGraph(H, H.indptr - np.arange(H.m + 1), graph)
 
 
 def flatten(U: UnderlyingGraph) -> WeightedGraph:
     """Labeled multigraph of all star slots; slot order is the edge order.
 
-    Parallel slots from different hyperedges stay distinct, so the edge count
-    is always sum over e of (|e| - 1).
+    This is `U.graph` itself, not a copy. Parallel slots from different
+    hyperedges stay distinct, so the edge count is always sum over e of
+    (|e| - 1).
     """
-    tails = np.repeat(U.anchors, U.star_sizes())
-    return WeightedGraph.from_arrays(U.base.n, tails, U.star_v, U.weights)
+    return U.graph

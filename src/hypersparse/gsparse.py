@@ -17,7 +17,7 @@ from .core import UnderlyingGraph, flatten
 from .linalg import edge_resistances
 from .seeding import derive_seed
 
-__all__ = ["sparsify_graph", "slot_resistances", "sample_size", "DEFAULT_OVERSAMPLE"]
+__all__ = ["sparsify_graph", "sample_size", "DEFAULT_OVERSAMPLE"]
 
 # Constant of the O(n log n / eps^2) draw count of the graph sparsification
 # theorem; eps is the sparsifier's only parameter.
@@ -27,17 +27,6 @@ DEFAULT_OVERSAMPLE = 9.0
 def sample_size(n: int, eps: float, oversample: float = DEFAULT_OVERSAMPLE) -> int:
     """Number of i.i.d. edge draws: ceil(oversample * n * ln(n) / eps^2)."""
     return math.ceil(oversample * n * math.log(n) / eps**2)
-
-
-def slot_resistances(U: UnderlyingGraph) -> np.ndarray:
-    """Per-slot resistances in flatten(U): each positive-weight slot gets the
-    exact resistance between its endpoints (see `linalg.edge_resistances`);
-    every other slot gets 0."""
-    G = flatten(U)
-    support = np.flatnonzero(U.weights > 0.0)
-    res = np.zeros(U.slot_count)
-    res[support] = edge_resistances(G, G.u[support], G.v[support])
-    return res
 
 
 def sparsify_graph(U: UnderlyingGraph, eps: float, seed: int) -> UnderlyingGraph:
@@ -55,7 +44,7 @@ def sparsify_graph(U: UnderlyingGraph, eps: float, seed: int) -> UnderlyingGraph
     if len(support) == 0:
         return U.with_weights(np.zeros_like(weights))
 
-    res = slot_resistances(U)
+    res = edge_resistances(flatten(U))
     masses = weights[support] * res[support]
     probs = masses / masses.sum()
 

@@ -13,8 +13,8 @@ components are hard errors rather than infinities.
 A dense Laplacian comes from one bincount over the vertex-pair ids u n + v,
 formed in place (peak about two n x n arrays); parallel edges cost no sort.
 
-`edge_resistances` is the one entry point for per-edge resistances, exact on
-both paths: read from F where it fits, and above it from the columns of F
+`edge_resistances(G)` is the one entry point for per-edge resistances, exact
+on both paths: read from F where it fits, and above it from the columns of F
 that a sweep of the sparse LU over the distinct queried vertices solves for.
 The Johnson-Lindenstrauss sketch stays available for approximate queries.
 """
@@ -219,13 +219,13 @@ def _check_pairs(components: np.ndarray, a, b):
 
 def _exact_resistances(L: Laplacian, a, b) -> np.ndarray:
     """Exact resistances d_a + d_b - 2 F_ab between aligned vertex arrays,
-    with d the diagonal of F.
+    with d the diagonal of F, for pairs that `_check_pairs` would accept.
 
     The dense path reads F. The sparse path sweeps the distinct queried
     vertices in blocks J of at most QUERY_BLOCK_BYTES of columns: one solve
     of e_J gives F[:, J], hence d_J and F_ab for every pair with b in J.
     """
-    a, b = _check_pairs(L.components, a, b)
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
     if L.is_dense:
         F = L.factor()
         d = F.diagonal()
@@ -254,7 +254,8 @@ def effective_resistance_exact(G: WeightedGraph, a: int, b: int) -> float:
 
     Raises DisconnectedError when a and b sit in different components.
     """
-    return float(_exact_resistances(build_laplacian(G), [a], [b])[0])
+    L = build_laplacian(G)
+    return float(_exact_resistances(L, *_check_pairs(L.components, [a], [b]))[0])
 
 
 def resistance_table(G: WeightedGraph) -> np.ndarray:
@@ -356,11 +357,21 @@ def sketch_resistance_many(S: ResistanceSketch, a, b) -> np.ndarray:
     return np.maximum(out, RESISTANCE_FLOOR)
 
 
-def edge_resistances(G: WeightedGraph, a, b) -> np.ndarray:
-    """Exact resistances in G between aligned vertex arrays a and b, clamped
-    at RESISTANCE_FLOOR, from the dense F or the sparse LU's column sweep.
-    Raises DisconnectedError for a cross-component pair."""
-    return np.maximum(_exact_resistances(build_laplacian(G), a, b), RESISTANCE_FLOOR)
+def _support_resistances(G: WeightedGraph, L: Laplacian):
+    """G's positive-weight edges and the unclamped exact resistance across
+    each; such an edge is a pair `_check_pairs` accepts, so none is checked."""
+    support = G.w > 0.0
+    return support, _exact_resistances(L, G.u[support], G.v[support])
+
+
+def edge_resistances(G: WeightedGraph) -> np.ndarray:
+    """Exact resistance across each edge of G, from the dense F or the sparse
+    LU's column sweep: clamped at RESISTANCE_FLOOR on positive-weight edges,
+    0 on weight-0 edges."""
+    support, res = _support_resistances(G, build_laplacian(G))
+    out = np.zeros(G.m)
+    out[support] = np.maximum(res, RESISTANCE_FLOOR)
+    return out
 
 
 def foster_sum(G: WeightedGraph, L: Laplacian | None = None) -> float:
@@ -370,7 +381,5 @@ def foster_sum(G: WeightedGraph, L: Laplacian | None = None) -> float:
     components (the trace of L L^+), so it never exceeds n - 1 on a
     connected graph.
     """
-    if L is None:
-        L = build_laplacian(G)
-    support = G.w > 0.0
-    return float(G.w[support] @ _exact_resistances(L, G.u[support], G.v[support]))
+    support, res = _support_resistances(G, build_laplacian(G) if L is None else L)
+    return float(G.w[support] @ res)

@@ -20,8 +20,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .core import Hypergraph, UnderlyingGraph, flatten, init_underlying
-from .gsparse import slot_resistances
-from .linalg import DisconnectedError, resistance_table
+from .linalg import DisconnectedError, edge_resistances, resistance_table
 
 __all__ = [
     "GRAPH_EPS",
@@ -115,22 +114,22 @@ class OverestimateResult:
         return float(self.scores.sum())
 
 
-def weight_compute(U: UnderlyingGraph, resistances, H: Hypergraph) -> UnderlyingGraph:
+def weight_compute(U: UnderlyingGraph, resistances) -> UnderlyingGraph:
     """Next-round star weights, proportional to slot weight times resistance.
 
-    Per hyperedge e the new slot weights are c_f R_f / (sum_g c_g R_g) * w_e,
-    so each star again sums to w_e. A star whose resistance-weighted mass is
-    zero (w_e = 0, or caller-supplied resistances that vanish on the star)
-    falls back to the uniform share w_e / (|e| - 1).
+    Per hyperedge e of H = U.base the new slot weights are
+    c_f R_f / (sum_g c_g R_g) * w_e, so each star again sums to w_e. A star
+    whose resistance-weighted mass is zero (w_e = 0, or caller-supplied
+    resistances that vanish on the star) falls back to the uniform share
+    w_e / (|e| - 1).
     """
     res = np.asarray(resistances, dtype=float)
     if res.shape != U.weights.shape:
         raise ValueError("resistance table must align with star slots")
     if (res < 0.0).any():
         raise ValueError("negative resistance input")
-    if U.base.m != H.m:
-        raise ValueError("underlying graph does not match the hypergraph")
 
+    H = U.base
     sizes = U.star_sizes()
     masses = U.weights * res
     star_mass = np.add.reduceat(masses, U.offsets[:-1])
@@ -150,8 +149,8 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig) -> Overestimate
     """Run the iterative reweighting and aggregate per-hyperedge scores.
 
     Round 1 starts from the uniform star initialization; round t takes exact
-    resistances for every positive-weight slot of the current graph U_t
-    through `slot_resistances` (one factorization of U_t), records slot
+    resistances across every slot of the current graph U_t through
+    `edge_resistances(flatten(U_t))` (one factorization of U_t), records slot
     leverages w_t(f) * R(f), and reassigns weights for round t + 1. The final
     score of hyperedge e is scale * (1 / T) * sum over rounds and star slots
     of the recorded leverages, and the total mass is asserted against
@@ -162,11 +161,11 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig) -> Overestimate
     acc = np.zeros(H.m)
     rounds: list[RoundRecord] = []
     for _ in range(cfg.rounds):
-        res = slot_resistances(U)
+        res = edge_resistances(flatten(U))
         record = RoundRecord(U, res)
         rounds.append(record)
         np.add.at(acc, slot_edges, record.slot_leverages())
-        U = weight_compute(U, res, H)
+        U = weight_compute(U, res)
 
     scale = cfg.scale(H.rank)
     scores = scale * acc / cfg.rounds

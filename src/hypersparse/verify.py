@@ -86,6 +86,13 @@ def _cut_values(H: Hypergraph) -> tuple[np.ndarray, float]:
     return q, (H.n + deepest) * 2.0**-51 * float(f[-1])
 
 
+def _check_inputs(H: Hypergraph, Ht: Hypergraph, eps: float) -> None:
+    if H.n != Ht.n:
+        raise ValueError("hypergraphs must share the vertex set")
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative, got {eps}")
+
+
 def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutReport:
     """Exhaustive relative cut error over all 2^(n-1) - 1 nontrivial cuts.
 
@@ -98,8 +105,7 @@ def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutRepor
     again per hyperedge on both sides: a cut nothing crosses is then exactly
     0, and any other ratio is off by at most about 2^-32 (1 + ratio).
     """
-    if H.n != Ht.n:
-        raise ValueError("hypergraphs must share the vertex set")
+    _check_inputs(H, Ht, eps)
     if H.n > MAX_EXHAUSTIVE_N:
         raise ValueError(
             f"n = {H.n} exceeds the exhaustive bound {MAX_EXHAUSTIVE_N}; "
@@ -146,8 +152,7 @@ def verify_spectral_sampled(
     +-1 sign vectors (which reproduce the exhaustive cut errors exactly).
     Directions with Q_H = 0 are excluded from the ratio.
     """
-    if H.n != Ht.n:
-        raise ValueError("hypergraphs must share the vertex set")
+    _check_inputs(H, Ht, eps)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)

@@ -12,10 +12,12 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from hypersparse import linalg
 from hypersparse.apps import lawler_reduction, max_flow
-from hypersparse.core import HyperedgeError, Hypergraph, UnderlyingGraph
+from hypersparse.core import HyperedgeError, Hypergraph, UnderlyingGraph, WeightedGraph, init_underlying
 from hypersparse.hgio import HgrFormatError
-from hypersparse.linalg import Laplacian, build_laplacian
+from hypersparse.linalg import RESISTANCE_FLOOR, Laplacian, build_laplacian
+from hypersparse.overestimate import weight_compute
 from hypersparse.verify import _ABS_TOL
 
 
@@ -33,7 +35,7 @@ def weight_map(U: UnderlyingGraph) -> dict:
     """Mapping (hyperedge index, non-anchor vertex) -> slot weight."""
     return {
         (e, v): w
-        for e, v, w in zip(U.slot_edges().tolist(), U.star_v.tolist(), U.weights.tolist())
+        for e, v, w in zip(U.slot_edges().tolist(), U.graph.v.tolist(), U.weights.tolist())
     }
 
 
@@ -52,14 +54,14 @@ def loop_energies(H: Hypergraph, X) -> np.ndarray:
 
 def loop_init_underlying(H: Hypergraph) -> UnderlyingGraph:
     """Uniform stars anchored at each hyperedge's smallest vertex."""
-    anchors = np.array([vs[0] for vs in H.vertex_sets], dtype=np.int64)
-    star_v, weights, offsets = [], [], [0]
+    tails, heads, weights, offsets = [], [], [], [0]
     for e, vs in enumerate(H.vertex_sets):
         share = H.weights[e] / (len(vs) - 1)
-        star_v.extend(vs[1:])
+        tails.extend([vs[0]] * (len(vs) - 1))
+        heads.extend(vs[1:])
         weights.extend([share] * (len(vs) - 1))
-        offsets.append(len(star_v))
-    return UnderlyingGraph(H, anchors, star_v, offsets, weights)
+        offsets.append(len(heads))
+    return UnderlyingGraph(H, offsets, WeightedGraph.from_arrays(H.n, tails, heads, weights))
 
 
 def loop_parse_hypergraph_text(text: str) -> Hypergraph:
@@ -250,6 +252,35 @@ def pair_solve_resistances(L: Laplacian, a, b) -> np.ndarray:
     B[b, cols] = -1.0
     X = L.solve_grounded(B)
     return X[a, cols] - X[b, cols]
+
+
+def pair_query_edge_resistances(G) -> np.ndarray:
+    """Per-edge resistances as a caller-pair query: the positive-weight edges
+    of G go through `_check_pairs` and `_exact_resistances`, clamped at
+    RESISTANCE_FLOOR; weight-0 edges get 0."""
+    L = build_laplacian(G)
+    support = np.flatnonzero(G.w > 0.0)
+    a, b = linalg._check_pairs(L.components, G.u[support], G.v[support])
+    res = np.zeros(G.m)
+    res[support] = np.maximum(linalg._exact_resistances(L, a, b), RESISTANCE_FLOOR)
+    return res
+
+
+def copying_overestimate(H: Hypergraph, cfg):
+    """The overestimate rounds with a fresh copy of the star graph per round,
+    queried through `pair_query_edge_resistances`; returns the scores and
+    each round's (resistances, weights)."""
+    U = init_underlying(H)
+    slot_edges = U.slot_edges()
+    acc = np.zeros(H.m)
+    rounds = []
+    for _ in range(cfg.rounds):
+        G = WeightedGraph.from_arrays(H.n, U.graph.u, U.graph.v, U.weights)
+        res = pair_query_edge_resistances(G)
+        rounds.append((res, U.weights))
+        np.add.at(acc, slot_edges, U.weights * res)
+        U = weight_compute(U, res)
+    return cfg.scale(H.rank) * acc / cfg.rounds, rounds
 
 
 def loop_project_out_kernel(labels, n_components, x) -> np.ndarray:

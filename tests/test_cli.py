@@ -68,6 +68,14 @@ class TestSparsifyVerifyFlow:
         assert code == 1
         assert "passed=false" in text
 
+    @pytest.mark.parametrize("eps", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("mode", ["cut", "spectral"])
+    def test_bad_epsilon_is_usage_error(self, sample_file, capsys, mode, eps):
+        code, text = run(["verify", sample_file, sample_file, "--mode", mode, "--epsilon", eps])
+        assert code == 2
+        assert text == ""
+        assert "epsilon must be finite and nonnegative" in capsys.readouterr().err
+
     def test_spectral_mode_runs(self, sample_file):
         code, text = run(
             ["verify", sample_file, sample_file, "--mode", "spectral", "--epsilon", "0.1"]
@@ -116,6 +124,13 @@ class TestResistance:
         assert text == ""
         assert "outside the graph's 3 vertices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["-0.5", "nan"])
+    def test_bad_sketch_eps_is_error(self, sample_file, capsys, eps):
+        code, text = run(["resistance", sample_file, "1", "2", "--sketch-eps", eps])
+        assert code == 2
+        assert text == ""
+        assert "eps_sketch must lie in (0, 1)" in capsys.readouterr().err
+
     def test_disconnected_pair_is_error(self, tmp_path):
         path = tmp_path / "two.hgr"
         path.write_text("2 4 1\n1 1 2\n1 3 4\n")
@@ -125,20 +140,28 @@ class TestResistance:
 
 class TestOverestimateCommand:
     def test_emits_score_lines_and_summary(self, sample_file):
-        code, text = run(["overestimate", sample_file, "--exact"])
+        code, text = run(["overestimate", sample_file])
         assert code == 0
         lines = text.splitlines()
         assert "l1_norm=" in text and "mass_bound=" in text
+        assert "exact=" not in text
         score_lines = [l for l in lines if l and l[0].isdigit() and " " in l]
         assert len(score_lines) == 2
         assert score_lines[0].split()[0] == "0"
 
     def test_json_mode(self, sample_file):
-        code, text = run(["overestimate", sample_file, "--exact", "--json"])
+        code, text = run(["overestimate", sample_file, "--json"])
         assert code == 0
         payload = json.loads(text)
         assert payload["format"] == 1
         assert len(payload["z"]) == 2
+        assert "exact" not in payload
+
+    def test_exact_is_not_an_option(self, sample_file, capsys):
+        code, text = run(["overestimate", sample_file, "--exact"])
+        assert code == 2
+        assert text == ""
+        assert "unrecognized arguments: --exact" in capsys.readouterr().err
 
 
 class TestErrorsAndDeterminism:

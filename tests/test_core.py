@@ -132,7 +132,7 @@ class TestInitUnderlying:
         H = Hypergraph(5, [((1, 2, 3, 4), 3.0)])
         U = init_underlying(H)
         assert weight_map(U) == {(0, 2): 1.0, (0, 3): 1.0, (0, 4): 1.0}
-        assert U.anchors[0] == 1
+        np.testing.assert_array_equal(flatten(U).u, [1, 1, 1])
 
     def test_pair_edge_keeps_full_weight(self):
         H = Hypergraph(2, [((0, 1), 5.0)])
@@ -150,7 +150,9 @@ class TestInitUnderlying:
     def test_matches_per_hyperedge_loop(self, seed):
         H = random_hypergraph(seed + 300, n=12, m=40, rank=6, connected=False)
         U, expect = init_underlying(H), loop_init_underlying(H)
-        for name in ("anchors", "star_v", "offsets", "weights"):
+        for name in ("u", "v", "w"):
+            np.testing.assert_array_equal(getattr(flatten(U), name), getattr(flatten(expect), name))
+        for name in ("offsets", "weights"):
             np.testing.assert_array_equal(getattr(U, name), getattr(expect, name))
 
 
@@ -170,6 +172,37 @@ class TestFlatten:
         H = random_hypergraph(12, n=9, m=14, rank=5, connected=False)
         G = flatten(init_underlying(H))
         assert G.m == sum(len(vs) - 1 for vs in H.vertex_sets)
+
+    def test_returns_the_graph_itself(self):
+        U = init_underlying(random_hypergraph(13, n=9, m=14, rank=5))
+        assert flatten(U) is U.graph
+        assert U.weights is U.graph.w
+
+
+class TestWithWeights:
+    def test_shares_edges_and_offsets(self):
+        U = init_underlying(random_hypergraph(14, n=9, m=14, rank=5))
+        w = np.arange(U.slot_count, dtype=float)
+        V = U.with_weights(w)
+        for name in ("u", "v"):
+            assert np.shares_memory(getattr(V.graph, name), getattr(U.graph, name))
+        assert V.offsets is U.offsets and V.base is U.base
+        np.testing.assert_array_equal(V.weights, w)
+        np.testing.assert_array_equal(U.weights, init_underlying(U.base).weights)
+        assert not V.weights.flags.writeable
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_weights(self, bad):
+        U = init_underlying(Hypergraph(4, [((0, 1, 2), 1.0), ((2, 3), 1.0)]))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            U.with_weights([1.0, bad, 1.0])
+
+    def test_rejects_wrong_length(self):
+        U = init_underlying(Hypergraph(3, [((0, 1, 2), 1.0)]))
+        with pytest.raises(ValueError):
+            U.with_weights([1.0, 1.0, 1.0])
+        with pytest.raises(ValueError):
+            U.with_weights([[1.0, 1.0]])
 
 
 class TestValidation:

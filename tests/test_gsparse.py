@@ -3,8 +3,8 @@ import pytest
 
 from hypersparse import linalg
 from hypersparse.core import Hypergraph, flatten, init_underlying
-from hypersparse.gsparse import sample_size, slot_resistances, sparsify_graph
-from hypersparse.linalg import build_laplacian, effective_resistance_exact, resistance_table
+from hypersparse.gsparse import sample_size, sparsify_graph
+from hypersparse.linalg import build_laplacian, edge_resistances, effective_resistance_exact, resistance_table
 
 from helpers import pencil_relative_eigs, random_hypergraph
 
@@ -20,7 +20,7 @@ class TestSamplingMasses:
         U = star_underlying(8)
         G = flatten(U)
         table = resistance_table(G)
-        masses = U.weights * table[np.repeat(U.anchors, U.star_sizes()), U.star_v]
+        masses = U.weights * table[G.u, G.v]
         np.testing.assert_allclose(masses, 1.0)
 
     def test_unbiased_with_few_labels_and_exact_resistances(self):
@@ -113,6 +113,6 @@ class TestSlotResistances:
         want = [effective_resistance_exact(G, a, b) for a, b in zip(G.u[~zero], G.v[~zero])]
         if lu:
             monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
-        res = slot_resistances(U)
+        res = edge_resistances(flatten(U))
         np.testing.assert_array_equal(res[zero], 0.0)
         np.testing.assert_allclose(res[~zero], want, rtol=1e-9)

@@ -23,7 +23,13 @@ from hypersparse.linalg import (
     solve_laplacian,
 )
 
-from helpers import coo_laplacian, loop_project_out_kernel, pair_solve_resistances, random_weighted_graph
+from helpers import (
+    coo_laplacian,
+    loop_project_out_kernel,
+    pair_query_edge_resistances,
+    pair_solve_resistances,
+    random_weighted_graph,
+)
 
 
 def path_graph(n, weight=1.0):
@@ -234,7 +240,11 @@ class TestGroundedFactor:
         b = np.random.default_rng(0).standard_normal(G.n)
         assert_relative(solve_laplacian(L, b), P @ b)
         a, c = component_pairs(G)
-        assert_relative(edge_resistances(G, a, c), P[a, a] + P[c, c] - 2.0 * P[a, c])
+        assert_relative(linalg._exact_resistances(L, a, c), P[a, a] + P[c, c] - 2.0 * P[a, c])
+        u, v, support = G.u, G.v, G.w > 0.0
+        res = edge_resistances(G)
+        assert_relative(res[support], (P[u, u] + P[v, v] - 2.0 * P[u, v])[support])
+        assert (res[~support] == 0.0).all()
         assert foster_sum(G) == pytest.approx(G.n - L.n_components, abs=1e-9)
 
     @pytest.mark.parametrize("name", FACTOR_INSTANCES)
@@ -458,44 +468,73 @@ class TestSketchQueryBlocks:
 
 class TestEdgeResistances:
     @staticmethod
-    def check_dense(G, a, b):
-        got = edge_resistances(G, a, b)
-        np.testing.assert_allclose(got, resistance_table(G)[a, b], rtol=0.0, atol=1e-12)
+    def check_dense(G):
+        got = edge_resistances(G)
+        np.testing.assert_allclose(got, resistance_table(G)[G.u, G.v], rtol=0.0, atol=1e-12)
         # Independent of the cached grounded inverse: an SVD pseudo-inverse.
         P = np.linalg.pinv(build_laplacian(G).matrix)
-        np.testing.assert_allclose(got, P[a, a] + P[b, b] - 2.0 * P[a, b], rtol=1e-9)
+        u, v = G.u, G.v
+        np.testing.assert_allclose(got, P[u, u] + P[v, v] - 2.0 * P[u, v], rtol=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_dense_matches_table(self, seed):
-        G = random_weighted_graph(40 + seed, n=12 + 4 * seed, m=30 + 10 * seed)
-        self.check_dense(G, *np.triu_indices(G.n, k=1))
+        self.check_dense(random_weighted_graph(40 + seed, n=12 + 4 * seed, m=30 + 10 * seed))
 
     def test_dense_disconnected_within_components(self):
         G = WeightedGraph(7, [(0, 1, 1.0), (1, 2, 2.0), (0, 2, 0.5), (3, 4, 1.5), (4, 5, 3.0)])
-        self.check_dense(G, np.array([0, 2, 1, 3, 5, 4]), np.array([1, 0, 2, 4, 3, 5]))
+        self.check_dense(G)
 
-    def test_cross_component_pair_raises(self):
+    def test_cross_component_pair_raises(self, monkeypatch):
         G = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
-        with pytest.raises(DisconnectedError):
-            edge_resistances(G, [0, 1], [1, 2])
+        for budget in (linalg.DENSE_BYTES, 0):  # the dense inverse, then the sparse LU
+            monkeypatch.setattr(linalg, "DENSE_BYTES", budget)
+            with pytest.raises(DisconnectedError):
+                effective_resistance_exact(G, 1, 2)
+            with pytest.raises(DisconnectedError):
+                sketch_resistance_many(build_sketch(G, 0.5, seed=0), [0, 1], [1, 2])
 
-    def test_repeated_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            edge_resistances(path_graph(3), [0, 1], [1, 1])
+    def test_repeated_vertex_rejected(self, monkeypatch):
+        G = path_graph(3)
+        for budget in (linalg.DENSE_BYTES, 0):  # the dense inverse, then the sparse LU
+            monkeypatch.setattr(linalg, "DENSE_BYTES", budget)
+            with pytest.raises(ValueError, match="distinct"):
+                effective_resistance_exact(G, 1, 1)
+            with pytest.raises(ValueError, match="distinct"):
+                sketch_resistance_many(build_sketch(G, 0.5, seed=0), [0, 1], [1, 1])
 
-    def test_clamped_at_floor(self):
+    def test_clamped_at_floor(self, monkeypatch):
         # A huge conductance pushes the exact resistance to the rounding level.
         G = WeightedGraph(3, [(0, 1, 1e300), (1, 2, 1.0)])
-        assert edge_resistances(G, [0], [1])[0] == RESISTANCE_FLOOR
+        for budget in (linalg.DENSE_BYTES, 0):  # the dense inverse, then the sparse LU
+            monkeypatch.setattr(linalg, "DENSE_BYTES", budget)
+            assert edge_resistances(G)[0] == RESISTANCE_FLOOR
+            assert effective_resistance_exact(G, 0, 1) < RESISTANCE_FLOOR
+        # Coincident sketch columns: the sketch query clamps as well.
+        S = build_sketch(path_graph(3), 0.5, seed=0)
+        S.Z[:, 1] = S.Z[:, 0]
+        assert sketch_resistance(S, 0, 1) == RESISTANCE_FLOOR
 
     def test_first_size_past_cutoff_is_exact(self, monkeypatch):
         G = random_weighted_graph(50, n=520, m=4 * 520)
-        a, b = map(np.array, zip(*[(0, 1), (3, 300), (17, 518), (100, 200), (250, 5)]))
-        want = edge_resistances(G, a, b)
+        want = edge_resistances(G)
         # The first size past the cutoff is G.n; the values come from the LU.
         monkeypatch.setattr(linalg, "DENSE_BYTES", 24 * (G.n - 1) ** 2)
         assert fits_dense(G.n - 1) and not build_laplacian(G).is_dense
-        np.testing.assert_allclose(edge_resistances(G, a, b), want, rtol=1e-9)
+        np.testing.assert_allclose(edge_resistances(G), want, rtol=1e-9)
+
+    @pytest.mark.parametrize("name", [*FACTOR_INSTANCES, "disconnected", "multigraph"])
+    def test_equals_pair_query(self, factor_path, name):
+        # Bitwise what a caller-pair query over G's positive edges returns.
+        G = {"disconnected": disconnected, "multigraph": multigraph, **FACTOR_INSTANCES}[name]()
+        assert build_laplacian(G).is_dense == (factor_path == "dense")
+        np.testing.assert_array_equal(edge_resistances(G), pair_query_edge_resistances(G))
+
+    def test_pairs_are_not_checked(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("edge_resistances checked its own edges")
+
+        monkeypatch.setattr(linalg, "_check_pairs", refuse)
+        edge_resistances(random_weighted_graph(51, n=12, m=30))
 
 
 def disconnected():
@@ -567,7 +606,9 @@ class TestVertexRange:
         with pytest.raises(ValueError, match="outside"):
             effective_resistance_exact(G, bad, 1)
         with pytest.raises(ValueError, match="outside"):
-            edge_resistances(G, [0, 1], [1, bad])
+            effective_resistance_exact(G, 1, bad)
+        with pytest.raises(ValueError, match="outside"):
+            sketch_resistance_many(build_sketch(G, 0.5, seed=0), [0, 1], [1, bad])
 
     @pytest.mark.parametrize("bad", [-1, 3])
     def test_sketch_query_rejects(self, bad):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,14 @@ from hypersparse.overestimate import (
     weight_compute,
 )
 
-from helpers import all_pairs, edges, loop_leverages_from_table, loop_violations, random_hypergraph
+from helpers import (
+    all_pairs,
+    copying_overestimate,
+    edges,
+    loop_leverages_from_table,
+    loop_violations,
+    random_hypergraph,
+)
 
 
 class TestConfig:
@@ -49,32 +58,32 @@ class TestWeightCompute:
     def test_equal_resistances_rescale_shape(self):
         H = Hypergraph(4, [((0, 1, 2, 3), 6.0)])
         U = init_underlying(H).with_weights(np.array([1.0, 2.0, 3.0]))
-        out = weight_compute(U, np.full(3, 0.7), H)
+        out = weight_compute(U, np.full(3, 0.7))
         np.testing.assert_allclose(out.weights, [1.0, 2.0, 3.0])
 
     def test_resistance_proportional_split(self):
         H = Hypergraph(3, [((0, 1, 2), 4.0)])
         U = init_underlying(H)  # uniform star weights 2, 2
-        out = weight_compute(U, np.array([1.0, 3.0]), H)
+        out = weight_compute(U, np.array([1.0, 3.0]))
         np.testing.assert_allclose(out.weights, [1.0, 3.0])
 
     def test_star_sums_conserved(self):
         H = random_hypergraph(21, n=10, m=30, rank=5, connected=False)
         U = init_underlying(H)
         rng = np.random.default_rng(3)
-        out = weight_compute(U, rng.uniform(0.1, 2.0, U.slot_count), H)
+        out = weight_compute(U, rng.uniform(0.1, 2.0, U.slot_count))
         out.validate_star_sums()
 
     def test_negative_resistance_rejected(self):
         H = Hypergraph(2, [((0, 1), 1.0)])
         U = init_underlying(H)
         with pytest.raises(ValueError):
-            weight_compute(U, np.array([-0.5]), H)
+            weight_compute(U, np.array([-0.5]))
 
     def test_dead_star_falls_back_to_uniform(self):
         H = Hypergraph(3, [((0, 1, 2), 4.0)])
         U = init_underlying(H).with_weights(np.zeros(2))
-        out = weight_compute(U, np.array([1.0, 1.0]), H)
+        out = weight_compute(U, np.array([1.0, 1.0]))
         np.testing.assert_allclose(out.weights, [2.0, 2.0])
 
 
@@ -128,9 +137,7 @@ class TestComputeOverestimate:
         cfg = OverestimateConfig(rounds=3, exact=True)
         res = compute_overestimate(H, cfg)
         initial = init_underlying(H)
-        final = weight_compute(
-            res.rounds[-1].graph, res.rounds[-1].resistances, H
-        )
+        final = weight_compute(res.rounds[-1].graph, res.rounds[-1].resistances)
         live = initial.weights > 0
         ratio = final.weights[live] / initial.weights[live]
         assert ratio.max() <= H.rank * (1.0 + 1e-9)
@@ -230,6 +237,51 @@ class TestRoundGraph:
         assert max(columns.values()) <= endpoints
 
 
+class TestSharedStarGraph:
+    """Rounds query the one star graph that init_underlying built."""
+
+    @pytest.mark.parametrize("lu", [False, True], ids=["dense", "lu"])
+    def test_matches_copying_loop(self, monkeypatch, lu):
+        if lu:
+            monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        for H in _round_instances() + [random_hypergraph(47, n=30, m=300, rank=6)]:
+            cfg = OverestimateConfig(rounds=default_rounds(H.rank))
+            got = compute_overestimate(H, cfg)
+            scores, rounds = copying_overestimate(H, cfg)
+            np.testing.assert_array_equal(got.scores, scores)
+            for rec, (res, weights) in zip(got.rounds, rounds, strict=True):
+                np.testing.assert_array_equal(rec.resistances, res)
+                np.testing.assert_array_equal(rec.graph.weights, weights)
+
+    def test_rounds_share_the_edge_arrays(self):
+        H = random_hypergraph(48, n=12, m=40, rank=5)
+        first, *later = compute_overestimate(H, OverestimateConfig(rounds=3)).rounds
+        for rec in later:
+            assert rec.graph.graph.u is first.graph.graph.u
+            assert rec.graph.graph.v is first.graph.graph.v
+
+    def test_peak_memory_per_slot(self):
+        # Per slot each round keeps its weights and resistances (16 B), beside
+        # the shared u and v and the slot owners (24 B), and one query's
+        # temporaries come on top: about 113 B. The bound sits below the
+        # 145 B that a copy of u, v and w per round reaches.
+        rng = np.random.default_rng(11)
+        n, m = 30, 5000
+        sizes = rng.integers(2, 7, m)
+        order = np.argsort(rng.random((m, n)), axis=1)
+        indices = np.concatenate([np.sort(order[e, :sizes[e]]) for e in range(m)])
+        H = Hypergraph.from_arrays(n, np.concatenate([[0], np.cumsum(sizes)]), indices, rng.uniform(0.5, 2.0, m))
+        cfg = OverestimateConfig(rounds=3)
+        compute_overestimate(H, cfg)
+        tracemalloc.start()
+        try:
+            compute_overestimate(H, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * (len(H.indices) - H.m)
+
+
 class TestLeveragesFromTable:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_per_hyperedge_loop_on_resistances(self, seed):
@@ -269,7 +321,7 @@ class TestLeverageExact:
         U = init_underlying(H)
         table = resistance_table(flatten(U))
         for e, vs in enumerate(H.vertex_sets):
-            anchor = U.anchors[e]
+            anchor = flatten(U).u[U.offsets[e]]
             clique_max = max(table[a, b] for a, b in all_pairs(vs))
             star_max = max(table[anchor, v] for v in vs if v != anchor)
             assert clique_max >= star_max - 1e-12

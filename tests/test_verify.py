@@ -245,6 +245,21 @@ class TestSpectralSampled:
             verify_spectral_sampled(H, H, eps=0.1, trials=0, seed=0)
 
 
+@pytest.mark.parametrize("eps", [-1.0, -0.0 - 1e-300, np.nan, np.inf])
+def test_epsilon_outside_zero_to_infinity_rejected(eps):
+    H = Hypergraph(3, [((0, 1, 2), 1.0), ((0, 1), 2.0)])
+    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+        verify_cut_sparsifier(H, H, eps)
+    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+        verify_spectral_sampled(H, H, eps, trials=5, seed=0)
+
+
+def test_epsilon_zero_accepted():
+    H = Hypergraph(3, [((0, 1, 2), 1.0), ((0, 1), 2.0)])
+    assert verify_cut_sparsifier(H, H, 0.0).passed
+    assert verify_spectral_sampled(H, H, 0.0, trials=5, seed=0).passed
+
+
 class TestEnergyComparison:
     def test_rank_two_equality_case(self):
         H = random_hypergraph(86, n=8, m=20, rank=2)
