@@ -22,6 +22,7 @@ __all__ = [
     "total_energy",
     "cut_value",
     "init_underlying",
+    "star_slots",
     "flatten",
 ]
 
@@ -67,13 +68,20 @@ class Hypergraph:
 
     @classmethod
     def from_arrays(cls, n, indptr, indices, weights) -> "Hypergraph":
-        self = cls.__new__(cls)
-        self._init_arrays(
+        return cls._adopt(
             int(n),
             np.array(indptr, dtype=np.int64),
             np.array(indices, dtype=np.int64),
             np.array(weights, dtype=float),
         )
+
+    @classmethod
+    def _adopt(cls, n, indptr, indices, weights) -> "Hypergraph":
+        """`from_arrays` over int64, int64 and float64 arrays that the caller
+        hands over and does not use again: they are checked and frozen, not
+        copied."""
+        self = cls.__new__(cls)
+        self._init_arrays(n, indptr, indices, weights)
         return self
 
     def _init_arrays(self, n, indptr, indices, weights):
@@ -95,11 +103,15 @@ class Hypergraph:
         if bad.any():
             e = int(np.argmax(bad))
             raise HyperedgeError(e, f"weight {weights[e]} is not a finite nonnegative number")
-        # Sort unless every hyperedge already rises (the key edge * n + vertex
-        # keeps hyperedges in place); a remaining tie is a repeated vertex.
-        edge_of = np.repeat(np.arange(len(weights)), sizes)
-        inner = edge_of[1:] == edge_of[:-1]
-        if (np.diff(indices)[inner] <= 0).any():
+        # Sort unless every hyperedge already rises: a step between two pins
+        # may fall only where a hyperedge starts. The key edge * n + vertex
+        # keeps hyperedges in place; a remaining tie is a repeated vertex.
+        fall = indices[1:] <= indices[:-1]
+        fall[indptr[1:-1] - 1] = False
+        if fall.any():
+            del fall
+            edge_of = np.repeat(np.arange(len(weights)), sizes)
+            inner = edge_of[1:] == edge_of[:-1]
             indices = np.sort(edge_of * n + indices) - edge_of * n
             repeat = inner & (np.diff(indices) == 0)
             if repeat.any():
@@ -176,6 +188,13 @@ class WeightedGraph:
         )
         return self
 
+    @classmethod
+    def _unchecked(cls, n, u, v, w) -> "WeightedGraph":
+        """A graph over arrays that already form a valid one: no checks, no copies."""
+        self = cls.__new__(cls)
+        self.n, self.u, self.v, self.w = n, u, v, w
+        return self
+
     def _init_arrays(self, n, u, v, w):
         if n < 1:
             raise ValueError("vertex count must be positive")
@@ -245,13 +264,13 @@ class UnderlyingGraph:
 
     def with_weights(self, weights) -> "UnderlyingGraph":
         """Same label space (base, offsets and the graph's u and v, shared,
-        not copied), new slot weights; only the weights are checked."""
-        w = np.asarray(weights, dtype=float)
+        not copied), new slot weights (a copy of `weights`); only the weights
+        are checked."""
+        w = np.array(weights, dtype=float)
         if w.shape != self.weights.shape or not ((w >= 0.0) & np.isfinite(w)).all():
             raise ValueError(f"expected {self.slot_count} slot weights, each finite and nonnegative")
         w.flags.writeable = False
-        graph = WeightedGraph.__new__(WeightedGraph)
-        graph.n, graph.u, graph.v, graph.w = self.base.n, self.graph.u, self.graph.v, w
+        graph = WeightedGraph._unchecked(self.base.n, self.graph.u, self.graph.v, w)
         return UnderlyingGraph(self.base, self.offsets, graph)
 
     def validate_star_sums(self) -> None:
@@ -321,18 +340,30 @@ def cut_value(H: Hypergraph, subset) -> float:
 def init_underlying(H: Hypergraph) -> UnderlyingGraph:
     """Initial star assignment: each slot of hyperedge e gets w_e / (|e| - 1).
 
-    The anchor a_e is the smallest vertex id of e (the first entry of its
-    sorted vertices), so the star's other vertices are the remaining
-    entries. Star sums equal w_e exactly.
+    Anchors and slot order are those of `star_slots`: the anchor a_e is the
+    smallest vertex id of e. Star sums equal w_e exactly.
     """
-    starts = H.indptr[:-1]
-    others = np.ones(len(H.indices), dtype=bool)
-    others[starts] = False
-    slots = np.diff(H.indptr) - 1
-    graph = WeightedGraph.from_arrays(
-        H.n, np.repeat(H.indices[starts], slots), H.indices[others], np.repeat(H.weights / slots, slots)
-    )
+    u, v, owner = star_slots(H)
+    graph = WeightedGraph.from_arrays(H.n, u, v, (H.weights / (np.diff(H.indptr) - 1))[owner])
     return UnderlyingGraph(H, H.indptr - np.arange(H.m + 1), graph)
+
+
+def star_slots(H: Hypergraph, start: int = 0, stop: int | None = None) -> tuple:
+    """The star slots of hyperedges start..stop-1 (default all), in slot
+    order: each slot's anchor, its other vertex, and its owner, the index of
+    its hyperedge counted from `start`. The anchor is the hyperedge's
+    smallest vertex, the first entry of its sorted vertices; the other
+    vertices are the remaining entries.
+    """
+    stop = H.m if stop is None else stop
+    lo, hi = H.indptr[start], H.indptr[stop]
+    members = H.indices[lo:hi]
+    heads = H.indptr[start:stop] - lo
+    owner = np.repeat(np.arange(stop - start), H.indptr[start + 1:stop + 1] - H.indptr[start:stop] - 1)
+    others = np.ones(hi - lo, dtype=bool)
+    others[heads] = False
+    # np.compress is several times faster than boolean indexing here.
+    return members[heads][owner], np.compress(others, members), owner
 
 
 def flatten(U: UnderlyingGraph) -> WeightedGraph:

@@ -1,12 +1,15 @@
 """Weighted hypergraph files: header "m n 1", then one line per hyperedge
 holding the weight followed by 1-indexed vertex ids. Lines whose first token
 starts with '%' are comments. Files are ASCII; tokens and lines are those of
-str.split() and str.splitlines(). The parser makes a fixed number of numpy
-passes over the bytes and calls float() on the weight tokens only.
-Serialization prints weights with 17 significant digits so a
-parse/serialize round trip is lossless."""
+str.split() and str.splitlines(). The parser reads line-aligned blocks of
+about PARSE_BLOCK_BYTES, makes a fixed number of numpy passes over each
+block's bytes, calls float() on the weight tokens only, and keeps only the
+blocks' id, weight and size arrays. Serialization prints weights with 17
+significant digits so a parse/serialize round trip is lossless."""
 
 from __future__ import annotations
+
+import io
 
 import numpy as np
 
@@ -30,6 +33,11 @@ _FAST_DIGITS = 18
 _CONTROL = np.zeros(32, np.uint8)
 _CONTROL[[9, 31]] = 1
 _CONTROL[[10, 11, 12, 13, 28, 29, 30]] = 2
+# The line breaks other than \r, which may begin a \r\n pair.
+_BREAKS = tuple(bytes([c]) for c in (10, 11, 12, 28, 29, 30))
+# Bytes the parser reads and tokenizes at once. A block ends after its last
+# complete line break, so no line or \r\n pair straddles two blocks.
+PARSE_BLOCK_BYTES = 1 << 20
 
 
 class HgrFormatError(ValueError):
@@ -50,12 +58,16 @@ def _line_of(a: np.ndarray, pos: int) -> int:
 
 def _content_tokens(a: np.ndarray) -> tuple:
     """Offsets [starts, ends) of the tokens of str.split() that lie on content
-    lines, and the first token and token count of each content line.
+    lines, the first token and token count of each content line, and the
+    count of line breaks (a \\r\\n pair is one).
 
     A content line holds a token and its first token does not start with '%'.
     """
     ctl = np.flatnonzero(a < 32)
     kind = _CONTROL[a[ctl]]
+    after_cr = ctl[a[ctl] == 13] + 1
+    pairs = np.count_nonzero(a[after_cr[after_cr < len(a)]] == 10)
+    breaks = int(np.count_nonzero(kind == 2) - pairs)
     # One whitespace byte of padding at each end makes the changes of class
     # alternate between token starts and token ends.
     white = np.ones(len(a) + 2, bool)
@@ -80,7 +92,7 @@ def _content_tokens(a: np.ndarray) -> tuple:
         keep = np.repeat(~comment, sizes)
         starts, ends, sizes = starts[keep], ends[keep], sizes[~comment]
         line_first = np.cumsum(sizes) - sizes
-    return starts, ends, line_first, sizes
+    return starts, ends, line_first, sizes, breaks
 
 
 def _floats(tokens: list) -> tuple:
@@ -129,6 +141,143 @@ def _vertex_ids(data: bytes, a: np.ndarray, starts, ends) -> tuple:
     return ids, len(starts)
 
 
+def _blocks(handle):
+    """Offsets and bytes of the stream's line-aligned blocks of about
+    PARSE_BLOCK_BYTES, the last one running to the end of the stream. A \\r
+    that ends a read may begin a \\r\\n pair, so it waits for the next."""
+    offset, carry = 0, b""
+    while True:
+        chunk = handle.read(PARSE_BLOCK_BYTES)
+        data = carry + chunk
+        if not chunk:
+            if data:
+                yield offset, data
+            return
+        cut = 1 + max(data.rfind(b"\r", 0, len(data) - 1), *map(data.rfind, _BREAKS))
+        if cut:
+            yield offset, data[:cut]
+            offset += cut
+        carry = data[cut:]
+
+
+def _line_numbers(a: np.ndarray, line0: int, line_starts: np.ndarray):
+    """Line number of a block's content line j, for a block that starts
+    at line line0 and whose content lines start at `line_starts`."""
+    return lambda j: line0 - 1 + _line_of(a, int(line_starts[j]))
+
+
+def _header(data: bytes, starts, ends, size) -> tuple:
+    """(m, n) from the header line's tokens, or the message of its error."""
+    if size != 3:
+        return "header must be 'm n 1'"
+    fields = [data[starts[i]:ends[i]] for i in range(3)]
+    try:
+        m, n = int(fields[0]), int(fields[1])
+    except ValueError:
+        return "header counts must be integers"
+    if fields[2] != b"1":
+        return "unsupported format flag; expected '1'"
+    if m < 1 or n < 1:
+        return "counts must be positive"
+    if m > _INT64_MAX or n > _INT64_MAX:
+        return "counts must fit in 64 bits"
+    return m, n
+
+
+def _parse(handle) -> Hypergraph:
+    """Parse the seekable binary stream block by block.
+
+    Each block yields its hyperedges' 0-based ids, weights and sizes, and
+    only those arrays are kept and concatenated. The first error in the
+    order of the checks wins: a non-ASCII byte, a missing or bad header, a
+    wrong count of hyperedge lines, the first line with a bad token (its
+    weight first), then `Hypergraph.from_arrays`' checks. An error of the
+    last kind names its line by reading its block again.
+    """
+    # `fatal` (a bad header or an extra line) outranks every later error
+    # but a non-ASCII byte, which fails at once; a bad token only waits for
+    # the line count.
+    header = fatal = bad_token = last = None
+    line0 = 1  # line number of the block's first line
+    body = 0  # hyperedge lines so far
+    ids, weights, sizes, spans = [], [], [], []
+    for offset, data in _blocks(handle):
+        a = np.frombuffer(data, np.uint8)
+        if a.max() >= 128:
+            raise HgrFormatError(line0 - 1 + _line_of(a, int(np.argmax(a >= 128))), "non-ASCII byte")
+        starts, ends, lead, size, breaks = _content_tokens(a)
+        if len(size) and fatal is None:
+            line_no = _line_numbers(a, line0, starts[lead])
+            first = 0
+            if header is None:
+                header, first = _header(data, starts, ends, size[0]), 1
+                if isinstance(header, str):
+                    fatal = (line_no(0), header)
+            if isinstance(header, tuple):
+                m, k = header[0], len(size) - first
+                if body + k > m:
+                    fatal = (line_no(first + m - body), "unexpected extra line")
+                elif k and bad_token is None:
+                    bad = _read_lines(data, a, starts, ends, lead[first:], size[first:], ids, weights, sizes)
+                    if bad is None:
+                        spans.append((offset, len(data), line0, body, first))
+                    else:
+                        bad_token = (line_no(first + bad[0]), bad[1])
+                body += k
+            last = (line_no, len(size) - 1)
+        line0 += breaks
+    if fatal is not None:
+        raise HgrFormatError(*fatal)
+    if header is None:
+        raise HgrFormatError(1, "missing header line")
+    m, n = header
+    if body < m:
+        raise HgrFormatError(last[0](last[1]), f"expected {m} hyperedge lines, found {body}")
+    if bad_token is not None:
+        raise HgrFormatError(*bad_token)
+    indptr = np.zeros(m + 1, np.int64)
+    np.cumsum(np.concatenate(sizes), out=indptr[1:])
+    del sizes
+    ids, weights = np.concatenate(ids), np.concatenate(weights)
+    try:
+        return Hypergraph._adopt(n, indptr, ids, weights)
+    except HyperedgeError as err:
+        raise HgrFormatError(_edge_line(handle, spans, err.edge), str(err)) from None
+
+
+def _read_lines(data, a, starts, ends, lead, size, ids, weights, sizes):
+    """Append the 0-based ids, the weights and the id counts of a block's
+    hyperedge lines (first tokens `lead`, token counts `size`) to the three
+    lists; or return the position among them of the first line with a bad
+    token and its message, the weight being read first."""
+    id_counts = size - 1
+    is_id = np.ones(len(starts), bool)
+    is_id[lead] = False
+    is_id[:lead[0]] = False
+    block_ids, bad_id = _vertex_ids(data, a, starts[is_id], ends[is_id])
+    tokens = [data[i:j] for i, j in zip(starts[lead].tolist(), ends[lead].tolist())]
+    block_weights, bad_weight = _floats(tokens)
+    bad_line = int(np.searchsorted(np.cumsum(id_counts), bad_id, side="right"))
+    if bad_weight <= bad_line and bad_weight < len(lead):
+        return bad_weight, f"invalid weight {tokens[bad_weight].decode()!r}"
+    if bad_line < len(lead):
+        return bad_line, "invalid vertex id"
+    block_ids -= 1
+    ids.append(block_ids)
+    weights.append(block_weights)
+    sizes.append(id_counts)
+    return None
+
+
+def _edge_line(handle, spans, edge: int) -> int:
+    """Line number of hyperedge `edge`, from its block read again."""
+    offset, length, line0, body0, first = next(span for span in reversed(spans) if span[3] <= edge)
+    handle.seek(offset)
+    a = np.frombuffer(handle.read(length), np.uint8)
+    starts, _, lead, _, _ = _content_tokens(a)
+    return _line_numbers(a, line0, starts[lead])(first + edge - body0)
+
+
 def parse_hypergraph_text(text: str | bytes) -> Hypergraph:
     """Parse file contents, given as str or as bytes; either must be ASCII.
 
@@ -141,73 +290,49 @@ def parse_hypergraph_text(text: str | bytes) -> Hypergraph:
     hyperedge's line.
     """
     data = text.encode("utf-8", "surrogatepass") if isinstance(text, str) else bytes(text)
-    a = np.frombuffer(data, np.uint8)
-    if len(a) and a.max() >= 128:
-        raise HgrFormatError(_line_of(a, int(np.argmax(a >= 128))), "non-ASCII byte")
-    starts, ends, lead, sizes = _content_tokens(a)
-    if len(sizes) == 0:
-        raise HgrFormatError(1, "missing header line")
-    line_start = starts[lead]
-
-    def line_no(line):
-        """Line number of content line `line`; 0 is the header."""
-        return _line_of(a, int(line_start[line]))
-
-    if sizes[0] != 3:
-        raise HgrFormatError(line_no(0), "header must be 'm n 1'")
-    fields = [data[starts[i]:ends[i]] for i in range(3)]
-    try:
-        m, n = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise HgrFormatError(line_no(0), "header counts must be integers") from None
-    if fields[2] != b"1":
-        raise HgrFormatError(line_no(0), "unsupported format flag; expected '1'")
-    if m < 1 or n < 1:
-        raise HgrFormatError(line_no(0), "counts must be positive")
-    if m > _INT64_MAX or n > _INT64_MAX:
-        raise HgrFormatError(line_no(0), "counts must fit in 64 bits")
-
-    body = len(sizes) - 1
-    if body < m:
-        raise HgrFormatError(line_no(body), f"expected {m} hyperedge lines, found {body}")
-    if body > m:
-        raise HgrFormatError(line_no(m + 1), "unexpected extra line")
-
-    # Each hyperedge line is its weight token followed by its id tokens.
-    indptr = np.zeros(m + 1, np.int64)
-    np.cumsum(sizes[1:] - 1, out=indptr[1:])
-    is_id = np.ones(len(starts), bool)
-    is_id[lead] = False
-    is_id[:3] = False
-    ids, bad_id = _vertex_ids(data, a, starts[is_id], ends[is_id])
-    tokens = [data[i:j] for i, j in zip(line_start[1:].tolist(), ends[lead[1:]].tolist())]
-    del starts, ends, is_id
-    weights, bad_weight = _floats(tokens)
-    # The first line with a bad token fails; on it the weight is read first.
-    bad_edge = int(np.searchsorted(indptr, bad_id, side="right")) - 1
-    if bad_weight <= bad_edge and bad_weight < m:
-        raise HgrFormatError(line_no(bad_weight + 1), f"invalid weight {tokens[bad_weight].decode()!r}")
-    if bad_edge < m:
-        raise HgrFormatError(line_no(bad_edge + 1), "invalid vertex id")
-    del tokens
-    try:
-        return Hypergraph.from_arrays(n, indptr, ids - 1, weights)
-    except HyperedgeError as err:
-        raise HgrFormatError(line_no(err.edge + 1), str(err)) from None
+    return _parse(io.BytesIO(data))
 
 
 def parse_hypergraph(path) -> Hypergraph:
+    """Parse the file at `path`, reading it in blocks as `parse_hypergraph_text`
+    parses its contents; a stream that cannot seek is read whole first."""
     with open(path, "rb") as handle:
-        return parse_hypergraph_text(handle.read())
+        return _parse(handle if handle.seekable() else io.BytesIO(handle.read()))
 
 
 def serialize_hypergraph_text(H: Hypergraph) -> str:
-    lines = [f"{H.m} {H.n} 1"]
-    ids = [str(v + 1) for v in H.indices.tolist()]
-    bounds = H.indptr.tolist()
-    for e, w in enumerate(H.weights.tolist()):
-        lines.append(f"{w:.17g} " + " ".join(ids[bounds[e]:bounds[e + 1]]))
-    return "\n".join(lines) + "\n"
+    """The header line, then per hyperedge its weight with 17 significant
+    digits and its 1-based vertex ids, one space apart, each line ending in
+    a newline. format() writes the weights; the ids' digits are laid out in
+    one byte buffer by numpy, one pass per digit position."""
+    head = f"{H.m} {H.n} 1\n".encode()
+    texts = [f"{w:.17g}" for w in H.weights.tolist()]
+    weights = np.frombuffer("".join(texts).encode(), np.uint8)
+    weight_len = np.fromiter(map(len, texts), np.int64, H.m)
+    del texts
+    ids = H.indices + 1
+    digits = np.ones(len(ids), np.int64)
+    power, top = 10, int(ids.max())
+    while power <= top:
+        digits += ids >= power
+        power *= 10
+    # Each id is a space and its digits; pin_end is where its text ends when
+    # the ids alone are written back to back.
+    pin_end = np.cumsum(digits + 1)
+    ends = np.concatenate([[0], pin_end])[H.indptr]
+    line_len = weight_len + np.diff(ends) + 1
+    line_start = len(head) + np.cumsum(line_len) - line_len
+    out = np.empty(len(head) + int(line_len.sum()), np.uint8)
+    out[:len(head)] = np.frombuffer(head, np.uint8)
+    weight_start = np.cumsum(weight_len) - weight_len
+    out[np.arange(len(weights)) + np.repeat(line_start - weight_start, weight_len)] = weights
+    out[line_start + line_len - 1] = 10
+    pin_end += np.repeat(line_start + weight_len - ends[:-1], np.diff(H.indptr))
+    out[pin_end - digits - 1] = 32
+    for j in range(int(digits.max())):
+        live = digits > j
+        out[pin_end[live] - 1 - j] = 48 + ids[live] // 10**j % 10
+    return out.tobytes().decode("ascii")
 
 
 def serialize_hypergraph(H: Hypergraph, path) -> None:

@@ -10,13 +10,18 @@ DENSE_BYTES (`fits_dense`), F is formed by LAPACK Cholesky (`potrf` +
 Connectivity is tracked per component and resistance queries across
 components are hard errors rather than infinities.
 
-A dense Laplacian comes from one bincount over the vertex-pair ids u n + v,
-formed in place (peak about two n x n arrays); parallel edges cost no sort.
+A Laplacian is assembled from a graph's edges, or from a graph given as
+consecutive chunks of edges, by adding each chunk's weights into a table of
+ordered vertex pairs (u, v) with `np.add.at`. Every pair sums its edges in
+edge order whatever the chunking, so the Laplacian does not depend on it.
+The dense table is n x n and becomes L in place (peak about two n x n
+arrays); the sparse one holds the distinct pairs of positive-weight edges.
 
-`edge_resistances(G)` is the one entry point for per-edge resistances, exact
-on both paths: read from F where it fits, and above it from the columns of F
-that a sweep of the sparse LU over the distinct queried vertices solves for.
-The Johnson-Lindenstrauss sketch stays available for approximate queries.
+`edge_resistances(G, L)` is the one entry point for per-edge resistances,
+exact on both paths: read from F where it fits, and above it from the
+columns of F that a sweep of the sparse LU over the vertices of L's pairs
+solves for, once per Laplacian. The Johnson-Lindenstrauss sketch stays
+available for approximate queries.
 """
 
 from __future__ import annotations
@@ -71,19 +76,23 @@ class Laplacian:
     """Positive-semidefinite graph Laplacian with component labeling.
 
     `matrix` is a dense ndarray when `fits_dense(n)`, else a CSR sparse
-    matrix. `grounded` holds one vertex per component. The factor of the
-    grounded Laplacian is computed lazily and cached.
+    matrix. `grounded` holds one vertex per component. `pairs` (sparse path
+    only) holds the sorted ids u n + v of the ordered pairs of the graph's
+    positive-weight edges. The factor of the grounded Laplacian and the
+    resistances across `pairs` are computed lazily and cached.
     """
 
-    __slots__ = ("n", "matrix", "components", "n_components", "grounded", "_factor")
+    __slots__ = ("n", "matrix", "components", "n_components", "grounded", "pairs", "_factor", "_pair_resistances")
 
-    def __init__(self, n, matrix, components, n_components, grounded):
+    def __init__(self, n, matrix, components, n_components, grounded, pairs=None):
         self.n = n
         self.matrix = matrix
         self.components = components
         self.n_components = n_components
         self.grounded = grounded
+        self.pairs = pairs
         self._factor = None
+        self._pair_resistances = None
 
     @property
     def is_dense(self) -> bool:
@@ -140,6 +149,13 @@ class Laplacian:
         X[self.grounded] = 0.0
         return X
 
+    def pair_resistances(self) -> np.ndarray:
+        """Unclamped exact resistance across each of `pairs` (sparse path),
+        from one column sweep of the LU, cached."""
+        if self._pair_resistances is None:
+            self._pair_resistances = _exact_resistances(self, self.pairs // self.n, self.pairs % self.n)
+        return self._pair_resistances
+
     def pseudo_inverse(self) -> np.ndarray:
         """Dense Moore-Penrose inverse: F with per-component means removed
         from its rows and columns. Dense representation only."""
@@ -148,33 +164,47 @@ class Laplacian:
         return _project_out_kernel(self, _project_out_kernel(self, self.factor()).T)
 
 
-def build_laplacian(G: WeightedGraph) -> Laplacian:
+def build_laplacian(G) -> Laplacian:
     """Assemble L = D - A, summing parallel edges, and label components.
+
+    G is a WeightedGraph, or a graph given as chunks: an object with the
+    vertex count `n` that yields its edges as WeightedGraphs on n vertices,
+    in order, each time it is iterated (the sparse path iterates twice).
 
     Components are taken over strictly positive-weight edges: a weight-0 edge
     carries no conductance and does not connect. Each component is grounded
     at its largest-degree vertex (the first on a tie): a heavy cluster left
     ungrounded would lose its light tie to the ground in rounding.
 
-    Dense (`fits_dense`): one bincount over the pair ids u n + v sums the
-    edges, adding the transpose makes the adjacency exactly symmetric, and L
-    is formed in that array; the peak is about 2 n^2 float64 plus O(edges).
-    Sparse: COO -> CSR.
+    Each chunk's weights go into a table of ordered pairs (u, v) by
+    `np.add.at`, so each pair sums its edges in edge order. Dense
+    (`fits_dense`): the table is the n x n array, adding its transpose makes
+    the adjacency exactly symmetric, and L is formed in that array; the peak
+    is about 2 n^2 float64 plus one chunk. Sparse: the table holds the
+    distinct pairs of positive-weight edges, then CSR.
     """
+    chunks = (G,) if isinstance(G, WeightedGraph) else G
     n = G.n
-    dense = fits_dense(n)
-    if dense:
-        # A weight-0 edge adds 0.0; with no edges bincount returns integers.
-        adj = np.bincount(G.u * n + G.v, weights=G.w, minlength=n * n).astype(float, copy=False).reshape(n, n)
+    pairs = None
+    if fits_dense(n):
+        table = np.zeros(n * n)
+        for C in chunks:
+            # A weight-0 edge adds 0.0.
+            np.add.at(table, C.u * n + C.v, C.w)
+        adj = table.reshape(n, n)
         adj += adj.T
         graph = sp.csr_matrix(adj)
     else:
-        support = G.w > 0.0
-        adj = sp.coo_matrix((G.w[support], (G.u[support], G.v[support])), shape=(n, n))
+        pairs = _positive_pairs(n, chunks)
+        table = np.zeros(len(pairs))
+        for C in chunks:
+            support = C.w > 0.0
+            np.add.at(table, np.searchsorted(pairs, C.u[support] * n + C.v[support]), C.w[support])
+        adj = sp.csr_matrix((table, (pairs // n, pairs % n)), shape=(n, n))
         graph = adj = adj + adj.T
     n_components, labels = connected_components(graph, directed=False)
     degrees = np.asarray(adj.sum(axis=1)).ravel()
-    if dense:
+    if pairs is None:
         # 0 - A rather than -A, so entries without an edge stay +0.0.
         matrix = np.subtract(0.0, adj, out=adj)
         matrix.flat[::n + 1] += degrees
@@ -182,7 +212,23 @@ def build_laplacian(G: WeightedGraph) -> Laplacian:
         matrix = (sp.diags(degrees) - adj).tocsr()
     order = np.lexsort((-degrees, labels))
     grounded = order[np.searchsorted(labels[order], np.arange(n_components))]
-    return Laplacian(n, matrix, labels, n_components, grounded)
+    return Laplacian(n, matrix, labels, n_components, grounded, pairs)
+
+
+def _positive_pairs(n: int, chunks) -> np.ndarray:
+    """Sorted distinct ids u n + v of the positive-weight edges of the chunks.
+    The chunks' ids are merged in whenever they outnumber the distinct ids
+    so far, so the peak stays within about twice the distinct count plus a
+    chunk."""
+    merged, pending, size = np.empty(0, dtype=np.int64), [], 0
+    for C in chunks:
+        support = C.w > 0.0
+        pending.append(C.u[support] * n + C.v[support])
+        size += len(pending[-1])
+        if size > len(merged):
+            merged = np.unique(np.concatenate([merged, *pending]))
+            pending, size = [], 0
+    return np.unique(np.concatenate([merged, *pending])) if pending else merged
 
 
 def _project_out_kernel(L: Laplacian, x: np.ndarray) -> np.ndarray:
@@ -258,8 +304,9 @@ def effective_resistance_exact(G: WeightedGraph, a: int, b: int) -> float:
     return float(_exact_resistances(L, *_check_pairs(L.components, [a], [b]))[0])
 
 
-def resistance_table(G: WeightedGraph) -> np.ndarray:
-    """All-pairs exact resistances; inf across components, 0 on the diagonal."""
+def resistance_table(G) -> np.ndarray:
+    """All-pairs exact resistances; inf across components, 0 on the diagonal.
+    G is a WeightedGraph or chunks of one, as `build_laplacian` takes it."""
     L = build_laplacian(G)
     if not L.is_dense:
         raise ValueError("resistance_table requires the dense representation")
@@ -359,16 +406,24 @@ def sketch_resistance_many(S: ResistanceSketch, a, b) -> np.ndarray:
 
 def _support_resistances(G: WeightedGraph, L: Laplacian):
     """G's positive-weight edges and the unclamped exact resistance across
-    each; such an edge is a pair `_check_pairs` accepts, so none is checked."""
+    each in L, which must hold each of them; such an edge is a pair
+    `_check_pairs` accepts, so none is checked. The sparse path looks each
+    edge up among L's pairs."""
     support = G.w > 0.0
-    return support, _exact_resistances(L, G.u[support], G.v[support])
+    if support.all():
+        support = slice(None)  # views rather than copies
+    u, v = G.u[support], G.v[support]
+    if L.is_dense:
+        return support, _exact_resistances(L, u, v)
+    return support, L.pair_resistances()[np.searchsorted(L.pairs, u * L.n + v)]
 
 
-def edge_resistances(G: WeightedGraph) -> np.ndarray:
-    """Exact resistance across each edge of G, from the dense F or the sparse
-    LU's column sweep: clamped at RESISTANCE_FLOOR on positive-weight edges,
-    0 on weight-0 edges."""
-    support, res = _support_resistances(G, build_laplacian(G))
+def edge_resistances(G: WeightedGraph, L: Laplacian | None = None) -> np.ndarray:
+    """Exact resistance across each edge of G in the graph of L (default
+    build_laplacian(G)), whose positive-weight edges must include G's: from
+    the dense F or the sparse LU's column sweep, clamped at RESISTANCE_FLOOR
+    on positive-weight edges, 0 on weight-0 edges."""
+    support, res = _support_resistances(G, build_laplacian(G) if L is None else L)
     out = np.zeros(G.m)
     out[support] = np.maximum(res, RESISTANCE_FLOOR)
     return out

@@ -9,6 +9,13 @@ round) is the cheaper one here. The averaged per-star leverage mass, scaled
 by a factor depending on the rank and the two constant accuracies GRAPH_EPS
 and SKETCH_EPS, upper-bounds the true hyperedge leverage scores of the
 averaged witness graph, while Foster's identity caps the total at O(n).
+
+A run holds one weight per star slot and nothing else per slot. The slots'
+endpoints are read from H's CSR arrays chunk by chunk, a chunk being a run
+of whole hyperedges of about CHUNK_SLOTS slots: each round adds the chunks
+into its Laplacian, factors it once, then sweeps the chunks again to read
+their resistances, add their leverages into the scores and overwrite their
+weights with the next round's.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .core import Hypergraph, UnderlyingGraph, flatten, init_underlying
-from .linalg import DisconnectedError, edge_resistances, resistance_table
+from .core import Hypergraph, UnderlyingGraph, WeightedGraph, flatten, star_slots
+from .linalg import DisconnectedError, build_laplacian, edge_resistances, resistance_table
 
 __all__ = [
     "GRAPH_EPS",
@@ -89,17 +96,14 @@ class OverestimateConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One round's underlying graph and its exact per-slot resistances.
+    """What one round leaves behind: its leverage mass sum over slots of
+    c_f R_f (summed chunk by chunk), the count of dead stars (positive
+    weight, zero leverage mass: the next round splits them uniformly), and
+    the factor that ran ("dense" Cholesky or sparse "lu")."""
 
-    `resistances` aligns with the graph's slot layout; slots of weight 0 were
-    never queried and hold 0.
-    """
-
-    graph: UnderlyingGraph
-    resistances: np.ndarray
-
-    def slot_leverages(self) -> np.ndarray:
-        return self.graph.weights * self.resistances
+    leverage_mass: float
+    dead_stars: int
+    factor: str
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,26 @@ class OverestimateResult:
     @property
     def l1(self) -> float:
         return float(self.scores.sum())
+
+
+# Star slots per chunk of the round loop: its per-slot temporaries then stay
+# within a few MiB.
+CHUNK_SLOTS = 1 << 16
+
+
+def _reweight(masses: np.ndarray, owner: np.ndarray, starts: np.ndarray, weights: np.ndarray) -> tuple:
+    """Next-round weights of whole stars from their slot masses c_f R_f, and
+    the dead-star mask. `owner` maps each slot to its star, `starts` holds
+    each star's first slot and `weights` its hyperedge weight."""
+    star_mass = np.add.reduceat(masses, starts)
+    dead = star_mass <= 0.0
+    safe_mass = np.where(dead, 1.0, star_mass)
+    new_weights = masses * (weights / safe_mass)[owner]
+    if dead.any():
+        slots = np.diff(starts, append=len(masses))
+        uniform = (weights / (slots.astype(float)))[owner]
+        new_weights = np.where(dead[owner], uniform, new_weights)
+    return new_weights, dead
 
 
 def weight_compute(U: UnderlyingGraph, resistances) -> UnderlyingGraph:
@@ -128,45 +152,81 @@ def weight_compute(U: UnderlyingGraph, resistances) -> UnderlyingGraph:
         raise ValueError("resistance table must align with star slots")
     if (res < 0.0).any():
         raise ValueError("negative resistance input")
-
-    H = U.base
-    sizes = U.star_sizes()
-    masses = U.weights * res
-    star_mass = np.add.reduceat(masses, U.offsets[:-1])
-    dead = star_mass <= 0.0
-    safe_mass = np.where(dead, 1.0, star_mass)
-
-    per_slot_target = np.repeat(H.weights / safe_mass, sizes)
-    new_weights = masses * per_slot_target
-    if dead.any():
-        fallback = np.repeat(dead, sizes)
-        uniform = np.repeat(H.weights / (sizes.astype(float)), sizes)
-        new_weights = np.where(fallback, uniform, new_weights)
+    new_weights, _ = _reweight(U.weights * res, U.slot_edges(), U.offsets[:-1], U.base.weights)
     return U.with_weights(new_weights)
+
+
+class _StarChunks:
+    """The star graph of H with slot weights `w`, in hyperedge-aligned chunks
+    of about CHUNK_SLOTS slots. Iterating yields each chunk's graph, as
+    `build_laplacian` takes it; `spans` adds its first hyperedge and the
+    slot owners of `star_slots`. A chunk graph's w is a view into `w`."""
+
+    def __init__(self, H: Hypergraph, w: np.ndarray):
+        self.H, self.n, self.w = H, H.n, w
+        self.offsets = H.indptr - np.arange(H.m + 1)
+        cuts = np.searchsorted(self.offsets, np.arange(CHUNK_SLOTS, len(w), CHUNK_SLOTS))
+        self.bounds = sorted({0, H.m, *cuts.tolist()})
+        # The slots of a graph that is one chunk are read once: they take no
+        # more memory than one chunk's temporaries.
+        self.single = star_slots(H) if len(self.bounds) == 2 else None
+
+    def spans(self):
+        for e0, e1 in zip(self.bounds[:-1], self.bounds[1:]):
+            u, v, owner = self.single or star_slots(self.H, e0, e1)
+            yield e0, e1, owner, WeightedGraph._unchecked(self.n, u, v, self.w[self.offsets[e0]:self.offsets[e1]])
+
+    def __iter__(self):
+        return (G for *_, G in self.spans())
+
+
+def _run_rounds(H: Hypergraph, rounds: int, visit=None) -> tuple:
+    """The reweighting rounds: per-hyperedge sums of the slot leverages over
+    all rounds, and one RoundRecord per round.
+
+    visit(t, e0, G, res), if given, sees each chunk of round t (hyperedges
+    e0.. onward) before its weights are overwritten: G holds the chunk's
+    slots and round-t weights, res their resistances. Its arrays are views
+    that later chunks and rounds reuse; copy what is kept.
+    """
+    slots = np.diff(H.indptr) - 1
+    chunks = _StarChunks(H, np.repeat(H.weights / slots, slots))
+    del slots
+    acc = np.zeros(H.m)
+    records = []
+    for t in range(rounds):
+        L = build_laplacian(chunks)
+        mass, dead_stars = 0.0, 0
+        for e0, e1, owner, G in chunks.spans():
+            res = edge_resistances(G, L)
+            masses = G.w * res
+            np.add.at(acc[e0:e1], owner, masses)
+            if visit is not None:
+                visit(t, e0, G, res)
+            weights = H.weights[e0:e1]
+            new_weights, dead = _reweight(masses, owner, chunks.offsets[e0:e1] - chunks.offsets[e0], weights)
+            if t + 1 < rounds:
+                G.w[:] = new_weights
+            mass += float(masses.sum())
+            dead_stars += int(np.count_nonzero(dead & (weights > 0.0)))
+        records.append(RoundRecord(mass, dead_stars, "dense" if L.is_dense else "lu"))
+        # Free L's matrix and factor before the next round's table is built.
+        del L
+    return acc, records
 
 
 def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig) -> OverestimateResult:
     """Run the iterative reweighting and aggregate per-hyperedge scores.
 
-    Round 1 starts from the uniform star initialization; round t takes exact
-    resistances across every slot of the current graph U_t through
-    `edge_resistances(flatten(U_t))` (one factorization of U_t), records slot
-    leverages w_t(f) * R(f), and reassigns weights for round t + 1. The final
-    score of hyperedge e is scale * (1 / T) * sum over rounds and star slots
-    of the recorded leverages, and the total mass is asserted against
-    (1 + SKETCH_EPS) * scale * n.
+    Round 1 starts from the uniform star initialization (that of
+    `init_underlying`); round t takes exact resistances across every slot of
+    the current graph U_t (one factorization of U_t), adds the slot
+    leverages w_t(f) * R(f) into its hyperedge's score in slot order, and
+    reassigns weights for round t + 1. The final score of hyperedge e is
+    scale * (1 / T) * sum over rounds and star slots of those leverages, and
+    the total mass is asserted against (1 + SKETCH_EPS) * scale * n.
     """
-    U = init_underlying(H)
-    slot_edges = U.slot_edges()
-    acc = np.zeros(H.m)
-    rounds: list[RoundRecord] = []
-    for _ in range(cfg.rounds):
-        res = edge_resistances(flatten(U))
-        record = RoundRecord(U, res)
-        rounds.append(record)
-        np.add.at(acc, slot_edges, record.slot_leverages())
-        U = weight_compute(U, res)
-
+    acc, rounds = _run_rounds(H, cfg.rounds)
     scale = cfg.scale(H.rank)
     scores = scale * acc / cfg.rounds
     bound = cfg.mass_bound(H.n, H.rank)
@@ -246,17 +306,24 @@ def validate_overestimate(H: Hypergraph, result: OverestimateResult) -> Overesti
     """Check the two overestimate conditions against the averaged witness.
 
     The witness weights average the per-round graph weights label-wise; each
-    round's stars sum to w_e, so the averaged stars do too. Violations list
-    (hyperedge, score, required leverage); the l1 mass is compared against
-    the asserted bound and its doubled variant.
+    round's stars sum to w_e, so the averaged stars do too. The result keeps
+    no per-slot weights, so its rounds are run again on H, chunk by chunk,
+    to sum them. Violations list (hyperedge, score, required leverage); the
+    l1 mass is compared against the asserted bound and its doubled variant.
     """
     if not result.rounds:
         raise ValueError("result carries no round data")
-    template = result.rounds[0].graph
-    witness = template.with_weights(np.mean([rec.graph.weights for rec in result.rounds], axis=0))
+    witness = np.zeros(len(H.indices) - H.m)
+    offsets = H.indptr - np.arange(H.m + 1)
+
+    def add(t, e0, G, res):
+        witness[offsets[e0]:offsets[e0] + G.m] += G.w
+
+    _run_rounds(H, len(result.rounds), add)
+    witness /= len(result.rounds)
     positive = H.weights > 0.0
 
-    table = resistance_table(flatten(witness))
+    table = resistance_table(_StarChunks(H, witness))
     required = _leverages_from_table(H, table)
 
     shortfall = required - result.scores

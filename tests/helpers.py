@@ -12,7 +12,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from hypersparse import linalg
+from hypersparse import linalg, overestimate
 from hypersparse.apps import lawler_reduction, max_flow
 from hypersparse.core import HyperedgeError, Hypergraph, UnderlyingGraph, WeightedGraph, init_underlying
 from hypersparse.hgio import HgrFormatError
@@ -115,6 +115,16 @@ def loop_parse_hypergraph_text(text: str) -> Hypergraph:
         return Hypergraph.from_arrays(n, indptr, np.array(ids, dtype=np.int64) - 1, weights)
     except HyperedgeError as err:
         raise HgrFormatError(body[err.edge][0], str(err)) from None
+
+
+def loop_serialize_hypergraph_text(H: Hypergraph) -> str:
+    """The .hgr text built one hyperedge line at a time with str.join."""
+    lines = [f"{H.m} {H.n} 1"]
+    ids = [str(v + 1) for v in H.indices.tolist()]
+    bounds = H.indptr.tolist()
+    for e, w in enumerate(H.weights.tolist()):
+        lines.append(f"{w:.17g} " + " ".join(ids[bounds[e]:bounds[e + 1]]))
+    return "\n".join(lines) + "\n"
 
 
 def search_sample_counts(scores, count, seed) -> np.ndarray:
@@ -283,6 +293,30 @@ def copying_overestimate(H: Hypergraph, cfg):
     return cfg.scale(H.rank) * acc / cfg.rounds, rounds
 
 
+def round_slots(H: Hypergraph, rounds: int) -> list:
+    """Each round's slot weights and resistances, in slot order, as
+    (weights, resistances) pairs: the overestimate's own round loop, run
+    with a per-chunk callback that copies them out."""
+    slots = len(H.indices) - H.m
+    out = [(np.full(slots, np.nan), np.full(slots, np.nan)) for _ in range(rounds)]
+    offsets = H.indptr - np.arange(H.m + 1)
+
+    def visit(t, e0, G, res):
+        weights, resistances = out[t]
+        weights[offsets[e0]:offsets[e0] + G.m] = G.w
+        resistances[offsets[e0]:offsets[e0] + G.m] = res
+
+    overestimate._run_rounds(H, rounds, visit)
+    assert not any(np.isnan(a).any() for pair in out for a in pair), "a slot was not visited"
+    return out
+
+
+def round_graphs(H: Hypergraph, rounds: int) -> list:
+    """Each round's underlying graph, rebuilt from `round_slots`."""
+    U = init_underlying(H)
+    return [U.with_weights(weights) for weights, _ in round_slots(H, rounds)]
+
+
 def loop_project_out_kernel(labels, n_components, x) -> np.ndarray:
     out = np.asarray(x, dtype=float).copy()
     for c in range(n_components):
@@ -338,6 +372,16 @@ def random_hypergraph(
         if not connected or _vertices_connected(H):
             return H
     raise RuntimeError("could not draw a connected instance")
+
+
+def wide_instance(m, n=30, seed=11) -> Hypergraph:
+    """m hyperedges of sizes 2-6 on distinct uniform vertices, weights
+    uniform in [0.5, 2): the shape of the benchmark's wide instance."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(2, 7, m)
+    order = np.argsort(rng.random((m, n)), axis=1)
+    keep = np.arange(n) < sizes[:, None]
+    return Hypergraph.from_arrays(n, np.concatenate([[0], np.cumsum(sizes)]), order[keep], rng.uniform(0.5, 2.0, m))
 
 
 def random_weighted_graph(seed, n, m, w_lo=0.5, w_hi=2.0, connected=True):

@@ -43,6 +43,7 @@ from helpers import (
     pencil_relative_eigs,
     random_hypergraph,
     random_weighted_graph,
+    round_graphs,
 )
 
 
@@ -133,9 +134,11 @@ def test_criterion_04_foster_bound_everywhere():
     for seed in range(3):
         H = random_hypergraph(30_000 + seed, n=12, m=100, rank=5)
         result = compute_overestimate(H, OverestimateConfig(rounds=3, seed=seed))
-        for rec in result.rounds:
+        graphs = round_graphs(H, len(result.rounds))
+        for rec, U in zip(result.rounds, graphs, strict=True):
             total_rounds += 1
-            if not foster_check(rec.graph):
+            cap = H.n - build_laplacian(flatten(U)).n_components + 1e-9
+            if not foster_check(U) or rec.leverage_mass > cap:
                 bad_rounds += 1
     report(
         "criterion 4: resistance mass capped by n - #components",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from helpers import (
     loop_init_underlying,
     random_hypergraph,
     weight_map,
+    wide_instance,
 )
 
 
@@ -191,6 +194,14 @@ class TestWithWeights:
         np.testing.assert_array_equal(U.weights, init_underlying(U.base).weights)
         assert not V.weights.flags.writeable
 
+    def test_copies_the_callers_array(self):
+        U = init_underlying(Hypergraph(4, [((0, 1, 2), 1.0), ((2, 3), 1.0)]))
+        w = np.ones(U.slot_count)
+        V = U.with_weights(w)
+        assert w.flags.writeable and not np.shares_memory(w, V.weights)
+        w[0] = 2.0
+        assert V.weights[0] == 1.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_rejects_bad_weights(self, bad):
         U = init_underlying(Hypergraph(4, [((0, 1, 2), 1.0), ((2, 3), 1.0)]))
@@ -326,6 +337,32 @@ class TestCsrLayout:
         for arr in (H.indptr, H.indices, H.weights):
             with pytest.raises(ValueError):
                 arr[0] = 0
+
+    def test_steps_across_hyperedges_may_fall_or_tie(self):
+        indptr, indices = [0, 2, 4, 6, 8], [3, 5, 5, 7, 0, 1, 1, 2]
+        H = Hypergraph.from_arrays(8, indptr, indices, [1.0] * 4)
+        np.testing.assert_array_equal(H.indices, indices)
+        with pytest.raises(HyperedgeError) as err:
+            Hypergraph.from_arrays(8, indptr, [3, 5, 5, 7, 0, 1, 2, 2], [1.0] * 4)
+        assert err.value.edge == 3
+        with pytest.raises(HyperedgeError) as err:
+            Hypergraph.from_arrays(8, indptr, [3, 5, 7, 7, 1, 0, 1, 2], [1.0] * 4)
+        assert err.value.edge == 1
+
+    def test_sorted_input_peak_beside_the_copies(self):
+        # The sortedness check is one boolean per pin: no int64 hyperedge
+        # id per pin, no difference array.
+        W = wide_instance(20_000, seed=6)
+        indptr, indices, weights = W.indptr.copy(), W.indices.copy(), W.weights.copy()
+        tracemalloc.start()
+        try:
+            H = Hypergraph.from_arrays(W.n, indptr, indices, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(H.indices, indices)
+        copies = H.indptr.nbytes + H.indices.nbytes + H.weights.nbytes
+        assert peak - copies <= 8 * len(indices)
 
     def test_unequal_objects(self):
         H = Hypergraph(3, [((0, 1), 1.0)])

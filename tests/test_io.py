@@ -1,3 +1,6 @@
+import io
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypersparse.hgio import (
     serialize_hypergraph_text,
 )
 
-from helpers import loop_parse_hypergraph_text
+from helpers import loop_parse_hypergraph_text, loop_serialize_hypergraph_text, wide_instance
 
 
 SAMPLE = "2 3 1\n1.5 1 2 3\n2 1 2\n"
@@ -204,6 +207,28 @@ def test_peak_memory_of_a_wide_file(tmp_path):
     assert peak <= 16 * size
 
 
+def test_parse_peak_grows_by_at_most_32_bytes_per_pin(tmp_path):
+    # Blocks' temporaries stay the same from m to 2m; what grows is the
+    # blocks' id, weight and size arrays, their concatenation and the
+    # constructor's checks beside the result.
+    grown = []
+    for m in (50_000, 100_000):
+        H = wide_instance(m, seed=5)
+        path = tmp_path / f"{m}.hgr"
+        serialize_hypergraph(H, path)
+        assert path.stat().st_size > hgio.PARSE_BLOCK_BYTES
+        tracemalloc.start()
+        try:
+            parsed = parse_hypergraph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == H
+        grown.append((len(H.indices), peak - parsed.indices.nbytes - parsed.indptr.nbytes - parsed.weights.nbytes))
+    (pins, above), (pins2, above2) = grown
+    assert above2 - above <= 32 * (pins2 - pins)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(2, 7),
@@ -291,3 +316,86 @@ def test_parser_matches_line_loop(document):
     expected = parse_outcome(loop_parse_hypergraph_text, document)
     assert parse_outcome(parse_hypergraph_text, document) == expected
     assert parse_outcome(parse_hypergraph_text, document.encode("ascii")) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_serializer_matches_line_loop(seed):
+    # Ids of every digit count up to int64, and weights that format() writes
+    # in every style: zero, subnormal, huge, and 17 significant digits.
+    rng = np.random.default_rng(seed)
+    for n in (2, 9, 10, 11, 99, 100, 1001, 123_456_789, 10**18, 2**63 - 1):
+        edges = []
+        for _ in range(int(rng.integers(1, 7))):
+            vs = {0, n - 1} | {int(v) for v in rng.integers(0, n, int(rng.integers(0, 5)))}
+            edges.append((sorted(vs), float(rng.choice([0.0, 5e-324, 1e-300, 1.5, 1 / 3, 1e300, 2.0**60]))))
+        H = Hypergraph(n, edges)
+        assert serialize_hypergraph_text(H) == loop_serialize_hypergraph_text(H)
+        assert parse_hypergraph_text(serialize_hypergraph_text(H)) == H
+
+
+class TestBlocks:
+    """Blocks of a few bytes: every line and \\r\\n pair stays whole, and the
+    parse and its errors are those of the line loop."""
+
+    @pytest.mark.parametrize("data", [b"", b"a", b"a\r", b"a\r\nb", b"\r\r\n\n", b"1 2\x0b3\x1c\r\n4 5\r", b"ab" * 9])
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 20])
+    def test_blocks_end_on_whole_line_breaks(self, monkeypatch, data, block):
+        monkeypatch.setattr(hgio, "PARSE_BLOCK_BYTES", block)
+        blocks = list(hgio._blocks(io.BytesIO(data)))
+        assert b"".join(b for _, b in blocks) == data
+        lengths = [len(b) for _, b in blocks]
+        assert [offset for offset, _ in blocks] == np.cumsum([0] + lengths)[:-1].tolist()
+        for (_, b), (_, after) in zip(blocks, blocks[1:]):
+            assert b[-1] in b"\n\r\x0b\x0c\x1c\x1d\x1e"
+            assert not (b.endswith(b"\r") and after.startswith(b"\n"))
+
+    DOCUMENTS = [
+        "% lead\r\n3 4 1\r\n1 1 2\r\n% mid\r\n\r\n2 2 3 4\r\n0.5 4 1\r\n",
+        "3 4 1\n1 1 2\n2 2 3\n0.5 4 3 3\n",  # repeated vertex on line 4
+        "3 4 1\r\n1 1 2\r\n%c\r\n2 2 5\r\n1 1 3\r\n",  # vertex out of range on line 4
+        "3 4 1\n1 1 2\n% x\nbad 2 3\n1 1 z\n",  # bad weight on line 4, bad id on line 5
+        "3 4 1\n1 1 2\n2 2 3\n1 1 z\n1 3 4\n",  # extra line 5 beats the bad id on line 4
+        "4 4 1\n1 1 2\n% x\n2 2 3\nbad 1 3\n",  # missing line: line 4 (its last content line)
+        "3 4\n1 1 2\n% x\n1 3 4\n",  # bad header
+        "2 4 1\n1 1 2\r\r\n1 3\n",  # singleton on line 4, after a lone \r
+    ]
+
+    @pytest.mark.parametrize("text", DOCUMENTS)
+    def test_every_block_size_matches_line_loop(self, monkeypatch, tmp_path, text):
+        expected = parse_outcome(loop_parse_hypergraph_text, text)
+        path = tmp_path / "doc.hgr"
+        path.write_bytes(text.encode())
+        for block in range(1, len(text) + 2):
+            monkeypatch.setattr(hgio, "PARSE_BLOCK_BYTES", block)
+            assert parse_outcome(parse_hypergraph_text, text) == expected, block
+            assert parse_outcome(parse_hypergraph, path) == expected, block
+
+    def test_stream_that_cannot_seek_names_the_line(self, tmp_path):
+        fifo = tmp_path / "in.hgr"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("2 3 1\n1 1 2\n% x\n1 2 2\n",))
+        writer.start()
+        try:
+            with pytest.raises(HgrFormatError, match="repeats a vertex") as err:
+                parse_hypergraph(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert err.value.line_no == 4
+
+    def test_non_ascii_byte_beats_an_earlier_error(self, monkeypatch):
+        text = b"3 4\n1 1 2\n% caf\xc3\xa9\n1 3 4\n"
+        for block in (1, 4, 9, 1 << 20):
+            monkeypatch.setattr(hgio, "PARSE_BLOCK_BYTES", block)
+            with pytest.raises(HgrFormatError, match="non-ASCII") as err:
+                parse_hypergraph_text(text)
+            assert err.value.line_no == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(hgr_documents(), st.sampled_from([1, 2, 3, 5, 8, 21, 64]))
+    def test_random_documents_match_line_loop(self, document, block):
+        expected = parse_outcome(loop_parse_hypergraph_text, document)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hgio, "PARSE_BLOCK_BYTES", block)
+            assert parse_outcome(parse_hypergraph_text, document) == expected
+            assert parse_outcome(parse_hypergraph_text, document.encode("ascii")) == expected

@@ -26,6 +26,9 @@ from helpers import (
     loop_leverages_from_table,
     loop_violations,
     random_hypergraph,
+    round_graphs,
+    round_slots,
+    wide_instance,
 )
 
 
@@ -129,15 +132,36 @@ class TestComputeOverestimate:
         cfg = OverestimateConfig(rounds=3, seed=1)
         res = compute_overestimate(H, cfg)
         assert len(res.rounds) == 3
-        for rec in res.rounds:
-            assert rec.resistances.shape == rec.graph.weights.shape
+        slots = round_slots(H, 3)
+        for rec, (weights, resistances) in zip(res.rounds, slots, strict=True):
+            assert weights.shape == resistances.shape == (len(H.indices) - H.m,)
+            assert rec.factor == "dense"
+            assert rec.dead_stars == 0
+            # Foster's identity on the connected round graph.
+            assert rec.leverage_mass == pytest.approx(H.n - 1, rel=1e-9)
+            assert rec.leverage_mass == pytest.approx(float(weights @ resistances), rel=1e-12)
+
+    def test_records_count_dead_stars_and_name_the_factor(self, monkeypatch):
+        # The smallest subnormal weight halves to 0.0 on each of hyperedge 0's
+        # two slots, so its star is dead in every round, and the uniform
+        # fallback keeps it so. The zero-weight star of hyperedge 2 has
+        # nothing to split and is not counted.
+        H = Hypergraph(4, [((0, 1, 2), 5e-324), ((0, 1), 1.0), ((1, 2, 3), 0.0), ((2, 3), 2.0), ((1, 3), 1.0)])
+        res = compute_overestimate(H, OverestimateConfig(rounds=2))
+        assert [(rec.dead_stars, rec.factor) for rec in res.rounds] == [(1, "dense")] * 2
+        assert res.scores[0] == 0.0
+        monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        lu = compute_overestimate(H, OverestimateConfig(rounds=2))
+        assert [(rec.dead_stars, rec.factor) for rec in lu.rounds] == [(1, "lu")] * 2
+        for a, b in zip(res.rounds, lu.rounds, strict=True):
+            assert b.leverage_mass == pytest.approx(a.leverage_mass, rel=1e-12)
+            assert a.leverage_mass == pytest.approx(H.n - 1, rel=1e-12)
 
     def test_star_weight_ratio_capped_by_rank(self):
         H = random_hypergraph(33, n=10, m=25, rank=5)
-        cfg = OverestimateConfig(rounds=3, exact=True)
-        res = compute_overestimate(H, cfg)
         initial = init_underlying(H)
-        final = weight_compute(res.rounds[-1].graph, res.rounds[-1].resistances)
+        weights, resistances = round_slots(H, 3)[-1]
+        final = weight_compute(initial.with_weights(weights), resistances)
         live = initial.weights > 0
         ratio = final.weights[live] / initial.weights[live]
         assert ratio.max() <= H.rank * (1.0 + 1e-9)
@@ -179,9 +203,7 @@ class TestRoundGraph:
             a = compute_overestimate(H, OverestimateConfig(rounds=3, seed=seed))
             b = compute_overestimate(H, OverestimateConfig(rounds=3, seed=seed, exact=True))
             np.testing.assert_array_equal(a.scores, b.scores)
-            for ra, rb in zip(a.rounds, b.rounds, strict=True):
-                np.testing.assert_array_equal(ra.resistances, rb.resistances)
-                np.testing.assert_array_equal(ra.graph.weights, rb.graph.weights)
+            assert a.rounds == b.rounds
 
     def test_one_factorization_per_round_on_dense_path(self, monkeypatch):
         calls = []
@@ -199,9 +221,13 @@ class TestRoundGraph:
                 patch.setattr(linalg, "DENSE_BYTES", 0)
                 got = compute_overestimate(H, OverestimateConfig(rounds=3))
             np.testing.assert_allclose(got.scores, want.scores, rtol=1e-12, atol=0.0)
-            for rg, rw in zip(got.rounds, want.rounds, strict=True):
-                np.testing.assert_allclose(rg.resistances, rw.resistances, rtol=1e-12, atol=0.0)
+            want_slots = round_slots(H, 3)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "DENSE_BYTES", 0)
+                got_slots = round_slots(H, 3)
             assert validate_overestimate(H, got).ok
+            for (_, rg), (_, rw) in zip(got_slots, want_slots, strict=True):
+                np.testing.assert_allclose(rg, rw, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("lu", [False, True], ids=["dense", "lu"])
     def test_default_sparsify_never_sketches_or_draws(self, monkeypatch, lu):
@@ -238,7 +264,9 @@ class TestRoundGraph:
 
 
 class TestSharedStarGraph:
-    """Rounds query the one star graph that init_underlying built."""
+    """Rounds share one star graph: its slots are read from H chunk by chunk
+    and only one weight per slot is held. The result is that of the copying
+    loop at any chunk size."""
 
     @pytest.mark.parametrize("lu", [False, True], ids=["dense", "lu"])
     def test_matches_copying_loop(self, monkeypatch, lu):
@@ -246,25 +274,63 @@ class TestSharedStarGraph:
             monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
         for H in _round_instances() + [random_hypergraph(47, n=30, m=300, rank=6)]:
             cfg = OverestimateConfig(rounds=default_rounds(H.rank))
-            got = compute_overestimate(H, cfg)
             scores, rounds = copying_overestimate(H, cfg)
-            np.testing.assert_array_equal(got.scores, scores)
-            for rec, (res, weights) in zip(got.rounds, rounds, strict=True):
-                np.testing.assert_array_equal(rec.resistances, res)
-                np.testing.assert_array_equal(rec.graph.weights, weights)
+            for chunk in (overestimate.CHUNK_SLOTS, 1, 2, 3, 7, 64):
+                with monkeypatch.context() as patch:
+                    patch.setattr(overestimate, "CHUNK_SLOTS", chunk)
+                    got = compute_overestimate(H, cfg)
+                    slots = round_slots(H, cfg.rounds)
+                np.testing.assert_array_equal(got.scores, scores)
+                for (weights, res), (want_res, want_weights) in zip(slots, rounds, strict=True):
+                    np.testing.assert_array_equal(res, want_res)
+                    np.testing.assert_array_equal(weights, want_weights)
 
-    def test_rounds_share_the_edge_arrays(self):
+    def test_chunks_are_whole_hyperedges(self, monkeypatch):
         H = random_hypergraph(48, n=12, m=40, rank=5)
-        first, *later = compute_overestimate(H, OverestimateConfig(rounds=3)).rounds
-        for rec in later:
-            assert rec.graph.graph.u is first.graph.graph.u
-            assert rec.graph.graph.v is first.graph.graph.v
+        monkeypatch.setattr(overestimate, "CHUNK_SLOTS", 5)
+        w = np.zeros(len(H.indices) - H.m)
+        chunks = overestimate._StarChunks(H, w)
+        starts = [e0 for e0, *_ in chunks.spans()]
+        assert starts == chunks.bounds[:-1] and chunks.bounds[-1] == H.m
+        seen = 0
+        for e0, e1, owner, G in chunks.spans():
+            assert 0 < G.m < 5 + H.rank - 1
+            np.testing.assert_array_equal(np.bincount(owner, minlength=e1 - e0), np.diff(H.indptr[e0:e1 + 1]) - 1)
+            assert np.shares_memory(G.w, w)
+            seen += G.m
+        assert seen == len(w)
+
+    @staticmethod
+    def _traced_run(m):
+        """Slot count, traced peak and memory left allocated (the result) of
+        one default overestimate on a wide n = 30 instance with m hyperedges."""
+        H = wide_instance(m)
+        cfg = OverestimateConfig(rounds=3)
+        compute_overestimate(H, cfg)
+        tracemalloc.start()
+        try:
+            result = compute_overestimate(H, cfg)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.rounds) == 3
+        return len(H.indices) - H.m, peak, retained
+
+    def test_memory_growth_from_m_to_2m(self):
+        # Both sizes exceed a chunk, so the chunks' temporaries are the same;
+        # what grows is one weight per slot and a few values per hyperedge
+        # (about 15 B per slot), and the result keeps only the scores.
+        slots, peak, retained = self._traced_run(50_000)
+        slots2, peak2, retained2 = self._traced_run(100_000)
+        assert min(slots, slots2 - slots) > overestimate.CHUNK_SLOTS
+        assert peak2 - peak <= 32 * (slots2 - slots)
+        assert retained2 - retained <= 16 * 50_000
 
     def test_peak_memory_per_slot(self):
-        # Per slot each round keeps its weights and resistances (16 B), beside
-        # the shared u and v and the slot owners (24 B), and one query's
-        # temporaries come on top: about 113 B. The bound sits below the
-        # 145 B that a copy of u, v and w per round reaches.
+        # A run holds one weight per slot (8 B) and a few values per
+        # hyperedge; one chunk's temporaries come on top, which at 15k slots
+        # is most of the peak. The bound sits below the 145 B that a copy of
+        # u, v and w per round reaches.
         rng = np.random.default_rng(11)
         n, m = 30, 5000
         sizes = rng.integers(2, 7, m)
@@ -336,8 +402,8 @@ class TestLeverageExact:
 
 def assert_witness_star_sums_exact(H, res):
     """The label-wise average of the round graphs is the witness; its stars sum to w_e."""
-    mean = np.mean([rec.graph.weights for rec in res.rounds], axis=0)
-    np.testing.assert_allclose(res.rounds[0].graph.with_weights(mean).star_sums(), H.weights, rtol=1e-12)
+    mean = np.mean([U.weights for U in round_graphs(H, len(res.rounds))], axis=0)
+    np.testing.assert_allclose(init_underlying(H).with_weights(mean).star_sums(), H.weights, rtol=1e-12)
 
 
 class TestValidateOverestimate:

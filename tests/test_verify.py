@@ -19,6 +19,7 @@ from helpers import (
     loop_cut_values,
     loop_edge_bits,
     random_hypergraph,
+    round_graphs,
 )
 
 
@@ -288,5 +289,7 @@ class TestFosterCheck:
     def test_every_pipeline_round_passes(self):
         H = random_hypergraph(95, n=10, m=35, rank=4)
         res = compute_overestimate(H, OverestimateConfig(rounds=3, seed=5))
-        for rec in res.rounds:
-            assert foster_check(rec.graph)
+        graphs = round_graphs(H, len(res.rounds))
+        assert len(graphs) == 3
+        for U in graphs:
+            assert foster_check(U)
