@@ -10,18 +10,17 @@ DENSE_BYTES (`fits_dense`), F is formed by LAPACK Cholesky (`potrf` +
 Connectivity is tracked per component and resistance queries across
 components are hard errors rather than infinities.
 
-A Laplacian is assembled from a graph's edges, or from a graph given as
-consecutive chunks of edges, by adding each chunk's weights into a table of
-ordered vertex pairs (u, v) with `np.add.at`. Every pair sums its edges in
-edge order whatever the chunking, so the Laplacian does not depend on it.
-The dense table is n x n and becomes L in place (peak about two n x n
-arrays); the sparse one holds the distinct pairs of positive-weight edges.
+`pair_table` adds a graph's edge weights (or a chunked graph's) into a table
+of ordered vertex pairs (u, v) with `np.add.at`, so every pair sums its edges
+in edge order whatever the chunking, and `laplacian_from_table` makes L of
+it: the dense table is n x n and becomes L in place; the sparse one holds
+the distinct pairs of positive-weight edges.
 
 `edge_resistances(G, L)` is the one entry point for per-edge resistances,
-exact on both paths: read from F where it fits, and above it from the
-columns of F that a sweep of the sparse LU over the vertices of L's pairs
-solves for, once per Laplacian. The Johnson-Lindenstrauss sketch stays
-available for approximate queries.
+exact on both paths: read from `Laplacian.pair_resistances`, the resistances
+across all of L's pairs, from F where it fits and above it from one sweep
+of the sparse LU over the vertices of L's pairs. The Johnson-Lindenstrauss
+sketch stays available for approximate queries.
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ class Laplacian:
 
     `matrix` is a dense ndarray when `fits_dense(n)`, else a CSR sparse
     matrix. `grounded` holds one vertex per component. `pairs` (sparse path
-    only) holds the sorted ids u n + v of the ordered pairs of the graph's
-    positive-weight edges. The factor of the grounded Laplacian and the
-    resistances across `pairs` are computed lazily and cached.
+    only) holds the sorted ids u n + v of its table's ordered pairs. The
+    factor of the grounded Laplacian and the resistances across L's pairs
+    are computed lazily and cached.
     """
 
     __slots__ = ("n", "matrix", "components", "n_components", "grounded", "pairs", "_factor", "_pair_resistances")
@@ -150,9 +149,19 @@ class Laplacian:
         return X
 
     def pair_resistances(self) -> np.ndarray:
-        """Unclamped exact resistance across each of `pairs` (sparse path),
-        from one column sweep of the LU, cached."""
-        if self._pair_resistances is None:
+        """Unclamped exact resistance across each of L's pairs, cached: dense,
+        d_u + d_v - 2 F_uv at u n + v for every ordered pair (in blocks of
+        n / 16 rows, at least 64, so that beside L and F only the table is
+        n x n); sparse, across each of `pairs`, from one sweep of the LU."""
+        if self._pair_resistances is None and self.is_dense:
+            F = self.factor()
+            d = F.diagonal()
+            R = np.empty((self.n, self.n))
+            rows = max(64, self.n // 16)
+            for i in range(0, self.n, rows):
+                np.subtract(np.add.outer(d[i:i + rows], d), 2.0 * F[i:i + rows], out=R[i:i + rows])
+            self._pair_resistances = R.ravel()
+        elif self._pair_resistances is None:
             self._pair_resistances = _exact_resistances(self, self.pairs // self.n, self.pairs % self.n)
         return self._pair_resistances
 
@@ -165,42 +174,54 @@ class Laplacian:
 
 
 def build_laplacian(G) -> Laplacian:
-    """Assemble L = D - A, summing parallel edges, and label components.
+    """Assemble L = D - A, summing parallel edges, and label components: the
+    `laplacian_from_table` of G's `pair_table`. G is a WeightedGraph, or
+    chunks: an object with the vertex count `n` that yields its edges as
+    WeightedGraphs on n vertices, in order, each time it is iterated."""
+    return laplacian_from_table(G.n, *pair_table(G))
 
-    G is a WeightedGraph, or a graph given as chunks: an object with the
-    vertex count `n` that yields its edges as WeightedGraphs on n vertices,
-    in order, each time it is iterated (the sparse path iterates twice).
 
-    Components are taken over strictly positive-weight edges: a weight-0 edge
-    carries no conductance and does not connect. Each component is grounded
-    at its largest-degree vertex (the first on a tie): a heavy cluster left
-    ungrounded would lose its light tie to the ground in rounding.
+def edge_pairs(G: WeightedGraph, pairs=None) -> tuple:
+    """G's positive-weight edges (a mask, or a slice when all are positive)
+    and the index of each in a pair table: u n + v (dense, pairs None), or
+    its position among the sorted `pairs`, which must hold it."""
+    support = G.w > 0.0
+    if support.all():
+        support = slice(None)
+    keys = G.u[support] * G.n + G.v[support]
+    return support, keys if pairs is None else np.searchsorted(pairs, keys)
 
-    Each chunk's weights go into a table of ordered pairs (u, v) by
-    `np.add.at`, so each pair sums its edges in edge order. Dense
-    (`fits_dense`): the table is the n x n array, adding its transpose makes
-    the adjacency exactly symmetric, and L is formed in that array; the peak
-    is about 2 n^2 float64 plus one chunk. Sparse: the table holds the
-    distinct pairs of positive-weight edges, then CSR.
-    """
+
+def pair_table(G) -> tuple:
+    """(table, pairs): the positive weights of G (as `build_laplacian` takes
+    it) summed per ordered vertex pair in edge order. Dense (`fits_dense`):
+    pairs is None and the table has n^2 entries. Sparse: pairs holds the
+    sorted distinct ids of the positive-weight edges, from a pass of its own."""
     chunks = (G,) if isinstance(G, WeightedGraph) else G
     n = G.n
-    pairs = None
-    if fits_dense(n):
-        table = np.zeros(n * n)
-        for C in chunks:
-            # A weight-0 edge adds 0.0.
-            np.add.at(table, C.u * n + C.v, C.w)
+    pairs = None if fits_dense(n) else _positive_pairs(n, chunks)
+    table = np.zeros(n * n if pairs is None else len(pairs))
+    for C in chunks:
+        support, ids = edge_pairs(C, pairs)
+        np.add.at(table, ids, C.w[support])
+    return table, pairs
+
+
+def laplacian_from_table(n: int, table: np.ndarray, pairs=None) -> Laplacian:
+    """The Laplacian of a `pair_table`. A dense table becomes L in place:
+    adding its transpose makes the adjacency exactly symmetric (peak about
+    2 n^2 float64); a sparse one goes to CSR. A pair of weight 0 (a weight-0
+    edge, or an overestimate slot whose weight underflowed) connects nothing.
+    Each component is grounded at its largest-degree vertex (the first on a
+    tie): a heavy cluster left ungrounded would lose its light tie to the
+    ground in rounding."""
+    if pairs is None:
         adj = table.reshape(n, n)
         adj += adj.T
         graph = sp.csr_matrix(adj)
     else:
-        pairs = _positive_pairs(n, chunks)
-        table = np.zeros(len(pairs))
-        for C in chunks:
-            support = C.w > 0.0
-            np.add.at(table, np.searchsorted(pairs, C.u[support] * n + C.v[support]), C.w[support])
         adj = sp.csr_matrix((table, (pairs // n, pairs % n)), shape=(n, n))
+        # The sum keeps no zero entries, so a pair of weight 0 connects nothing.
         graph = adj = adj + adj.T
     n_components, labels = connected_components(graph, directed=False)
     degrees = np.asarray(adj.sum(axis=1)).ravel()
@@ -222,8 +243,7 @@ def _positive_pairs(n: int, chunks) -> np.ndarray:
     chunk."""
     merged, pending, size = np.empty(0, dtype=np.int64), [], 0
     for C in chunks:
-        support = C.w > 0.0
-        pending.append(C.u[support] * n + C.v[support])
+        pending.append(edge_pairs(C)[1])
         size += len(pending[-1])
         if size > len(merged):
             merged = np.unique(np.concatenate([merged, *pending]))
@@ -310,9 +330,7 @@ def resistance_table(G) -> np.ndarray:
     L = build_laplacian(G)
     if not L.is_dense:
         raise ValueError("resistance_table requires the dense representation")
-    F = L.factor()
-    d = F.diagonal()
-    table = d[:, None] + d[None, :] - 2.0 * F
+    table = L.pair_resistances().reshape(L.n, L.n)
     np.fill_diagonal(table, 0.0)
     np.maximum(table, 0.0, out=table)
     table[L.components[:, None] != L.components[None, :]] = np.inf
@@ -404,28 +422,16 @@ def sketch_resistance_many(S: ResistanceSketch, a, b) -> np.ndarray:
     return np.maximum(out, RESISTANCE_FLOOR)
 
 
-def _support_resistances(G: WeightedGraph, L: Laplacian):
-    """G's positive-weight edges and the unclamped exact resistance across
-    each in L, which must hold each of them; such an edge is a pair
-    `_check_pairs` accepts, so none is checked. The sparse path looks each
-    edge up among L's pairs."""
-    support = G.w > 0.0
-    if support.all():
-        support = slice(None)  # views rather than copies
-    u, v = G.u[support], G.v[support]
-    if L.is_dense:
-        return support, _exact_resistances(L, u, v)
-    return support, L.pair_resistances()[np.searchsorted(L.pairs, u * L.n + v)]
-
-
 def edge_resistances(G: WeightedGraph, L: Laplacian | None = None) -> np.ndarray:
     """Exact resistance across each edge of G in the graph of L (default
-    build_laplacian(G)), whose positive-weight edges must include G's: from
-    the dense F or the sparse LU's column sweep, clamped at RESISTANCE_FLOOR
-    on positive-weight edges, 0 on weight-0 edges."""
-    support, res = _support_resistances(G, build_laplacian(G) if L is None else L)
+    build_laplacian(G)), whose pairs must hold G's positive-weight edges:
+    read from `Laplacian.pair_resistances`, clamped at RESISTANCE_FLOOR on
+    positive-weight edges, 0 on weight-0 edges. Such an edge is a pair
+    `_check_pairs` accepts, so none is checked."""
+    L = build_laplacian(G) if L is None else L
+    support, ids = edge_pairs(G, L.pairs)
     out = np.zeros(G.m)
-    out[support] = np.maximum(res, RESISTANCE_FLOOR)
+    out[support] = np.maximum(L.pair_resistances()[ids], RESISTANCE_FLOOR)
     return out
 
 
@@ -436,5 +442,6 @@ def foster_sum(G: WeightedGraph, L: Laplacian | None = None) -> float:
     components (the trace of L L^+), so it never exceeds n - 1 on a
     connected graph.
     """
-    support, res = _support_resistances(G, build_laplacian(G) if L is None else L)
-    return float(G.w[support] @ res)
+    L = build_laplacian(G) if L is None else L
+    support, ids = edge_pairs(G, L.pairs)
+    return float(G.w[support] @ L.pair_resistances()[ids])

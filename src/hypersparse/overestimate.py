@@ -12,10 +12,10 @@ averaged witness graph, while Foster's identity caps the total at O(n).
 
 A run holds one weight per star slot and nothing else per slot. The slots'
 endpoints are read from H's CSR arrays chunk by chunk, a chunk being a run
-of whole hyperedges of about CHUNK_SLOTS slots: each round adds the chunks
-into its Laplacian, factors it once, then sweeps the chunks again to read
-their resistances, add their leverages into the scores and overwrite their
-weights with the next round's.
+of whole hyperedges of about CHUNK_SLOTS slots. Each round factors the
+Laplacian of its pair table, takes the resistances across all of its pairs
+and sweeps the chunks once: it reads each slot's resistance, adds the
+leverages into the scores, and writes the next round's weights and table.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .core import Hypergraph, UnderlyingGraph, WeightedGraph, flatten, star_slots
-from .linalg import DisconnectedError, build_laplacian, edge_resistances, resistance_table
+from .linalg import RESISTANCE_FLOOR, DisconnectedError, resistance_table
+from .linalg import edge_pairs, laplacian_from_table, pair_table
 
 __all__ = [
     "GRAPH_EPS",
@@ -159,7 +160,7 @@ def weight_compute(U: UnderlyingGraph, resistances) -> UnderlyingGraph:
 class _StarChunks:
     """The star graph of H with slot weights `w`, in hyperedge-aligned chunks
     of about CHUNK_SLOTS slots. Iterating yields each chunk's graph, as
-    `build_laplacian` takes it; `spans` adds its first hyperedge and the
+    `pair_table` takes it; `spans` adds its first hyperedge and the
     slot owners of `star_slots`. A chunk graph's w is a view into `w`."""
 
     def __init__(self, H: Hypergraph, w: np.ndarray):
@@ -184,34 +185,45 @@ def _run_rounds(H: Hypergraph, rounds: int, visit=None) -> tuple:
     """The reweighting rounds: per-hyperedge sums of the slot leverages over
     all rounds, and one RoundRecord per round.
 
+    A slot positive in a round is positive in every earlier one, so round
+    1's sparse pairs hold every round's and are found once.
+
     visit(t, e0, G, res), if given, sees each chunk of round t (hyperedges
     e0.. onward) before its weights are overwritten: G holds the chunk's
-    slots and round-t weights, res their resistances. Its arrays are views
-    that later chunks and rounds reuse; copy what is kept.
+    slots and round-t weights, res their resistances (0 on weight-0 slots).
+    Its arrays are views that later chunks and rounds reuse; copy what is kept.
     """
     slots = np.diff(H.indptr) - 1
     chunks = _StarChunks(H, np.repeat(H.weights / slots, slots))
     del slots
+    table, pairs = pair_table(chunks)
     acc = np.zeros(H.m)
     records = []
     for t in range(rounds):
-        L = build_laplacian(chunks)
+        L = laplacian_from_table(H.n, table, pairs)
+        factor, R = "dense" if L.is_dense else "lu", L.pair_resistances()
+        # Free L's matrix (the dense table) and factor before the sweep.
+        del L, table
+        np.maximum(R, RESISTANCE_FLOOR, out=R)
+        table = np.zeros(len(R)) if t + 1 < rounds else None
         mass, dead_stars = 0.0, 0
         for e0, e1, owner, G in chunks.spans():
-            res = edge_resistances(G, L)
+            support, ids = edge_pairs(G, pairs)
+            res = np.zeros(G.m)
+            res[support] = R[ids]
             masses = G.w * res
             np.add.at(acc[e0:e1], owner, masses)
             if visit is not None:
                 visit(t, e0, G, res)
             weights = H.weights[e0:e1]
             new_weights, dead = _reweight(masses, owner, chunks.offsets[e0:e1] - chunks.offsets[e0], weights)
-            if t + 1 < rounds:
+            if table is not None:
                 G.w[:] = new_weights
+                np.add.at(table, ids, new_weights[support])
             mass += float(masses.sum())
             dead_stars += int(np.count_nonzero(dead & (weights > 0.0)))
-        records.append(RoundRecord(mass, dead_stars, "dense" if L.is_dense else "lu"))
-        # Free L's matrix and factor before the next round's table is built.
-        del L
+        records.append(RoundRecord(mass, dead_stars, factor))
+        del R  # before the next round's factor
     return acc, records
 
 

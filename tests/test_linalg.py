@@ -186,6 +186,23 @@ class TestAssembly:
         np.testing.assert_array_equal(sparse.components, dense.components)
         np.testing.assert_array_equal(sparse.grounded, dense.grounded)
 
+    def test_zero_pairs_do_not_connect(self, factor_path):
+        # A table whose pair (2, 3) sums to 0, as a later overestimate round's
+        # table does when a slot's weight underflows: on the sparse path the
+        # pair stays among L's pairs, but it connects nothing.
+        G = path_graph(6)
+        table, pairs = linalg.pair_table(G)
+        key = 2 * G.n + 3
+        table[key if pairs is None else np.searchsorted(pairs, key)] = 0.0
+        L = linalg.laplacian_from_table(G.n, table, pairs)
+        cut = WeightedGraph(6, [(a, a + 1, 0.0 if a == 2 else 1.0) for a in range(5)])
+        want = build_laplacian(cut)
+        assert L.is_dense == (factor_path == "dense") and L.n_components == want.n_components == 2
+        np.testing.assert_array_equal(L.components, want.components)
+        np.testing.assert_array_equal(L.grounded, want.grounded)
+        assert L.pairs is None or len(L.pairs) == len(want.pairs) + 1
+        np.testing.assert_array_equal(edge_resistances(cut, L), edge_resistances(cut))
+
     def test_multigraph_components(self):
         L = build_laplacian(multigraph())
         np.testing.assert_array_equal(L.components, [0, 1, 1, 2, 2, 3, 3, 3, 4])

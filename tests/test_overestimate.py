@@ -1,9 +1,10 @@
+import collections
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from hypersparse.core import Hypergraph, flatten, init_underlying
+from hypersparse.core import Hypergraph, flatten, init_underlying, star_slots
 from hypersparse.linalg import DisconnectedError, fits_dense, resistance_table
 import hypersparse
 from hypersparse import apps, cli, gsparse, hsparse, linalg, overestimate
@@ -299,6 +300,67 @@ class TestSharedStarGraph:
             assert np.shares_memory(G.w, w)
             seen += G.m
         assert seen == len(w)
+
+    @pytest.mark.parametrize("lu", [False, True], ids=["dense", "lu"])
+    def test_one_sweep_per_round(self, monkeypatch, lu):
+        # Each chunk is read once for round 1's pair table and once per
+        # round; the sparse path's pairs pass reads it once more, once per run.
+        if lu:
+            monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        monkeypatch.setattr(overestimate, "CHUNK_SLOTS", 16)
+        reads, tables, pair_passes = collections.Counter(), [], []
+        pair_table, positive_pairs = overestimate.pair_table, linalg._positive_pairs
+        monkeypatch.setattr(overestimate, "star_slots", lambda H, *at: reads.update(at[:1]) or star_slots(H, *at))
+        monkeypatch.setattr(overestimate, "pair_table", lambda G: tables.append(G) or pair_table(G))
+        monkeypatch.setattr(linalg, "_positive_pairs", lambda n, C: pair_passes.append(n) or positive_pairs(n, C))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the round loop built a Laplacian from edges or queried edge resistances")
+
+        for module in (linalg, overestimate):
+            for name in ("build_laplacian", "edge_resistances"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        H = random_hypergraph(48, n=12, m=40, rank=5)
+        compute_overestimate(H, OverestimateConfig(rounds=3))
+        starts = overestimate._StarChunks(H, np.zeros(len(H.indices) - H.m)).bounds[:-1]
+        assert len(starts) > 3 and sorted(reads) == starts
+        assert set(reads.values()) == {3 + 1 + lu}
+        assert len(tables) == 1 and len(pair_passes) == lu
+
+    @staticmethod
+    def _underflow_instances():
+        """Subnormal-weight stars across heavy pairs: the masses of their
+        slots at (0, 1) and (12, 14) round to 0 in round 1, so those weights
+        fall from positive to 0, and no other edge joins 12 and 14; the star
+        of weight 5e-324 at (2, 3) is dead. The second instance adds a
+        separate component and two isolated vertices."""
+        ulp = 5e-324
+        extra = [((0, 1), 1e3), ((2, 3), 1e3), ((0, 12), 1.0), ((12, 13), 1e3), ((13, 14), 1e3), ((14, 15), 1.0),
+                 ((12, 14, 15), 8 * ulp), ((0, 1, 7), 8 * ulp), ((2, 3), ulp)]
+        hyperedges = list(edges(random_hypergraph(50, n=12, m=40, rank=5))) + extra
+        apart = [((16, 17), 1.5), ((17, 18), 1.0), ((16, 17, 18), 6 * ulp), ((18, 19), 0.0)]
+        return [Hypergraph(16, hyperedges), Hypergraph(21, hyperedges + apart)]
+
+    @pytest.mark.parametrize("lu", [False, True], ids=["dense", "lu"])
+    def test_underflow_and_disconnected_match_copying_loop(self, monkeypatch, lu):
+        if lu:
+            monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        cfg = OverestimateConfig(rounds=3)
+        for H in self._underflow_instances():
+            first, second = (w for w, _ in round_slots(H, 2))
+            u, v, _ = star_slots(H)
+            fell = (first > 0.0) & (second == 0.0)
+            assert sorted(zip(u[fell].tolist(), v[fell].tolist())) == [(0, 1), (12, 14)]
+            scores, rounds = copying_overestimate(H, cfg)
+            for chunk in (overestimate.CHUNK_SLOTS, 1, 2, 3, 7, 64):
+                with monkeypatch.context() as patch:
+                    patch.setattr(overestimate, "CHUNK_SLOTS", chunk)
+                    got = compute_overestimate(H, cfg)
+                    slots = round_slots(H, cfg.rounds)
+                np.testing.assert_array_equal(got.scores, scores)
+                for (weights, res), (want_res, want_weights) in zip(slots, rounds, strict=True):
+                    np.testing.assert_array_equal(res, want_res)
+                    np.testing.assert_array_equal(weights, want_weights)
 
     @staticmethod
     def _traced_run(m):
