@@ -35,7 +35,6 @@ from .overestimate import (
     OverestimateResult,
     compute_overestimate,
     default_rounds,
-    leverage_exact,
     validate_overestimate,
     weight_compute,
 )

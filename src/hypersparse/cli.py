@@ -176,15 +176,14 @@ def _cmd_stmincut(args) -> int:
 
 
 def _cmd_resistance(args) -> int:
-    H = parse_hypergraph(args.input)
-    G = flatten(init_underlying(H))
+    U = init_underlying(parse_hypergraph(args.input))
     a, b = args.a - 1, args.b - 1
     if args.sketch_eps != 0.0:
-        sketch = build_sketch(G, args.sketch_eps, derive_seed(args.seed, "cli/resistance"))
+        sketch = build_sketch(flatten(U), args.sketch_eps, derive_seed(args.seed, "cli/resistance"))
         value = sketch_resistance(sketch, a, b)
         mode = "sketch"
     else:
-        value = effective_resistance_exact(G, a, b)
+        value = effective_resistance_exact(U, a, b)
         mode = "exact"
     payload = {
         "command": "resistance",

@@ -7,9 +7,15 @@ kept in storage but contribute nothing to energies, cuts, or sampling.
 A hypergraph is stored in CSR layout (flat `indices`, per-hyperedge `indptr`
 offsets), so every pass over it is linear in the total hyperedge size.
 `energies` is the one energy kernel; `total_energy` and `cut_value` read it.
+
+`UnderlyingGraph` is the one star graph type, and this module alone knows
+its slot layout: one slot per non-anchor vertex of each hyperedge, in
+(hyperedge, vertex) order, read from the CSR arrays by `star_slots`.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -29,7 +35,9 @@ __all__ = [
 # Largest hyperedges-by-directions float64 block the energy kernel gathers:
 # 256 KiB, so its three live blocks (hi, lo, vals) fit a 2 MiB L2 cache.
 ENERGY_BLOCK_BYTES = 1 << 18
-STAR_SUM_REL_TOL = 1e-9
+# Star slots per chunk of an UnderlyingGraph: a sweep's per-slot temporaries
+# then stay within a few MiB.
+CHUNK_SLOTS = 1 << 16
 
 
 class HyperedgeError(ValueError):
@@ -222,69 +230,97 @@ class WeightedGraph:
 
 
 class UnderlyingGraph:
-    """Star-pattern weight assignment over a hypergraph.
+    """Star-pattern weight assignment over a hypergraph: `UnderlyingGraph(H,
+    weights)`, with one finite nonnegative weight per star slot (copied).
 
-    Hyperedge e with anchor a_e contributes one labeled slot per non-anchor
-    vertex v of e, for the pair {a_e, v}. `graph` holds the slots as edges:
-    `graph.u` is each slot's anchor, `graph.v` its other vertex and `graph.w`
-    its weight. `offsets` delimits each hyperedge's star CSR-style, and slots
-    are ordered by (hyperedge index, non-anchor vertex id). A conforming
-    assignment has each star summing to the hyperedge weight; reweighted
-    instances produced by graph sparsification deliberately break that sum,
-    so it is checked via validate_star_sums() rather than at construction.
+    Hyperedge e with anchor a_e, its smallest vertex, contributes one labeled
+    slot per other vertex v of e, for the pair {a_e, v}. Slots are ordered by
+    (hyperedge index, v), and `offsets` delimits each hyperedge's star
+    CSR-style. A conforming assignment has each star summing to the hyperedge
+    weight; reweighted instances produced by graph sparsification
+    deliberately break that sum, so it is not checked.
+
+    Iterating yields the graph in chunks of whole hyperedges of about
+    CHUNK_SLOTS slots, as `linalg.build_laplacian` takes chunks; `spans` adds
+    each chunk's hyperedge range and slot owners. The slots' endpoints are
+    read from H's CSR arrays (`star_slots`) chunk by chunk and not kept,
+    unless `graph` is asked for; a graph of one chunk reads them once, as
+    they take no more memory than one chunk's temporaries.
     """
 
-    __slots__ = ("base", "offsets", "graph")
+    __slots__ = ("base", "offsets", "bounds", "weights", "_slots", "_graph")
 
-    def __init__(self, base, offsets, graph):
-        offsets = np.asarray(offsets, dtype=np.int64)
-        if len(offsets) != base.m + 1 or offsets[-1] != graph.m or graph.n != base.n:
-            raise ValueError("star offsets or graph do not match the hypergraph")
+    def __init__(self, base: Hypergraph, weights):
+        self._init(base, np.array(weights, dtype=float))
+
+    @classmethod
+    def _adopt(cls, base: Hypergraph, weights: np.ndarray) -> "UnderlyingGraph":
+        """The constructor over a float64 array that the caller hands over
+        and does not use again: it is checked and frozen, not copied."""
+        self = cls.__new__(cls)
+        self._init(base, weights)
+        return self
+
+    def _init(self, base, weights):
+        offsets = base.indptr - np.arange(base.m + 1)
         offsets.flags.writeable = False
-        self.base, self.offsets, self.graph = base, offsets, graph
+        self.base, self.offsets = base, offsets
+        self._set_weights(weights)
+        cuts = np.searchsorted(offsets, np.arange(CHUNK_SLOTS, offsets[-1], CHUNK_SLOTS))
+        self.bounds = sorted({0, base.m, *cuts.tolist()})
+        self._slots = star_slots(base) if len(self.bounds) == 2 else None
+
+    def _set_weights(self, w):
+        if w.shape != (self.offsets[-1],) or not ((w >= 0.0) & np.isfinite(w)).all():
+            raise ValueError(f"expected {self.offsets[-1]} slot weights, each finite and nonnegative")
+        w.flags.writeable = False
+        self.weights, self._graph = w, None
 
     @property
-    def weights(self) -> np.ndarray:
-        return self.graph.w
+    def n(self) -> int:
+        return self.base.n
 
     @property
     def slot_count(self) -> int:
         return len(self.weights)
 
-    def star_sizes(self) -> np.ndarray:
-        return np.diff(self.offsets)
+    @property
+    def graph(self) -> WeightedGraph:
+        """The star graph as one WeightedGraph, built on first use: `u` is
+        each slot's anchor, `v` its other vertex, `w` the weights."""
+        if self._graph is None:
+            u, v, _ = self._slots or star_slots(self.base)
+            u.flags.writeable = v.flags.writeable = False
+            self._graph = WeightedGraph._unchecked(self.base.n, u, v, self.weights)
+        return self._graph
+
+    def spans(self):
+        """Each chunk as (first hyperedge, end hyperedge, slot owners counted
+        from the first, chunk graph); the chunk graph's w is a view into
+        `weights`."""
+        for e0, e1 in zip(self.bounds[:-1], self.bounds[1:]):
+            u, v, owner = self._slots or star_slots(self.base, e0, e1)
+            yield e0, e1, owner, WeightedGraph._unchecked(self.base.n, u, v, self.weights[self.offsets[e0]:self.offsets[e1]])
+
+    def __iter__(self):
+        return (G for *_, G in self.spans())
 
     def star_sums(self) -> np.ndarray:
         """Per-hyperedge sum of star slot weights."""
-        return np.add.reduceat(self.weights, self.offsets[:-1]) if self.slot_count else np.zeros(self.base.m)
+        return np.add.reduceat(self.weights, self.offsets[:-1])
 
     def slot_edges(self) -> np.ndarray:
         """Hyperedge index owning each slot."""
-        return np.repeat(np.arange(self.base.m), self.star_sizes())
+        return np.repeat(np.arange(self.base.m), np.diff(self.offsets))
 
     def with_weights(self, weights) -> "UnderlyingGraph":
-        """Same label space (base, offsets and the graph's u and v, shared,
-        not copied), new slot weights (a copy of `weights`); only the weights
-        are checked."""
-        w = np.array(weights, dtype=float)
-        if w.shape != self.weights.shape or not ((w >= 0.0) & np.isfinite(w)).all():
-            raise ValueError(f"expected {self.slot_count} slot weights, each finite and nonnegative")
-        w.flags.writeable = False
-        graph = WeightedGraph._unchecked(self.base.n, self.graph.u, self.graph.v, w)
-        return UnderlyingGraph(self.base, self.offsets, graph)
-
-    def validate_star_sums(self) -> None:
-        """Check the per-star weight-conservation constraint to STAR_SUM_REL_TOL
-        (relative, absolute below weight 1); raise if violated."""
-        sums = self.star_sums()
-        target = self.base.weights
-        scale = np.maximum(np.abs(target), 1.0)
-        bad = np.abs(sums - target) > STAR_SUM_REL_TOL * scale
-        if bad.any():
-            e = int(np.flatnonzero(bad)[0])
-            raise ValueError(
-                f"star of hyperedge {e} sums to {sums[e]!r}, expected {target[e]!r}"
-            )
+        """Same hypergraph, offsets, chunks and slot endpoints (shared, not
+        copied), new slot weights (copied and checked as by the constructor)."""
+        V = copy.copy(self)
+        V._set_weights(np.array(weights, dtype=float))
+        if self._graph is not None:
+            V._graph = WeightedGraph._unchecked(self.base.n, self._graph.u, self._graph.v, V.weights)
+        return V
 
     def __repr__(self):
         return f"UnderlyingGraph(n={self.base.n}, m={self.base.m}, slots={self.slot_count})"
@@ -338,14 +374,10 @@ def cut_value(H: Hypergraph, subset) -> float:
 
 
 def init_underlying(H: Hypergraph) -> UnderlyingGraph:
-    """Initial star assignment: each slot of hyperedge e gets w_e / (|e| - 1).
-
-    Anchors and slot order are those of `star_slots`: the anchor a_e is the
-    smallest vertex id of e. Star sums equal w_e exactly.
-    """
-    u, v, owner = star_slots(H)
-    graph = WeightedGraph.from_arrays(H.n, u, v, (H.weights / (np.diff(H.indptr) - 1))[owner])
-    return UnderlyingGraph(H, H.indptr - np.arange(H.m + 1), graph)
+    """Initial star assignment: each slot of hyperedge e gets w_e / (|e| - 1),
+    so star sums equal w_e exactly."""
+    slots = np.diff(H.indptr) - 1
+    return UnderlyingGraph._adopt(H, np.repeat(H.weights / slots, slots))
 
 
 def star_slots(H: Hypergraph, start: int = 0, stop: int | None = None) -> tuple:

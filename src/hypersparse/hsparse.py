@@ -133,8 +133,11 @@ def sparsify_hypergraph(
 
     Unless a precomputed result is supplied, the overestimate runs with the
     rank-driven round count. Only hyperedges with accumulated weight > 0
-    appear in the output, at most min(M, m) distinct.
+    appear in the output, at most min(M, m) distinct. Raises ValueError when
+    no hyperedge has positive weight, as there is nothing to sample.
     """
+    if not (H.weights > 0.0).any():
+        raise ValueError("no hyperedge has positive weight, so there is nothing to sample")
     if overestimate is None:
         overestimate = compute_overestimate(H, OverestimateConfig(rounds=default_rounds(H.rank)))
     scores = overestimate.scores

@@ -315,8 +315,9 @@ def _exact_resistances(L: Laplacian, a, b) -> np.ndarray:
     return d[ia] + d[ib] - 2.0 * f_ab
 
 
-def effective_resistance_exact(G: WeightedGraph, a: int, b: int) -> float:
-    """Exact effective resistance between a and b.
+def effective_resistance_exact(G, a: int, b: int) -> float:
+    """Exact effective resistance between a and b in G, a WeightedGraph or
+    chunks of one, as `build_laplacian` takes it.
 
     Raises DisconnectedError when a and b sit in different components.
     """

@@ -10,24 +10,24 @@ by a factor depending on the rank and the two constant accuracies GRAPH_EPS
 and SKETCH_EPS, upper-bounds the true hyperedge leverage scores of the
 averaged witness graph, while Foster's identity caps the total at O(n).
 
-A run holds one weight per star slot and nothing else per slot. The slots'
-endpoints are read from H's CSR arrays chunk by chunk, a chunk being a run
-of whole hyperedges of about CHUNK_SLOTS slots. Each round factors the
-Laplacian of its pair table, takes the resistances across all of its pairs
-and sweeps the chunks once: it reads each slot's resistance, adds the
-leverages into the scores, and writes the next round's weights and table.
+A run holds one star graph, `init_underlying(H)`, and overwrites its one
+weight per slot round by round; its slots' endpoints are read from H chunk
+by chunk (`UnderlyingGraph.spans`). Each round factors the Laplacian of its
+pair table, takes the resistances across all of its pairs and sweeps the
+chunks once: it reads each slot's resistance, adds the leverages into the
+scores, and writes the next round's weights and table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
 
 import numpy as np
 
-from .core import Hypergraph, UnderlyingGraph, WeightedGraph, flatten, star_slots
-from .linalg import RESISTANCE_FLOOR, DisconnectedError, resistance_table
+from .core import Hypergraph, UnderlyingGraph, init_underlying
+from .linalg import RESISTANCE_FLOOR, resistance_table
 from .linalg import edge_pairs, laplacian_from_table, pair_table
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "default_rounds",
     "weight_compute",
     "compute_overestimate",
-    "leverage_exact",
     "validate_overestimate",
 ]
 
@@ -119,11 +118,6 @@ class OverestimateResult:
         return float(self.scores.sum())
 
 
-# Star slots per chunk of the round loop: its per-slot temporaries then stay
-# within a few MiB.
-CHUNK_SLOTS = 1 << 16
-
-
 def _reweight(masses: np.ndarray, owner: np.ndarray, starts: np.ndarray, weights: np.ndarray) -> tuple:
     """Next-round weights of whole stars from their slot masses c_f R_f, and
     the dead-star mask. `owner` maps each slot to its star, `starts` holds
@@ -157,30 +151,6 @@ def weight_compute(U: UnderlyingGraph, resistances) -> UnderlyingGraph:
     return U.with_weights(new_weights)
 
 
-class _StarChunks:
-    """The star graph of H with slot weights `w`, in hyperedge-aligned chunks
-    of about CHUNK_SLOTS slots. Iterating yields each chunk's graph, as
-    `pair_table` takes it; `spans` adds its first hyperedge and the
-    slot owners of `star_slots`. A chunk graph's w is a view into `w`."""
-
-    def __init__(self, H: Hypergraph, w: np.ndarray):
-        self.H, self.n, self.w = H, H.n, w
-        self.offsets = H.indptr - np.arange(H.m + 1)
-        cuts = np.searchsorted(self.offsets, np.arange(CHUNK_SLOTS, len(w), CHUNK_SLOTS))
-        self.bounds = sorted({0, H.m, *cuts.tolist()})
-        # The slots of a graph that is one chunk are read once: they take no
-        # more memory than one chunk's temporaries.
-        self.single = star_slots(H) if len(self.bounds) == 2 else None
-
-    def spans(self):
-        for e0, e1 in zip(self.bounds[:-1], self.bounds[1:]):
-            u, v, owner = self.single or star_slots(self.H, e0, e1)
-            yield e0, e1, owner, WeightedGraph._unchecked(self.n, u, v, self.w[self.offsets[e0]:self.offsets[e1]])
-
-    def __iter__(self):
-        return (G for *_, G in self.spans())
-
-
 def _run_rounds(H: Hypergraph, rounds: int, visit=None) -> tuple:
     """The reweighting rounds: per-hyperedge sums of the slot leverages over
     all rounds, and one RoundRecord per round.
@@ -193,10 +163,10 @@ def _run_rounds(H: Hypergraph, rounds: int, visit=None) -> tuple:
     slots and round-t weights, res their resistances (0 on weight-0 slots).
     Its arrays are views that later chunks and rounds reuse; copy what is kept.
     """
-    slots = np.diff(H.indptr) - 1
-    chunks = _StarChunks(H, np.repeat(H.weights / slots, slots))
-    del slots
-    table, pairs = pair_table(chunks)
+    U = init_underlying(H)
+    # U never leaves the loop, so each round overwrites its weights in place.
+    U.weights.flags.writeable = True
+    table, pairs = pair_table(U)
     acc = np.zeros(H.m)
     records = []
     for t in range(rounds):
@@ -207,7 +177,7 @@ def _run_rounds(H: Hypergraph, rounds: int, visit=None) -> tuple:
         np.maximum(R, RESISTANCE_FLOOR, out=R)
         table = np.zeros(len(R)) if t + 1 < rounds else None
         mass, dead_stars = 0.0, 0
-        for e0, e1, owner, G in chunks.spans():
+        for e0, e1, owner, G in U.spans():
             support, ids = edge_pairs(G, pairs)
             res = np.zeros(G.m)
             res[support] = R[ids]
@@ -216,7 +186,7 @@ def _run_rounds(H: Hypergraph, rounds: int, visit=None) -> tuple:
             if visit is not None:
                 visit(t, e0, G, res)
             weights = H.weights[e0:e1]
-            new_weights, dead = _reweight(masses, owner, chunks.offsets[e0:e1] - chunks.offsets[e0], weights)
+            new_weights, dead = _reweight(masses, owner, U.offsets[e0:e1] - U.offsets[e0], weights)
             if table is not None:
                 G.w[:] = new_weights
                 np.add.at(table, ids, new_weights[support])
@@ -265,27 +235,6 @@ def _leverages_from_table(H: Hypergraph, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def leverage_exact(H: Hypergraph, U: UnderlyingGraph) -> np.ndarray:
-    """Exact hyperedge leverage scores w_e * R_e in flatten(U).
-
-    R_e maximizes over the full clique of pairs inside e, not just the star.
-    Raises DisconnectedError if any pair inside a hyperedge is disconnected.
-    """
-    table = resistance_table(flatten(U))
-    scores = _leverages_from_table(H, table)
-    if not np.isfinite(scores).all():
-        e = int(np.flatnonzero(~np.isfinite(scores))[0])
-        bad = next(
-            (pair for pair in combinations(H.indices[H.indptr[e]:H.indptr[e + 1]].tolist(), 2)
-             if not np.isfinite(table[pair])),
-            None,
-        )
-        raise DisconnectedError(
-            f"hyperedge {e} spans disconnected vertices {bad} in the underlying graph"
-        )
-    return scores
-
-
 @dataclass
 class OverestimateValidation:
     """Witness check: scores against exact leverages of the averaged graph."""
@@ -325,17 +274,17 @@ def validate_overestimate(H: Hypergraph, result: OverestimateResult) -> Overesti
     """
     if not result.rounds:
         raise ValueError("result carries no round data")
-    witness = np.zeros(len(H.indices) - H.m)
-    offsets = H.indptr - np.arange(H.m + 1)
+    U = init_underlying(H)
+    witness = np.zeros(U.slot_count)
 
     def add(t, e0, G, res):
-        witness[offsets[e0]:offsets[e0] + G.m] += G.w
+        witness[U.offsets[e0]:U.offsets[e0] + G.m] += G.w
 
     _run_rounds(H, len(result.rounds), add)
     witness /= len(result.rounds)
     positive = H.weights > 0.0
 
-    table = resistance_table(_StarChunks(H, witness))
+    table = resistance_table(U.with_weights(witness))
     required = _leverages_from_table(H, table)
 
     shortfall = required - result.scores

@@ -174,8 +174,7 @@ def energy_comparison_check(H: Hypergraph, U: UnderlyingGraph, trials: int, seed
     v = L^{+/2} x, both steps of the inequality chain are required:
     Q_H(v) >= v' L v - tol and Q_H(v) >= ||x||^2 - tol.
     """
-    G = flatten(U)
-    L = build_laplacian(G)
+    L = build_laplacian(U)
     if L.n_components != 1:
         raise ValueError("flatten(U) must be connected")
     vals, vecs = np.linalg.eigh(L.matrix)

@@ -52,16 +52,25 @@ def loop_energies(H: Hypergraph, X) -> np.ndarray:
     return out
 
 
-def loop_init_underlying(H: Hypergraph) -> UnderlyingGraph:
-    """Uniform stars anchored at each hyperedge's smallest vertex."""
-    tails, heads, weights, offsets = [], [], [], [0]
+def loop_init_underlying(H: Hypergraph) -> tuple:
+    """Uniform stars anchored at each hyperedge's smallest vertex: the
+    UnderlyingGraph of the per-hyperedge weights, and its graph built one
+    hyperedge at a time."""
+    tails, heads, weights = [], [], []
     for e, vs in enumerate(H.vertex_sets):
         share = H.weights[e] / (len(vs) - 1)
         tails.extend([vs[0]] * (len(vs) - 1))
         heads.extend(vs[1:])
         weights.extend([share] * (len(vs) - 1))
-        offsets.append(len(heads))
-    return UnderlyingGraph(H, offsets, WeightedGraph.from_arrays(H.n, tails, heads, weights))
+    return UnderlyingGraph(H, weights), WeightedGraph.from_arrays(H.n, tails, heads, weights)
+
+
+def assert_stars_sum_to_weights(U: UnderlyingGraph):
+    """Each star of U sums to its hyperedge's weight within 1e-9, relative
+    (absolute below weight 1)."""
+    sums, target = U.star_sums(), U.base.weights
+    bad = np.abs(sums - target) > 1e-9 * np.maximum(np.abs(target), 1.0)
+    assert not bad.any(), f"star sums {sums[bad]} differ from hyperedge weights {target[bad]}"
 
 
 def loop_parse_hypergraph_text(text: str) -> Hypergraph:
@@ -297,9 +306,8 @@ def round_slots(H: Hypergraph, rounds: int) -> list:
     """Each round's slot weights and resistances, in slot order, as
     (weights, resistances) pairs: the overestimate's own round loop, run
     with a per-chunk callback that copies them out."""
-    slots = len(H.indices) - H.m
-    out = [(np.full(slots, np.nan), np.full(slots, np.nan)) for _ in range(rounds)]
-    offsets = H.indptr - np.arange(H.m + 1)
+    offsets = init_underlying(H).offsets
+    out = [(np.full(offsets[-1], np.nan), np.full(offsets[-1], np.nan)) for _ in range(rounds)]
 
     def visit(t, e0, G, res):
         weights, resistances = out[t]

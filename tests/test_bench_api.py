@@ -8,10 +8,13 @@ import re
 from pathlib import Path
 
 import hypersparse
+from hypersparse import core, hsparse
 from hypersparse.gsparse import DEFAULT_OVERSAMPLE, sample_size
 from hypersparse.hsparse import SparsifyConfig
 from hypersparse.linalg import Laplacian
-from hypersparse.overestimate import OverestimateConfig
+from hypersparse.overestimate import OverestimateConfig, compute_overestimate, default_rounds
+
+from helpers import random_hypergraph
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -41,3 +44,24 @@ def test_configs_construct_as_the_benchmark_calls_them():
     cfg = SparsifyConfig(eps=0.25, seed=5)
     assert (cfg.eps, cfg.seed) == (0.25, 5)
     assert sample_size(30, 0.1, DEFAULT_OVERSAMPLE) == sample_size(30, 0.1)
+
+
+def test_tracer_counts_the_slots_of_a_chunked_run(monkeypatch):
+    layertrace = load_bench("layertrace")
+    monkeypatch.setattr(core, "CHUNK_SLOTS", 16)
+    H = random_hypergraph(49, n=12, m=60, rank=5)
+    assert len(core.init_underlying(H).bounds) > 3
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        # A hook that fails raises out of the traced call.
+        report = hsparse.sparsify_hypergraph(H, SparsifyConfig(eps=0.5, seed=1))
+    finally:
+        tracer.uninstall()
+    assert hsparse.compute_overestimate is compute_overestimate
+    fired = {name for name, *_ in tracer.spans}
+    hooked = {name for _, _, name, hook in layertrace.TRACED if hook is not None}
+    assert fired & hooked >= {"core.init_underlying", "overestimate.compute_overestimate", "hsparse.sparsify_hypergraph"}
+    assert tracer.counts["core.slots"] == len(H.indices) - H.m
+    assert tracer.counts["overestimate.rounds"] == default_rounds(H.rank)
+    assert tracer.counts["hsparse.samples"] == report.samples

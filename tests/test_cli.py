@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from hypersparse import cli
+from hypersparse import cli, core, linalg
+from hypersparse.core import flatten, init_underlying
+from hypersparse.linalg import effective_resistance_exact
 from hypersparse.cli import run_command
 from hypersparse.hgio import parse_hypergraph, serialize_hypergraph
 from hypersparse.hsparse import sample_count
@@ -131,6 +133,20 @@ class TestResistance:
         assert text == ""
         assert "eps_sketch must lie in (0, 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lu", [False, True], ids=["dense", "lu"])
+    def test_exact_value_over_chunks_is_that_of_the_whole_graph(self, random_file, monkeypatch, lu):
+        path, H = random_file
+        if lu:
+            monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        monkeypatch.setattr(core, "CHUNK_SLOTS", 7)
+        U = init_underlying(H)
+        assert len(U.bounds) > 3
+        for a, b in ((1, 2), (3, 10), (10, 4)):
+            code, text = run(["resistance", path, str(a), str(b)])
+            assert code == 0
+            expect = effective_resistance_exact(flatten(U), a - 1, b - 1)
+            assert f"value={expect!r}" in text.splitlines()
+
     def test_disconnected_pair_is_error(self, tmp_path):
         path = tmp_path / "two.hgr"
         path.write_text("2 4 1\n1 1 2\n1 3 4\n")
@@ -210,6 +226,24 @@ class TestErrorsAndDeterminism:
         assert code == 2
         assert text == ""
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["sparsify", "--epsilon", "0.5"],
+        ["mincut", "--epsilon", "0.5"],
+        ["stmincut", "--source", "1", "--sink", "3", "--epsilon", "0.5"],
+    ])
+    def test_no_positive_weight_exits_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "zero.hgr"
+        path.write_text("2 3 1\n0 1 2 3\n0 2 3\n")
+        out = ["-o", str(tmp_path / "out.hgr")] if argv[0] == "sparsify" else []
+        code, text = run([argv[0], str(path), *argv[1:], *out])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: no hyperedge has positive weight, so there is nothing to sample\n"
+        if argv[0] != "sparsify":
+            # The exact cut is 0, as before.
+            code, text = run([argv[0], str(path), *argv[1:-1], "0"])
+            assert code == 0 and "value=0.0" in text.splitlines()
 
     def test_count_beyond_any_array_exits_two(self, sample_file, tmp_path, capsys):
         code, text = run(["sparsify", sample_file, "--epsilon", "1e-150", "-o", str(tmp_path / "o.hgr")])

@@ -9,6 +9,7 @@ from hypersparse import core
 from hypersparse.core import (
     HyperedgeError,
     Hypergraph,
+    UnderlyingGraph,
     WeightedGraph,
     cut_value,
     energies,
@@ -19,6 +20,7 @@ from hypersparse.core import (
 from hypersparse.linalg import build_laplacian
 
 from helpers import (
+    assert_stars_sum_to_weights,
     edge_list,
     edges,
     loop_energies,
@@ -145,16 +147,16 @@ class TestInitUnderlying:
     def test_star_sums_match_weights(self):
         H = random_hypergraph(9, n=10, m=25, rank=5, connected=False)
         U = init_underlying(H)
-        U.validate_star_sums()
+        assert_stars_sum_to_weights(U)
         np.testing.assert_allclose(U.star_sums(), H.weights)
 
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_per_hyperedge_loop(self, seed):
         H = random_hypergraph(seed + 300, n=12, m=40, rank=6, connected=False)
-        U, expect = init_underlying(H), loop_init_underlying(H)
+        U, (expect, G) = init_underlying(H), loop_init_underlying(H)
         for name in ("u", "v", "w"):
-            np.testing.assert_array_equal(getattr(flatten(U), name), getattr(flatten(expect), name))
+            np.testing.assert_array_equal(getattr(flatten(U), name), getattr(G, name))
         for name in ("offsets", "weights"):
             np.testing.assert_array_equal(getattr(U, name), getattr(expect, name))
 
@@ -202,18 +204,25 @@ class TestWithWeights:
         w[0] = 2.0
         assert V.weights[0] == 1.0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
-    def test_rejects_bad_weights(self, bad):
+    # Weights given to an existing graph, or to the constructor.
+    MAKERS = {"with_weights": lambda U, w: U.with_weights(w), "constructor": lambda U, w: UnderlyingGraph(U.base, w)}
+
+    @pytest.mark.parametrize("bad, make", [
+        pytest.param(bad, make, id=str(bad) if make == "with_weights" else f"{make}-{bad}")
+        for make in MAKERS for bad in (np.nan, np.inf, -1.0)
+    ])
+    def test_rejects_bad_weights(self, bad, make):
         U = init_underlying(Hypergraph(4, [((0, 1, 2), 1.0), ((2, 3), 1.0)]))
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            U.with_weights([1.0, bad, 1.0])
+            self.MAKERS[make](U, [1.0, bad, 1.0])
 
     def test_rejects_wrong_length(self):
         U = init_underlying(Hypergraph(3, [((0, 1, 2), 1.0)]))
-        with pytest.raises(ValueError):
-            U.with_weights([1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            U.with_weights([[1.0, 1.0]])
+        for make in self.MAKERS.values():
+            with pytest.raises(ValueError):
+                make(U, [1.0, 1.0, 1.0])
+            with pytest.raises(ValueError):
+                make(U, [[1.0, 1.0]])
 
 
 class TestValidation:
@@ -430,4 +439,4 @@ def test_energy_quadratic_scaling(H, beta):
 @settings(max_examples=40, deadline=None)
 @given(small_hypergraphs())
 def test_flattened_initial_stars_conserve_weight(H):
-    init_underlying(H).validate_star_sums()
+    assert_stars_sum_to_weights(init_underlying(H))

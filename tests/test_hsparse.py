@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hypersparse import hsparse
 from hypersparse.apps import global_mincut, st_mincut
 from hypersparse.core import Hypergraph
 from hypersparse.hsparse import (
@@ -233,6 +234,21 @@ class TestSparsifyHypergraph:
         )
         with pytest.raises(ScorePositivityError):
             sparsify_hypergraph(H, SparsifyConfig(eps=0.4, seed=0), overestimate=broken)
+
+    def test_no_positive_weight_is_named(self, monkeypatch):
+        H = Hypergraph(4, [((0, 1, 2), 0.0), ((2, 3), 0.0)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a hypergraph with no positive weight")
+
+        monkeypatch.setattr(hsparse, "compute_overestimate", refuse)
+        with pytest.raises(ValueError, match="no hyperedge has positive weight"):
+            sparsify_hypergraph(H, SparsifyConfig(eps=0.5, seed=0))
+        # The exact cuts are 0, and the approximate ones fail on the same cause.
+        assert global_mincut(H)[0] == 0.0 and st_mincut(H, 0, 3) == (0.0, False)
+        for solve in (lambda: global_mincut(H, 0.5), lambda: st_mincut(H, 0, 3, 0.5)):
+            with pytest.raises(ValueError, match="no hyperedge has positive weight"):
+                solve()
 
     def test_many_more_hyperedges_than_draws(self):
         # Slots outnumber each round's graph draws, so every round's

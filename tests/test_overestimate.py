@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from hypersparse.core import Hypergraph, flatten, init_underlying, star_slots
-from hypersparse.linalg import DisconnectedError, fits_dense, resistance_table
+from hypersparse.linalg import fits_dense, resistance_table
 import hypersparse
-from hypersparse import apps, cli, gsparse, hsparse, linalg, overestimate
+from hypersparse import apps, cli, core, gsparse, hsparse, linalg, overestimate
 from hypersparse.overestimate import (
     COMBINED_EPS,
     OverestimateConfig,
@@ -15,13 +15,13 @@ from hypersparse.overestimate import (
     _leverages_from_table,
     compute_overestimate,
     default_rounds,
-    leverage_exact,
     validate_overestimate,
     weight_compute,
 )
 
 from helpers import (
     all_pairs,
+    assert_stars_sum_to_weights,
     copying_overestimate,
     edges,
     loop_leverages_from_table,
@@ -76,7 +76,7 @@ class TestWeightCompute:
         U = init_underlying(H)
         rng = np.random.default_rng(3)
         out = weight_compute(U, rng.uniform(0.1, 2.0, U.slot_count))
-        out.validate_star_sums()
+        assert_stars_sum_to_weights(out)
 
     def test_negative_resistance_rejected(self):
         H = Hypergraph(2, [((0, 1), 1.0)])
@@ -276,9 +276,9 @@ class TestSharedStarGraph:
         for H in _round_instances() + [random_hypergraph(47, n=30, m=300, rank=6)]:
             cfg = OverestimateConfig(rounds=default_rounds(H.rank))
             scores, rounds = copying_overestimate(H, cfg)
-            for chunk in (overestimate.CHUNK_SLOTS, 1, 2, 3, 7, 64):
+            for chunk in (core.CHUNK_SLOTS, 1, 2, 3, 7, 64):
                 with monkeypatch.context() as patch:
-                    patch.setattr(overestimate, "CHUNK_SLOTS", chunk)
+                    patch.setattr(core, "CHUNK_SLOTS", chunk)
                     got = compute_overestimate(H, cfg)
                     slots = round_slots(H, cfg.rounds)
                 np.testing.assert_array_equal(got.scores, scores)
@@ -288,9 +288,9 @@ class TestSharedStarGraph:
 
     def test_chunks_are_whole_hyperedges(self, monkeypatch):
         H = random_hypergraph(48, n=12, m=40, rank=5)
-        monkeypatch.setattr(overestimate, "CHUNK_SLOTS", 5)
-        w = np.zeros(len(H.indices) - H.m)
-        chunks = overestimate._StarChunks(H, w)
+        monkeypatch.setattr(core, "CHUNK_SLOTS", 5)
+        chunks = init_underlying(H)
+        w = chunks.weights
         starts = [e0 for e0, *_ in chunks.spans()]
         assert starts == chunks.bounds[:-1] and chunks.bounds[-1] == H.m
         seen = 0
@@ -307,10 +307,10 @@ class TestSharedStarGraph:
         # round; the sparse path's pairs pass reads it once more, once per run.
         if lu:
             monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
-        monkeypatch.setattr(overestimate, "CHUNK_SLOTS", 16)
+        monkeypatch.setattr(core, "CHUNK_SLOTS", 16)
         reads, tables, pair_passes = collections.Counter(), [], []
         pair_table, positive_pairs = overestimate.pair_table, linalg._positive_pairs
-        monkeypatch.setattr(overestimate, "star_slots", lambda H, *at: reads.update(at[:1]) or star_slots(H, *at))
+        monkeypatch.setattr(core, "star_slots", lambda H, *at: reads.update(at[:1]) or star_slots(H, *at))
         monkeypatch.setattr(overestimate, "pair_table", lambda G: tables.append(G) or pair_table(G))
         monkeypatch.setattr(linalg, "_positive_pairs", lambda n, C: pair_passes.append(n) or positive_pairs(n, C))
 
@@ -322,7 +322,7 @@ class TestSharedStarGraph:
                 monkeypatch.setattr(module, name, refuse, raising=False)
         H = random_hypergraph(48, n=12, m=40, rank=5)
         compute_overestimate(H, OverestimateConfig(rounds=3))
-        starts = overestimate._StarChunks(H, np.zeros(len(H.indices) - H.m)).bounds[:-1]
+        starts = init_underlying(H).bounds[:-1]
         assert len(starts) > 3 and sorted(reads) == starts
         assert set(reads.values()) == {3 + 1 + lu}
         assert len(tables) == 1 and len(pair_passes) == lu
@@ -352,9 +352,9 @@ class TestSharedStarGraph:
             fell = (first > 0.0) & (second == 0.0)
             assert sorted(zip(u[fell].tolist(), v[fell].tolist())) == [(0, 1), (12, 14)]
             scores, rounds = copying_overestimate(H, cfg)
-            for chunk in (overestimate.CHUNK_SLOTS, 1, 2, 3, 7, 64):
+            for chunk in (core.CHUNK_SLOTS, 1, 2, 3, 7, 64):
                 with monkeypatch.context() as patch:
-                    patch.setattr(overestimate, "CHUNK_SLOTS", chunk)
+                    patch.setattr(core, "CHUNK_SLOTS", chunk)
                     got = compute_overestimate(H, cfg)
                     slots = round_slots(H, cfg.rounds)
                 np.testing.assert_array_equal(got.scores, scores)
@@ -384,7 +384,7 @@ class TestSharedStarGraph:
         # (about 15 B per slot), and the result keeps only the scores.
         slots, peak, retained = self._traced_run(50_000)
         slots2, peak2, retained2 = self._traced_run(100_000)
-        assert min(slots, slots2 - slots) > overestimate.CHUNK_SLOTS
+        assert min(slots, slots2 - slots) > core.CHUNK_SLOTS
         assert peak2 - peak <= 32 * (slots2 - slots)
         assert retained2 - retained <= 16 * 50_000
 
@@ -431,19 +431,6 @@ class TestLeveragesFromTable:
 
 
 class TestLeverageExact:
-    def test_rank_two_reduces_to_edge_leverage(self):
-        H = random_hypergraph(41, n=8, m=15, rank=2)
-        U = init_underlying(H)
-        table = resistance_table(flatten(U))
-        lev = leverage_exact(H, U)
-        for e, (vs, w) in enumerate(edges(H)):
-            assert lev[e] == pytest.approx(w * table[vs[0], vs[1]])
-
-    def test_single_edge_leverage_is_one(self):
-        H = Hypergraph(2, [((0, 1), 3.0)])
-        lev = leverage_exact(H, init_underlying(H))
-        assert lev[0] == pytest.approx(1.0)
-
     def test_clique_max_within_double_of_star_max(self):
         H = random_hypergraph(42, n=20, m=35, rank=6)
         U = init_underlying(H)
@@ -454,12 +441,6 @@ class TestLeverageExact:
             star_max = max(table[anchor, v] for v in vs if v != anchor)
             assert clique_max >= star_max - 1e-12
             assert star_max >= 0.5 * clique_max - 1e-12
-
-    def test_disconnected_hyperedge_raises(self):
-        H = Hypergraph(4, [((0, 1), 1.0), ((2, 3), 1.0), ((0, 3), 1.0)])
-        U = init_underlying(H).with_weights(np.array([1.0, 1.0, 0.0]))
-        with pytest.raises(DisconnectedError):
-            leverage_exact(H, U)
 
 
 def assert_witness_star_sums_exact(H, res):
