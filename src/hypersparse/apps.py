@@ -1,16 +1,19 @@
 """Hypergraph global mincut by maximum-adjacency ordering, and s-t mincut via
 max-flow on the in/out-node digraph.
 
-The global mincut contracts one vertex per maximum-adjacency phase on the CSR
-arrays; its witness is the side holding vertex 0, and a value of 0 comes with
-vertex 0's component. For s-t cuts Lawler's reduction turns each hyperedge e
-into a gadget e_in -> e_out of capacity w_e; every member vertex connects to
-e_in and from e_out with effectively unlimited capacity, so a directed s-t
-cut must pay w_e exactly when e has vertices on both sides. The network is
-one (A, 3) array of arcs, and Dinic's max-flow builds each phase's level
-graph with numpy, leaving only the blocking-flow DFS to Python. Approximate
-variants run the exact solver on a spectral sparsifier built with a third of
-the accuracy budget.
+The global mincut runs maximum-adjacency phases on the CSR arrays, and each
+phase contracts every consecutive pair of its order that the pendant-pair
+lemma certifies, so random instances need 2-5 phases where contracting one
+pair per phase takes n - 1. Its witness is the side holding vertex 0, and a
+value of 0 comes with vertex 0's component. For s-t cuts Lawler's reduction
+turns each hyperedge e into a gadget e_in -> e_out of capacity w_e; every
+member vertex connects to e_in and from e_out with effectively unlimited
+capacity, so a directed s-t cut must pay w_e exactly when e has vertices on
+both sides. The network is one (A, 3) array of arcs, and Dinic's max-flow
+builds each phase's level graph with numpy, leaving only the blocking-flow
+DFS to Python. Approximate variants run the exact solver on a spectral
+sparsifier built with a third of the accuracy budget. Both mincuts refuse
+weights whose sum overflows, as their cut values could.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Hypergraph
+from .core import Hypergraph, sorted_distinct
 from .hsparse import SparsifyConfig, sparsify_hypergraph
 from .seeding import derive_seed
 
@@ -58,6 +61,13 @@ class FlowNetwork:
             raise ValueError("arc endpoint is not a node id in the node range")
         if not ((arcs[:, 2] >= 0.0) & (arcs[:, 2] < np.inf)).all():
             raise ValueError("arc capacity must be finite and nonnegative")
+
+
+def _check_total_weight(H: Hypergraph) -> None:
+    with np.errstate(over="ignore"):
+        total = H.weights.sum()
+    if not np.isfinite(total):
+        raise ValueError("the hyperedge weights sum past the float range, so cut values would overflow")
 
 
 def _check_terminals(H: Hypergraph, s: int, t: int) -> None:
@@ -180,11 +190,13 @@ def st_mincut(
     """Minimum s-t cut value; exact at eps = 0, else exact flow on an
     eps/3-sparsifier (value carries the sparsifier's cut fidelity).
 
-    Returns (value, approximate flag).
+    Returns (value, approximate flag). Weights whose sum is not finite
+    raise ValueError.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     _check_terminals(H, s, t)
+    _check_total_weight(H)
     if eps == 0.0:
         value = max_flow(lawler_reduction(H, s, t))
         return value, False
@@ -193,57 +205,92 @@ def st_mincut(
     return value, True
 
 
-def _global_mincut_exact(H: Hypergraph) -> tuple[float, frozenset]:
-    """Stoer-Wagner phases over the hypergraph maximum-adjacency ordering of
-    Klimmek-Wagner (1996). A phase grows A from supervertex 0; adding v
+def _ma_phase(k, w, pe, pv):
+    """One maximum-adjacency phase on supervertices 0..k-1: the order in
+    which they join A and each one's key when it joined.
+
+    Klimmek-Wagner (1996) ordering: A grows from supervertex 0; adding v
     touches each untouched hyperedge of v, whose weight then counts in the
-    key of every member, and the largest key outside A joins next. The last
-    vertex t has key cut({t}), a minimum cut from the one before it, s, and
-    is merged into s. `pe`/`pv` hold the (hyperedge, supervertex) pairs of
-    the contracted hypergraph by hyperedge; `group` maps vertices to
-    supervertices."""
+    key of every member, and the largest key outside A joins next. Hyperedge
+    e has weight w[e] and the pins (pe, pv) sorted by pe, one per distinct
+    supervertex. The order stops short of k once no positive hyperedge
+    leaves A, which is then vertex 0's component.
+    """
+    ptr = np.concatenate(([0], np.bincount(pe, minlength=len(w)).cumsum()))
+    # The narrowest unsigned type holding k lets a stable sort run as a
+    # radix sort while k fits in 16 bits.
+    by_vertex = pe[np.argsort(pv.astype(np.min_scalar_type(k)), kind="stable")]
+    vptr = [0, *np.bincount(pv, minlength=k).cumsum().tolist()]
+    touched = np.zeros(len(w), dtype=bool)
+    key = np.zeros(k)
+    order, joined = np.zeros(k, dtype=np.intp), np.zeros(k)
+    t = 0
+    # Array methods rather than np.* wrappers: phases on small inputs are
+    # bound by per-call overhead.
+    for i in range(1, k):
+        key[t] = -np.inf  # in A from here on
+        new = by_vertex[vptr[t]:vptr[t + 1]]
+        new = new[~touched[new]]
+        touched[new] = True
+        lo = ptr[new]
+        lens = ptr[new + 1] - lo
+        starts = (lo - lens.cumsum() + lens).repeat(lens)
+        members = pv[starts + np.arange(len(starts))]
+        key += np.bincount(members, weights=w[new].repeat(lens), minlength=k)
+        t = int(key.argmax())
+        if key[t] == 0.0:
+            return order[:i], joined[:i]
+        order[i], joined[i] = t, key[t]
+    return order, joined
+
+
+def _global_mincut_exact(H: Hypergraph) -> tuple[float, frozenset]:
+    """Maximum-adjacency phases that contract every pair they certify.
+
+    `best` starts at the least weighted degree. In a phase's order v1..vk,
+    the prefix v1..vi is a maximum-adjacency order of H cut down to those
+    vertices, so the pendant-pair lemma gives lambda(v(i-1), vi) >= key(vi):
+    no cut below `best` separates a pair whose key is at least `best`. The
+    last key is cut({vk}), which updates `best` first; then every run of such
+    pairs becomes one supervertex, vertex 0's run keeping label 0. `pe`/`pv`
+    hold the distinct (hyperedge, supervertex) pins of the contracted
+    hypergraph by hyperedge, and `group` maps vertices to supervertices.
+    """
     pos = H.weights > 0.0
     sizes = np.diff(H.indptr)
     w = H.weights[pos]
     pe = np.repeat(np.arange(len(w)), sizes[pos])
     pv = H.indices[np.repeat(pos, sizes)]
     group = np.arange(H.n)
-    best, best_side = np.inf, frozenset()
-    for k in range(H.n, 1, -1):
-        ptr = np.searchsorted(pe, np.arange(len(w) + 1))
-        order = np.argsort(pv, kind="stable")
-        by_vertex, vptr = pe[order], np.searchsorted(pv[order], np.arange(k + 1))
-        touched = np.zeros(len(w), dtype=bool)
-        key = np.zeros(k)
-        t = 0
-        for _ in range(k - 1):
-            key[t] = -np.inf  # in A from here on
-            new = by_vertex[vptr[t]:vptr[t + 1]]
-            new = new[~touched[new]]
-            touched[new] = True
-            lens = ptr[new + 1] - ptr[new]
-            starts = np.repeat(ptr[new] - np.cumsum(lens) + lens, lens)
-            members = pv[starts + np.arange(len(starts))]
-            key += np.bincount(members, weights=np.repeat(w[new], lens), minlength=k)
-            s, t = t, int(np.argmax(key))
-            if key[t] == 0.0:
-                # No positive hyperedge leaves A: it is vertex 0's component.
-                return 0.0, frozenset(np.flatnonzero(np.isinf(key)[group]).tolist())
-        if key[t] < best:
-            best, best_side = float(key[t]), frozenset(np.flatnonzero(group != t).tolist())
-        # Merge t into s: drop the pair (e, t) of each e that holds s, then
-        # every hyperedge left inside one supervertex, then close the gap at t.
-        holds_s = np.zeros(len(w), dtype=bool)
-        holds_s[pe[pv == s]] = True
-        at_t = pv == t
-        keep = ~(at_t & holds_s[pe])
-        pe, pv = pe[keep], np.where(at_t, s, pv)[keep]
+
+    def side(g):
+        # The side holding vertex 0 of the cut around supervertex g.
+        return frozenset(np.flatnonzero((group == 0) if g == 0 else (group != g)).tolist())
+
+    degree = np.bincount(pv, weights=w[pe], minlength=H.n)
+    k = H.n
+    best = float(degree.min())
+    best_side = side(int(np.argmin(degree)))
+    while k > 1:
+        order, key = _ma_phase(k, w, pe, pv)
+        if len(order) < k:
+            # No positive hyperedge leaves A: it is vertex 0's component.
+            in_a = np.zeros(k, dtype=bool)
+            in_a[order] = True
+            return 0.0, frozenset(np.flatnonzero(in_a[group]).tolist())
+        if key[-1] < best:
+            best, best_side = float(key[-1]), side(int(order[-1]))
+        # key[0] is 0, so vertex 0 starts the first run and keeps label 0.
+        label = np.empty(k, dtype=np.intp)
+        label[order] = np.cumsum(key < best) - 1
+        k = int(label[order[-1]]) + 1
+        group = label[group]
+        # One pin per (hyperedge, supervertex), then only hyperedges that
+        # still span two supervertices.
+        pe, pv = np.divmod(sorted_distinct(pe * k + label[pv]), k)
         alive = np.bincount(pe, minlength=len(w)) > 1
         keep = alive[pe]
         pe, pv, w = (np.cumsum(alive) - 1)[pe[keep]], pv[keep], w[alive]
-        pv -= pv > t
-        group[group == t] = s
-        group -= group > t
     return best, best_side
 
 
@@ -252,14 +299,19 @@ def global_mincut(
 ) -> tuple[float, frozenset]:
     """Minimum cut over all nontrivial vertex splits, with a witness side.
 
-    Exact mode contracts one vertex per maximum-adjacency phase: n - 1
-    phases of O(p log p + n^2) array work, p = sum |e|. The witness is the
-    side holding vertex 0; a hypergraph whose positive-weight hyperedges do
-    not connect all vertices yields 0 with vertex 0's component as the
-    witness. Approximate mode runs the exact solver on an eps/3-sparsifier.
+    Exact mode runs maximum-adjacency phases, each of O(p log p + k^2) array
+    work on k supervertices and p = sum |e| pins, and contracts every pair
+    of the phase's order whose key is at least the best cut so far. Random
+    instances take 2-5 phases; a cycle, whose keys stay below its cut until
+    the last vertex, still takes n - 1. The witness is the side holding
+    vertex 0; a hypergraph whose positive-weight hyperedges do not connect
+    all vertices yields 0 with vertex 0's component as the witness.
+    Approximate mode runs the exact solver on an eps/3-sparsifier. Weights
+    whose sum is not finite raise ValueError in either mode.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
+    _check_total_weight(H)
     if eps == 0.0:
         return _global_mincut_exact(H)
     target = _sparsify_for_apps(H, eps, cfg)

@@ -33,7 +33,7 @@ from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .core import WeightedGraph
+from .core import WeightedGraph, sorted_distinct
 
 __all__ = [
     "DisconnectedError",
@@ -246,9 +246,9 @@ def _positive_pairs(n: int, chunks) -> np.ndarray:
         pending.append(edge_pairs(C)[1])
         size += len(pending[-1])
         if size > len(merged):
-            merged = np.unique(np.concatenate([merged, *pending]))
+            merged = sorted_distinct(np.concatenate([merged, *pending]))
             pending, size = [], 0
-    return np.unique(np.concatenate([merged, *pending])) if pending else merged
+    return sorted_distinct(np.concatenate([merged, *pending])) if pending else merged
 
 
 def _project_out_kernel(L: Laplacian, x: np.ndarray) -> np.ndarray:

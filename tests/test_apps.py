@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -317,3 +319,90 @@ class TestGlobalMincut:
         value, witness = global_mincut(H, eps=eps, cfg=cfg)
         assert (1.0 - eps / 3.0) * exact <= value <= (1.0 + eps / 3.0) * exact
         assert 0 < len(witness) < H.n
+
+
+def _merge_family(kind, n=10):
+    """Instances whose phases must stop merging early: dyadic weights, so
+    every cut sum is exact."""
+    rng = np.random.default_rng(n)
+    if kind == "two blocks":
+        # Two dense blocks joined by one light hyperedge: the mincut, 0.25,
+        # lies far below every weighted degree.
+        half = n // 2
+        pairs = [((a, b), float(rng.integers(1, 5))) for block in (range(half), range(half, n))
+                 for a, b in combinations(block, 2)]
+        pairs.append(((half - 1, half, half + 1), 0.25))
+    elif kind == "cycle":
+        pairs = [((i, (i + 1) % n), 1.0) for i in range(n)]
+    elif kind == "path":
+        pairs = [((i, i + 1), float(rng.integers(1, 9)) / 4) for i in range(n - 1)]
+    else:  # spanning
+        pairs = [(tuple(range(n)), 0.5)] + [((i, i + 1), float(rng.integers(1, 5))) for i in range(0, n - 1, 2)]
+    return Hypergraph(n, pairs)
+
+
+def _count_phases(monkeypatch, H):
+    calls = []
+    phase = apps._ma_phase
+    monkeypatch.setattr(apps, "_ma_phase", lambda *args: calls.append(args[0]) or phase(*args))
+    result = global_mincut(H)
+    return result, len(calls)
+
+
+class TestContraction:
+    """Each phase contracts every pair whose key reaches the best cut so far."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_float_weights_match_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 12))
+        H = random_hypergraph(seed + 1100, n=n, m=int(rng.integers(n, 5 * n)), rank=min(n, 5),
+                              w_lo=0.01, w_hi=10.0)
+        value, witness = global_mincut(H)
+        want = brute_global_mincut(H)
+        assert value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert 0 in witness and 0 < len(witness) < H.n
+        assert cut_value(H, witness) == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["two blocks", "cycle", "path", "spanning"])
+    def test_families_that_stop_merging(self, kind):
+        H = _merge_family(kind)
+        value, witness = global_mincut(H)
+        assert value == brute_global_mincut(H)
+        assert 0 in witness and 0 < len(witness) < H.n
+        assert cut_value(H, witness) == value
+        if kind == "two blocks":
+            assert value == 0.25 and witness == frozenset(range(H.n // 2))
+
+    def test_few_phases_on_a_dense_instance(self, monkeypatch):
+        H = random_hypergraph(1901, n=18, m=500, rank=5)
+        (value, _), phases = _count_phases(monkeypatch, H)
+        assert phases < H.n - 1
+        assert value == pytest.approx(brute_global_mincut(H), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [3, 12, 40])
+    def test_cycle_takes_n_minus_one_phases(self, monkeypatch, n):
+        (value, _), phases = _count_phases(monkeypatch, _merge_family("cycle", n))
+        assert value == 2.0
+        assert phases == n - 1
+
+
+class TestWeightOverflow:
+    """A cut of weights whose sum passes the float range is not finite."""
+
+    def test_global_mincut_rejects(self):
+        H = Hypergraph(3, [((0, 1), 1e308), ((1, 2), 1e308), ((0, 2), 1e308)])
+        for eps in (0.0, 0.5):
+            with pytest.raises(ValueError, match="overflow"):
+                global_mincut(H, eps=eps)
+
+    def test_st_mincut_rejects(self):
+        H = Hypergraph(3, [((0, 1), 1e308), ((1, 2), 1e308), ((0, 2), 1e308)])
+        for eps in (0.0, 0.5):
+            with pytest.raises(ValueError, match="overflow"):
+                st_mincut(H, 0, 2, eps=eps)
+
+    def test_large_finite_total_is_kept(self):
+        H = Hypergraph(3, [((0, 1), 1e307), ((1, 2), 1e307), ((0, 2), 1e307)])
+        assert global_mincut(H)[0] == 2e307
+        assert st_mincut(H, 0, 2)[0] == pytest.approx(2e307)

@@ -245,6 +245,22 @@ class TestErrorsAndDeterminism:
             code, text = run([argv[0], str(path), *argv[1:-1], "0"])
             assert code == 0 and "value=0.0" in text.splitlines()
 
+    @pytest.mark.parametrize("argv", [
+        ["mincut", "--epsilon", "0"],
+        ["mincut", "--epsilon", "0.5"],
+        ["stmincut", "--source", "1", "--sink", "3", "--epsilon", "0"],
+        ["stmincut", "--source", "1", "--sink", "3", "--epsilon", "0.5"],
+    ])
+    def test_weights_summing_past_float_range_exit_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "huge.hgr"
+        path.write_text("3 3 1\n1e308 1 2\n1e308 2 3\n1e308 1 3\n")
+        code, text = run([argv[0], str(path), *argv[1:]])
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: the hyperedge weights sum past the float range, so cut values would overflow\n"
+        )
+
     def test_count_beyond_any_array_exits_two(self, sample_file, tmp_path, capsys):
         code, text = run(["sparsify", sample_file, "--epsilon", "1e-150", "-o", str(tmp_path / "o.hgr")])
         assert code == 2

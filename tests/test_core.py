@@ -15,6 +15,7 @@ from hypersparse.core import (
     energies,
     flatten,
     init_underlying,
+    sorted_distinct,
     total_energy,
 )
 from hypersparse.linalg import build_laplacian
@@ -312,6 +313,23 @@ class TestEnergies:
             energies(H, np.zeros(3))
 
 
+class TestSortedDistinct:
+    @pytest.mark.parametrize("values", [[], [7], [3, 3, 3], [5, -2, 5, 0, -2, 9, 0], list(range(10, 0, -1))])
+    def test_matches_unique(self, values):
+        for dtype in (np.int64, np.int32):
+            ids = np.array(values, dtype=dtype)
+            got = sorted_distinct(ids)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, np.unique(ids))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_ids_match_unique(self, seed):
+        ids = np.random.default_rng(seed).integers(0, 1000, size=5000)
+        before = ids.copy()
+        np.testing.assert_array_equal(sorted_distinct(ids), np.unique(ids))
+        np.testing.assert_array_equal(ids, before)
+
+
 class TestCsrLayout:
     def test_arrays_hold_sorted_hyperedges(self):
         H = Hypergraph(5, [((3, 1, 4), 1.0), ((2, 0), 0.5)])
@@ -320,6 +338,16 @@ class TestCsrLayout:
         np.testing.assert_array_equal(H.weights, [1.0, 0.5])
         assert H.vertex_sets == ((1, 3, 4), (0, 2))
         assert (H.m, H.rank) == (2, 3)
+
+    def test_size_groups_in_ascending_size(self):
+        H = mixed_instance(5)
+        ids = np.flatnonzero(H.weights > 0.0)
+        groups = list(H.size_groups(ids))
+        sizes = np.diff(H.indptr)[ids]
+        assert [members.shape[1] for _, members in groups] == sorted(set(sizes.tolist()))
+        for group, members in groups:
+            np.testing.assert_array_equal(group, ids[sizes == members.shape[1]])
+            assert [tuple(row) for row in members.tolist()] == [H.vertex_sets[e] for e in group]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_constructors_build_equal_objects(self, seed):

@@ -203,6 +203,22 @@ class TestAssembly:
         assert L.pairs is None or len(L.pairs) == len(want.pairs) + 1
         np.testing.assert_array_equal(edge_resistances(cut, L), edge_resistances(cut))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_positive_pairs_match_unique(self, seed):
+        # Chunks of 1 to 60 edges, some of weight 0 and one chunk all 0, so
+        # the running merge runs several times.
+        G = random_weighted_graph(seed + 90, n=25, m=400)
+        w = G.w.copy()
+        w[np.random.default_rng(seed).random(G.m) < 0.3] = 0.0
+        w[100:140] = 0.0
+        bounds = [0, 1, 3, 40, 100, 140, 200, 260, 400]
+        chunks = [WeightedGraph.from_arrays(G.n, G.u[a:b], G.v[a:b], w[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        keep = w > 0.0
+        want = np.unique(G.u[keep] * G.n + G.v[keep])
+        got = linalg._positive_pairs(G.n, chunks)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
     def test_multigraph_components(self):
         L = build_laplacian(multigraph())
         np.testing.assert_array_equal(L.components, [0, 1, 1, 2, 2, 3, 3, 3, 4])

@@ -305,12 +305,24 @@ class TestSharedStarGraph:
     def test_one_sweep_per_round(self, monkeypatch, lu):
         # Each chunk is read once for round 1's pair table and once per
         # round; the sparse path's pairs pass reads it once more, once per run.
+        # No read spans the whole star graph, and `U.graph`, which holds every
+        # slot's endpoints, is never built.
         if lu:
             monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
         monkeypatch.setattr(core, "CHUNK_SLOTS", 16)
         reads, tables, pair_passes = collections.Counter(), [], []
         pair_table, positive_pairs = overestimate.pair_table, linalg._positive_pairs
-        monkeypatch.setattr(core, "star_slots", lambda H, *at: reads.update(at[:1]) or star_slots(H, *at))
+
+        def ranged_read(H, *at):
+            assert at, "the round loop read the slots of the whole star graph"
+            reads.update(at[:1])
+            return star_slots(H, *at)
+
+        def whole_graph(U):
+            raise AssertionError("the round loop built the whole star graph")
+
+        monkeypatch.setattr(core, "star_slots", ranged_read)
+        monkeypatch.setattr(core.UnderlyingGraph, "graph", property(whole_graph))
         monkeypatch.setattr(overestimate, "pair_table", lambda G: tables.append(G) or pair_table(G))
         monkeypatch.setattr(linalg, "_positive_pairs", lambda n, C: pair_passes.append(n) or positive_pairs(n, C))
 
