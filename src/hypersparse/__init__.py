@@ -26,7 +26,6 @@ from .linalg import (
     foster_sum,
     resistance_table,
     sketch_resistance,
-    solve_laplacian,
 )
 from .gsparse import sparsify_graph
 from .overestimate import (

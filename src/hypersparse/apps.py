@@ -18,6 +18,7 @@ weights whose sum overflows, as their cut values could.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,6 +72,8 @@ def _check_total_weight(H: Hypergraph) -> None:
 
 
 def _check_terminals(H: Hypergraph, s: int, t: int) -> None:
+    if not (isinstance(s, numbers.Integral) and isinstance(t, numbers.Integral)):
+        raise ValueError(f"source and sink must be integer vertex ids, got {s!r} and {t!r}")
     if s == t:
         raise ValueError("source and sink must differ")
     if not (0 <= s < H.n and 0 <= t < H.n):

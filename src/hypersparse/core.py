@@ -10,7 +10,8 @@ offsets), so every pass over it is linear in the total hyperedge size.
 
 `UnderlyingGraph` is the one star graph type, and this module alone knows
 its slot layout: one slot per non-anchor vertex of each hyperedge, in
-(hyperedge, vertex) order, read from the CSR arrays by `star_slots`.
+(hyperedge, vertex) order. `star_slots` is the one reader of the slots from
+the CSR arrays: `UnderlyingGraph.spans` and `flatten` go through it.
 """
 
 from __future__ import annotations
@@ -51,6 +52,26 @@ def sorted_distinct(ids: np.ndarray) -> np.ndarray:
     return ids[keep]
 
 
+def _fraction_at(values: np.ndarray) -> int:
+    """Position of the first entry of a flat float array that is not a whole
+    number (a fraction, nan or inf); -1 when every entry is one, or when the
+    array is not of floats (its cast to int64 then checks it as before)."""
+    if values.dtype.kind != "f":
+        return -1
+    whole = np.isfinite(values) & (np.trunc(values) == values)
+    return -1 if whole.all() else int(np.argmin(whole))
+
+
+def _int64(values, what: str) -> np.ndarray:
+    """`values` as a new int64 array. An entry that is not a whole number
+    raises ValueError, where a cast would truncate it."""
+    values = np.asarray(values)
+    at = _fraction_at(values.ravel())
+    if at >= 0:
+        raise ValueError(f"{what} {float(values.ravel()[at])} is not an integer")
+    return values.astype(np.int64)
+
+
 class HyperedgeError(ValueError):
     """Invalid hyperedge; `edge` is its 0-based position in the input."""
 
@@ -69,7 +90,8 @@ class Hypergraph:
         weights: float hyperedge weights, one per hyperedge.
 
     `Hypergraph(n, edges)` takes (vertices, weight) pairs, `from_arrays` the
-    three arrays; both sort each hyperedge and validate alike.
+    three arrays; both sort each hyperedge and validate alike, rejecting a
+    count, offset or vertex id that is not a whole number.
     """
 
     __slots__ = ("n", "indptr", "indices", "weights")
@@ -78,27 +100,27 @@ class Hypergraph:
         sizes, flat, weights = [], [], []
         for vertices, weight in edges:
             before = len(flat)
-            flat.extend(map(int, vertices))
+            flat.extend(vertices)
             sizes.append(len(flat) - before)
             weights.append(float(weight))
         indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=indptr[1:])
-        self._init_arrays(int(n), indptr, np.array(flat, dtype=np.int64), np.array(weights))
+        self._init_arrays(int(_int64(n, "vertex count")), indptr, np.array(flat), np.array(weights))
 
     @classmethod
     def from_arrays(cls, n, indptr, indices, weights) -> "Hypergraph":
         return cls._adopt(
-            int(n),
-            np.array(indptr, dtype=np.int64),
-            np.array(indices, dtype=np.int64),
+            int(_int64(n, "vertex count")),
+            _int64(indptr, "offset"),
+            np.array(indices),
             np.array(weights, dtype=float),
         )
 
     @classmethod
     def _adopt(cls, n, indptr, indices, weights) -> "Hypergraph":
-        """`from_arrays` over int64, int64 and float64 arrays that the caller
-        hands over and does not use again: they are checked and frozen, not
-        copied."""
+        """`from_arrays` over int64 offsets, vertex ids (copied only if not
+        int64) and float64 weights that the caller hands over and does not
+        use again: they are checked and frozen, not copied."""
         self = cls.__new__(cls)
         self._init_arrays(n, indptr, indices, weights)
         return self
@@ -114,6 +136,11 @@ class Hypergraph:
             raise ValueError("indptr must rise from 0 to len(indices), one step per hyperedge")
         if (sizes < 2).any():
             raise HyperedgeError(int(np.argmax(sizes < 2)), "needs at least 2 vertices")
+        at = _fraction_at(indices)
+        if at >= 0:
+            e = int(np.searchsorted(indptr, at, side="right")) - 1
+            raise HyperedgeError(e, f"vertex id {float(indices[at])} is not an integer")
+        indices = indices.astype(np.int64, copy=False)
         outside = (indices < 0) | (indices >= n)
         if outside.any():
             e = int(np.searchsorted(indptr, np.argmax(outside), side="right")) - 1
@@ -190,19 +217,19 @@ class WeightedGraph:
     __slots__ = ("n", "u", "v", "w")
 
     def __init__(self, n, edges):
-        triples = [(int(a), int(b), float(c)) for a, b, c in edges]
-        u = np.array([t[0] for t in triples], dtype=np.int64)
-        v = np.array([t[1] for t in triples], dtype=np.int64)
+        triples = [(a, b, float(c)) for a, b, c in edges]
+        u = _int64([t[0] for t in triples], "edge endpoint")
+        v = _int64([t[1] for t in triples], "edge endpoint")
         w = np.array([t[2] for t in triples], dtype=float)
-        self._init_arrays(int(n), u, v, w)
+        self._init_arrays(int(_int64(n, "vertex count")), u, v, w)
 
     @classmethod
     def from_arrays(cls, n, u, v, w) -> "WeightedGraph":
         self = cls.__new__(cls)
         self._init_arrays(
-            int(n),
-            np.asarray(u, dtype=np.int64).copy(),
-            np.asarray(v, dtype=np.int64).copy(),
+            int(_int64(n, "vertex count")),
+            _int64(u, "edge endpoint"),
+            _int64(v, "edge endpoint"),
             np.asarray(w, dtype=float).copy(),
         )
         return self
@@ -254,12 +281,12 @@ class UnderlyingGraph:
     Iterating yields the graph in chunks of whole hyperedges of about
     CHUNK_SLOTS slots, as `linalg.build_laplacian` takes chunks; `spans` adds
     each chunk's hyperedge range and slot owners. The slots' endpoints are
-    read from H's CSR arrays (`star_slots`) chunk by chunk and not kept,
-    unless `graph` is asked for; a graph of one chunk reads them once, as
-    they take no more memory than one chunk's temporaries.
+    read from H's CSR arrays (`star_slots`) chunk by chunk and not kept; a
+    graph of one chunk reads them once, as they take no more memory than one
+    chunk's temporaries.
     """
 
-    __slots__ = ("base", "offsets", "bounds", "weights", "_slots", "_graph")
+    __slots__ = ("base", "offsets", "bounds", "weights", "_slots")
 
     def __init__(self, base: Hypergraph, weights):
         self._init(base, np.array(weights, dtype=float))
@@ -285,7 +312,7 @@ class UnderlyingGraph:
         if w.shape != (self.offsets[-1],) or not ((w >= 0.0) & np.isfinite(w)).all():
             raise ValueError(f"expected {self.offsets[-1]} slot weights, each finite and nonnegative")
         w.flags.writeable = False
-        self.weights, self._graph = w, None
+        self.weights = w
 
     @property
     def n(self) -> int:
@@ -294,16 +321,6 @@ class UnderlyingGraph:
     @property
     def slot_count(self) -> int:
         return len(self.weights)
-
-    @property
-    def graph(self) -> WeightedGraph:
-        """The star graph as one WeightedGraph, built on first use: `u` is
-        each slot's anchor, `v` its other vertex, `w` the weights."""
-        if self._graph is None:
-            u, v, _ = self._slots or star_slots(self.base)
-            u.flags.writeable = v.flags.writeable = False
-            self._graph = WeightedGraph._unchecked(self.base.n, u, v, self.weights)
-        return self._graph
 
     def spans(self):
         """Each chunk as (first hyperedge, end hyperedge, slot owners counted
@@ -316,21 +333,12 @@ class UnderlyingGraph:
     def __iter__(self):
         return (G for *_, G in self.spans())
 
-    def star_sums(self) -> np.ndarray:
-        """Per-hyperedge sum of star slot weights."""
-        return np.add.reduceat(self.weights, self.offsets[:-1])
-
-    def slot_edges(self) -> np.ndarray:
-        """Hyperedge index owning each slot."""
-        return np.repeat(np.arange(self.base.m), np.diff(self.offsets))
-
     def with_weights(self, weights) -> "UnderlyingGraph":
-        """Same hypergraph, offsets, chunks and slot endpoints (shared, not
-        copied), new slot weights (copied and checked as by the constructor)."""
+        """Same hypergraph, offsets and chunks, and for a graph of one chunk
+        the same slot endpoints (shared, not copied); new slot weights
+        (copied and checked as by the constructor)."""
         V = copy.copy(self)
         V._set_weights(np.array(weights, dtype=float))
-        if self._graph is not None:
-            V._graph = WeightedGraph._unchecked(self.base.n, self._graph.u, self._graph.v, V.weights)
         return V
 
     def __repr__(self):
@@ -410,10 +418,11 @@ def star_slots(H: Hypergraph, start: int = 0, stop: int | None = None) -> tuple:
 
 
 def flatten(U: UnderlyingGraph) -> WeightedGraph:
-    """Labeled multigraph of all star slots; slot order is the edge order.
-
-    This is `U.graph` itself, not a copy. Parallel slots from different
-    hyperedges stay distinct, so the edge count is always sum over e of
-    (|e| - 1).
+    """Labeled multigraph of all star slots, read by one `star_slots` call;
+    slot order is the edge order and `w` is `U.weights`, not a copy.
+    Parallel slots from different hyperedges stay distinct, so the edge
+    count is always sum over e of (|e| - 1).
     """
-    return U.graph
+    u, v, _ = star_slots(U.base)
+    u.flags.writeable = v.flags.writeable = False
+    return WeightedGraph._unchecked(U.base.n, u, v, U.weights)

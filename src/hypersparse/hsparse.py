@@ -134,13 +134,16 @@ def sparsify_hypergraph(
     Unless a precomputed result is supplied, the overestimate runs with the
     rank-driven round count. Only hyperedges with accumulated weight > 0
     appear in the output, at most min(M, m) distinct. Raises ValueError when
-    no hyperedge has positive weight, as there is nothing to sample.
+    no hyperedge has positive weight, as there is nothing to sample, and
+    when the supplied result does not hold one score per hyperedge of H.
     """
     if not (H.weights > 0.0).any():
         raise ValueError("no hyperedge has positive weight, so there is nothing to sample")
     if overestimate is None:
         overestimate = compute_overestimate(H, OverestimateConfig(rounds=default_rounds(H.rank)))
     scores = overestimate.scores
+    if scores.shape != (H.m,):
+        raise ValueError(f"overestimate holds {len(scores)} scores for {H.m} hyperedges: it is for another hypergraph")
     positive = H.weights > 0.0
     if (scores[positive] <= 0.0).any():
         bad = int(np.flatnonzero(positive & (scores <= 0.0))[0])

@@ -19,8 +19,9 @@ the distinct pairs of positive-weight edges.
 `edge_resistances(G, L)` is the one entry point for per-edge resistances,
 exact on both paths: read from `Laplacian.pair_resistances`, the resistances
 across all of L's pairs, from F where it fits and above it from one sweep
-of the sparse LU over the vertices of L's pairs. The Johnson-Lindenstrauss
-sketch stays available for approximate queries.
+of the sparse LU over the vertices of L's pairs. Other exact queries sweep
+the columns of F they need through `solve_grounded` on either path. The
+Johnson-Lindenstrauss sketch stays available for approximate queries.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ __all__ = [
     "ResistanceSketch",
     "fits_dense",
     "build_laplacian",
-    "solve_laplacian",
     "effective_resistance_exact",
     "resistance_table",
     "build_sketch",
@@ -262,14 +262,6 @@ def _project_out_kernel(L: Laplacian, x: np.ndarray) -> np.ndarray:
     return x - (means @ x)[L.components]
 
 
-def solve_laplacian(L: Laplacian, b) -> np.ndarray:
-    """Return x = L^+ b; b is first projected onto range(L) per component."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (L.n,):
-        raise ValueError(f"expected a length-{L.n} vector")
-    return _project_out_kernel(L, L.solve_grounded(_project_out_kernel(L, b)))
-
-
 def _check_pairs(components: np.ndarray, a, b):
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
@@ -287,15 +279,11 @@ def _exact_resistances(L: Laplacian, a, b) -> np.ndarray:
     """Exact resistances d_a + d_b - 2 F_ab between aligned vertex arrays,
     with d the diagonal of F, for pairs that `_check_pairs` would accept.
 
-    The dense path reads F. The sparse path sweeps the distinct queried
-    vertices in blocks J of at most QUERY_BLOCK_BYTES of columns: one solve
-    of e_J gives F[:, J], hence d_J and F_ab for every pair with b in J.
+    It sweeps the distinct queried vertices in blocks J of at most
+    QUERY_BLOCK_BYTES of columns: one `solve_grounded` of e_J gives F[:, J]
+    (dense: F @ e_J, bitwise), hence d_J and F_ab for every pair with b in J.
     """
     a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
-    if L.is_dense:
-        F = L.factor()
-        d = F.diagonal()
-        return d[a] + d[b] - 2.0 * F[a, b]
     verts, at = np.unique(np.concatenate([a, b]), return_inverse=True)
     ia, ib = at[:len(a)], at[len(a):]
     by_b = np.argsort(ib, kind="stable")

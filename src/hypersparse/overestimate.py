@@ -21,12 +21,13 @@ scores, and writes the next round's weights and table.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
 
-from .core import Hypergraph, UnderlyingGraph, init_underlying
+from .core import Hypergraph, UnderlyingGraph, init_underlying, star_slots
 from .linalg import RESISTANCE_FLOOR, resistance_table
 from .linalg import edge_pairs, laplacian_from_table, pair_table
 
@@ -82,8 +83,8 @@ class OverestimateConfig:
     exact: bool = False
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("rounds must be at least 1")
+        if not isinstance(self.rounds, numbers.Integral) or self.rounds < 1:
+            raise ValueError(f"rounds must be an integer of at least 1, got {self.rounds!r}")
 
     def scale(self, rank: int) -> float:
         """Aggregation coefficient 2 (1 + COMBINED_EPS) exp(ln(rank) / rounds)."""
@@ -147,7 +148,7 @@ def weight_compute(U: UnderlyingGraph, resistances) -> UnderlyingGraph:
         raise ValueError("resistance table must align with star slots")
     if (res < 0.0).any():
         raise ValueError("negative resistance input")
-    new_weights, _ = _reweight(U.weights * res, U.slot_edges(), U.offsets[:-1], U.base.weights)
+    new_weights, _ = _reweight(U.weights * res, star_slots(U.base)[2], U.offsets[:-1], U.base.weights)
     return U.with_weights(new_weights)
 
 

@@ -10,6 +10,7 @@ program this module does not solve.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -153,8 +154,8 @@ def verify_spectral_sampled(
     Directions with Q_H = 0 are excluded from the ratio.
     """
     _check_inputs(H, Ht, eps)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not isinstance(trials, numbers.Integral) or trials < 1:
+        raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     blocks = [rng.standard_normal((H.n, trials))]
     if H.n <= 12:

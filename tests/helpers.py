@@ -14,7 +14,7 @@ from scipy.sparse.csgraph import connected_components
 
 from hypersparse import linalg, overestimate
 from hypersparse.apps import lawler_reduction, max_flow
-from hypersparse.core import HyperedgeError, Hypergraph, UnderlyingGraph, WeightedGraph, init_underlying
+from hypersparse.core import HyperedgeError, Hypergraph, UnderlyingGraph, WeightedGraph, init_underlying, star_slots
 from hypersparse.hgio import HgrFormatError
 from hypersparse.linalg import RESISTANCE_FLOOR, Laplacian, build_laplacian
 from hypersparse.overestimate import weight_compute
@@ -33,10 +33,13 @@ def edge_list(G):
 
 def weight_map(U: UnderlyingGraph) -> dict:
     """Mapping (hyperedge index, non-anchor vertex) -> slot weight."""
-    return {
-        (e, v): w
-        for e, v, w in zip(U.slot_edges().tolist(), U.graph.v.tolist(), U.weights.tolist())
-    }
+    _, others, owner = star_slots(U.base)
+    return {(e, v): w for e, v, w in zip(owner.tolist(), others.tolist(), U.weights.tolist())}
+
+
+def star_sums(U: UnderlyingGraph) -> np.ndarray:
+    """Per-hyperedge sum of star slot weights."""
+    return np.add.reduceat(U.weights, U.offsets[:-1])
 
 
 def loop_energies(H: Hypergraph, X) -> np.ndarray:
@@ -68,7 +71,7 @@ def loop_init_underlying(H: Hypergraph) -> tuple:
 def assert_stars_sum_to_weights(U: UnderlyingGraph):
     """Each star of U sums to its hyperedge's weight within 1e-9, relative
     (absolute below weight 1)."""
-    sums, target = U.star_sums(), U.base.weights
+    sums, target = star_sums(U), U.base.weights
     bad = np.abs(sums - target) > 1e-9 * np.maximum(np.abs(target), 1.0)
     assert not bad.any(), f"star sums {sums[bad]} differ from hyperedge weights {target[bad]}"
 
@@ -290,11 +293,11 @@ def copying_overestimate(H: Hypergraph, cfg):
     queried through `pair_query_edge_resistances`; returns the scores and
     each round's (resistances, weights)."""
     U = init_underlying(H)
-    slot_edges = U.slot_edges()
+    u, v, slot_edges = star_slots(H)
     acc = np.zeros(H.m)
     rounds = []
     for _ in range(cfg.rounds):
-        G = WeightedGraph.from_arrays(H.n, U.graph.u, U.graph.v, U.weights)
+        G = WeightedGraph.from_arrays(H.n, u, v, U.weights)
         res = pair_query_edge_resistances(G)
         rounds.append((res, U.weights))
         np.add.at(acc, slot_edges, U.weights * res)

@@ -175,6 +175,18 @@ class TestMatchesPerArcDinic:
 
 
 class TestStMincut:
+    @pytest.mark.parametrize("s, t, ok", [
+        (0, 3, True), (np.int64(0), np.int32(3), True),
+        (1.5, 3, False), (0, 3.0, False), (float("nan"), 3, False), (np.float64(0.0), 3, False),
+    ])
+    def test_terminals_must_be_integers(self, s, t, ok):
+        H = Hypergraph(4, [((0, 1, 2), 2.0), ((2, 3), 1.0)])
+        if ok:
+            assert st_mincut(H, s, t) == (1.0, False)
+        else:
+            with pytest.raises(ValueError, match="integer vertex ids"):
+                st_mincut(H, s, t)
+
     def test_exact_matches_reduction(self):
         H = random_hypergraph(30, n=9, m=16, rank=4)
         value, approx = st_mincut(H, 0, 8, eps=0.0)

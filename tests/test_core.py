@@ -149,7 +149,6 @@ class TestInitUnderlying:
         H = random_hypergraph(9, n=10, m=25, rank=5, connected=False)
         U = init_underlying(H)
         assert_stars_sum_to_weights(U)
-        np.testing.assert_allclose(U.star_sums(), H.weights)
 
 
     @pytest.mark.parametrize("seed", range(5))
@@ -179,19 +178,27 @@ class TestFlatten:
         G = flatten(init_underlying(H))
         assert G.m == sum(len(vs) - 1 for vs in H.vertex_sets)
 
-    def test_returns_the_graph_itself(self):
+    def test_concatenates_the_chunk_graphs(self, monkeypatch):
+        monkeypatch.setattr(core, "CHUNK_SLOTS", 7)
         U = init_underlying(random_hypergraph(13, n=9, m=14, rank=5))
-        assert flatten(U) is U.graph
-        assert U.weights is U.graph.w
+        assert len(U.bounds) > 3
+        G, chunks = flatten(U), list(U)
+        for name in ("u", "v", "w"):
+            got = getattr(G, name)
+            assert not got.flags.writeable
+            np.testing.assert_array_equal(got, np.concatenate([getattr(C, name) for C in chunks]), strict=True)
+        assert G.w is U.weights
 
 
 class TestWithWeights:
     def test_shares_edges_and_offsets(self):
+        # A graph of one chunk keeps its slot endpoints, and so does its copy.
         U = init_underlying(random_hypergraph(14, n=9, m=14, rank=5))
         w = np.arange(U.slot_count, dtype=float)
         V = U.with_weights(w)
+        [(*_, GU)], [(*_, GV)] = U.spans(), V.spans()
         for name in ("u", "v"):
-            assert np.shares_memory(getattr(V.graph, name), getattr(U.graph, name))
+            assert np.shares_memory(getattr(GV, name), getattr(GU, name))
         assert V.offsets is U.offsets and V.base is U.base
         np.testing.assert_array_equal(V.weights, w)
         np.testing.assert_array_equal(U.weights, init_underlying(U.base).weights)
@@ -252,6 +259,45 @@ class TestValidation:
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
             WeightedGraph(3, [(1, 1, 1.0)])
+
+    @pytest.mark.parametrize("n, raw, edge", [
+        (4, [((0, 2), 1.0), ((0.5, 1.7), 1.0)], 1),
+        (4, [((0, 1, 2.2), 1.0), ((1, 3), 1.0)], 0),
+        (4, [((0, 1), 1.0), ((2, float("nan")), 1.0)], 1),
+        (4, [((0, 1), 1.0), ((float("inf"), 2), 1.0)], 1),
+    ])
+    def test_both_constructors_reject_fractional_ids(self, n, raw, edge):
+        indptr = np.concatenate([[0], np.cumsum([len(vs) for vs, _ in raw])])
+        flat = np.concatenate([np.asarray(vs, dtype=float) for vs, _ in raw])
+        weights = [w for _, w in raw]
+        for build in (lambda: Hypergraph(n, raw), lambda: Hypergraph.from_arrays(n, indptr, flat, weights)):
+            with pytest.raises(HyperedgeError, match="is not an integer") as err:
+                build()
+            assert err.value.edge == edge
+
+    @pytest.mark.parametrize("build", [
+        lambda: Hypergraph(3.7, [((0, 1), 1.0)]),
+        lambda: Hypergraph.from_arrays(3.7, [0, 2], [0, 1], [1.0]),
+        lambda: Hypergraph.from_arrays(4, [0, 2.5, 4], [0, 1, 2, 3], [1.0, 1.0]),
+        lambda: WeightedGraph(3.7, [(0, 1, 1.0)]),
+        lambda: WeightedGraph(3, [(0, 1.5, 1.0)]),
+        lambda: WeightedGraph.from_arrays(3.7, [0], [1], [1.0]),
+        lambda: WeightedGraph.from_arrays(3, [0.0, 1.5], [1, 2], [1.0, 1.0]),
+        lambda: WeightedGraph.from_arrays(3, [0, 1], [np.nan, 2], [1.0, 1.0]),
+    ], ids=["hypergraph n", "from_arrays n", "offsets", "graph n", "graph endpoint",
+            "graph from_arrays n", "u", "v nan"])
+    def test_fractional_counts_and_endpoints_rejected(self, build):
+        with pytest.raises(ValueError, match="is not an integer"):
+            build()
+
+    def test_whole_numbers_of_any_type_accepted(self):
+        want = Hypergraph(4, [((0, 2), 1.0), ((1, 3), 2.0)])
+        for n, ids in ((4.0, [0.0, 2.0, 1.0, 3.0]), (np.int32(4), np.array([0, 2, 1, 3], dtype=np.int32)),
+                       (np.int64(4), [np.int64(0), 2, np.uint8(1), 3])):
+            assert Hypergraph.from_arrays(n, [0, 2, 4], ids, [1.0, 2.0]) == want
+            assert Hypergraph(n, [(ids[:2], 1.0), (ids[2:], 2.0)]) == want
+            G = WeightedGraph.from_arrays(n, ids[:2], ids[2:], [1.0, 2.0])
+            assert (G.n, G.u.tolist(), G.v.tolist(), G.u.dtype) == (4, [0, 2], [1, 3], np.int64)
 
     def test_zero_weight_edges_kept_but_inert(self):
         H = Hypergraph(3, [((0, 1), 0.0), ((1, 2), 1.0)])

@@ -162,6 +162,17 @@ class TestNonFiniteSampleCounts:
 
 
 class TestSparsifyHypergraph:
+    @pytest.mark.parametrize("other_m, ok", [(20, True), (19, False), (21, False)])
+    def test_overestimate_of_another_hypergraph_rejected(self, other_m, ok):
+        H = random_hypergraph(71, n=9, m=20, rank=4)
+        other = random_hypergraph(72, n=9, m=other_m, rank=4)
+        result = compute_overestimate(other, OverestimateConfig(rounds=2))
+        if ok:
+            assert sparsify_hypergraph(H, SparsifyConfig(eps=0.5), result).hypergraph.n == H.n
+        else:
+            with pytest.raises(ValueError, match="for another hypergraph"):
+                sparsify_hypergraph(H, SparsifyConfig(eps=0.5), result)
+
     def test_single_hyperedge_recovers_weight_exactly(self):
         H = Hypergraph(3, [((0, 1, 2), 2.5)])
         report = sparsify_hypergraph(H, SparsifyConfig(eps=0.5, seed=1))

@@ -20,7 +20,6 @@ from hypersparse.linalg import (
     sketch_resistance,
     sketch_resistance_many,
     sketch_rows,
-    solve_laplacian,
 )
 
 from helpers import (
@@ -70,15 +69,17 @@ class TestBuildLaplacian:
 
 
 class TestSolveLaplacian:
+    """x = L^+ b through `Laplacian.pseudo_inverse`."""
+
     def test_two_vertex_pseudoinverse(self):
         L = build_laplacian(WeightedGraph(2, [(0, 1, 1.0)]))
-        x = solve_laplacian(L, np.array([1.0, -1.0]))
+        x = L.pseudo_inverse() @ np.array([1.0, -1.0])
         np.testing.assert_allclose(x, [0.5, -0.5], atol=1e-12)
 
     def test_all_ones_maps_to_zero(self):
         G = random_weighted_graph(7, n=9, m=16)
         L = build_laplacian(G)
-        np.testing.assert_allclose(solve_laplacian(L, np.ones(9)), 0.0, atol=1e-12)
+        np.testing.assert_allclose(L.pseudo_inverse() @ np.ones(9), 0.0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_svd_pseudoinverse(self, seed):
@@ -87,12 +88,12 @@ class TestSolveLaplacian:
         rng = np.random.default_rng(seed + 100)
         b = rng.standard_normal(25)
         expected = np.linalg.pinv(build_laplacian(G).matrix) @ b
-        np.testing.assert_allclose(solve_laplacian(L, b), expected, atol=1e-8)
+        np.testing.assert_allclose(L.pseudo_inverse() @ b, expected, atol=1e-8)
 
     def test_output_orthogonal_to_component_indicators(self):
         G = WeightedGraph(5, [(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.5)])
         L = build_laplacian(G)
-        x = solve_laplacian(L, np.array([1.0, -2.0, 1.0, 3.0, -3.0]))
+        x = L.pseudo_inverse() @ np.array([1.0, -2.0, 1.0, 3.0, -3.0])
         assert abs(x[:3].sum()) < 1e-10
         assert abs(x[3:].sum()) < 1e-10
 
@@ -270,8 +271,6 @@ class TestGroundedFactor:
         assert L.is_dense
         P = np.linalg.pinv(L.matrix)
         assert_relative(L.pseudo_inverse(), P)
-        b = np.random.default_rng(0).standard_normal(G.n)
-        assert_relative(solve_laplacian(L, b), P @ b)
         a, c = component_pairs(G)
         assert_relative(linalg._exact_resistances(L, a, c), P[a, a] + P[c, c] - 2.0 * P[a, c])
         u, v, support = G.u, G.v, G.w > 0.0
@@ -284,12 +283,13 @@ class TestGroundedFactor:
     def test_lu_path_matches_dense(self, monkeypatch, name):
         G = FACTOR_INSTANCES[name]()
         a, b = component_pairs(G)
-        x = np.random.default_rng(1).standard_normal(G.n)
+        # Right-hand sides that sum to zero on each component.
+        X = linalg._project_out_kernel(build_laplacian(G), np.random.default_rng(1).standard_normal((G.n, 3)))
 
         def run():
             L = build_laplacian(G)
             return L.is_dense, [
-                solve_laplacian(L, x),
+                L.solve_grounded(X),
                 [effective_resistance_exact(G, u, v) for u, v in zip(a[:3], b[:3])],
                 foster_sum(G),
                 sketch_resistance_many(build_sketch(G, 0.5, seed=3), a, b),
@@ -306,7 +306,7 @@ class TestGroundedFactor:
         G = WeightedGraph(4, [])
         L = build_laplacian(G)
         np.testing.assert_array_equal(np.sort(L.grounded), np.arange(4))
-        np.testing.assert_array_equal(solve_laplacian(L, np.arange(4.0)), 0.0)
+        np.testing.assert_array_equal(L.solve_grounded(np.arange(4.0)), 0.0)
         assert foster_sum(G) == 0.0
         with pytest.raises(DisconnectedError):
             effective_resistance_exact(G, 0, 3)
@@ -599,7 +599,19 @@ def sweep_pairs(G):
 
 
 class TestColumnSweep:
-    """The LU path's column sweep against one solve per pair and the dense F."""
+    """The column sweep against one solve per pair (LU) and the dense F."""
+
+    @pytest.mark.parametrize("name", SWEEP_INSTANCES)
+    def test_dense_sweep_is_the_gather_of_f(self, monkeypatch, name):
+        # F @ e_J reads F's columns exactly, so the sweep is bitwise the gather.
+        G = SWEEP_INSTANCES[name]()
+        a, b = sweep_pairs(G)
+        L = build_laplacian(G)
+        assert L.is_dense
+        F = L.factor()
+        d = F.diagonal()
+        monkeypatch.setattr(linalg, "QUERY_BLOCK_BYTES", 8 * G.n * 3)
+        np.testing.assert_array_equal(linalg._exact_resistances(L, a, b), d[a] + d[b] - 2.0 * F[a, b], strict=True)
 
     @pytest.mark.parametrize("columns", [1, 3, None], ids=["1col", "3col", "budget"])
     @pytest.mark.parametrize("name", SWEEP_INSTANCES)

@@ -29,6 +29,7 @@ from helpers import (
     random_hypergraph,
     round_graphs,
     round_slots,
+    star_sums,
     wide_instance,
 )
 
@@ -56,6 +57,18 @@ class TestConfig:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             OverestimateConfig(rounds=0)
+
+    @pytest.mark.parametrize("rounds, ok", [
+        (2, True), (np.int64(2), True), (np.int32(1), True),
+        (1.5, False), (2.0, False), (float("nan"), False), (np.float64(2.0), False), ("2", False),
+    ])
+    def test_rounds_must_be_an_integer(self, rounds, ok):
+        H = Hypergraph(3, [((0, 1, 2), 1.0)])
+        if ok:
+            assert len(compute_overestimate(H, OverestimateConfig(rounds=rounds)).rounds) == rounds
+        else:
+            with pytest.raises(ValueError, match="rounds must be an integer"):
+                OverestimateConfig(rounds=rounds)
 
 
 class TestWeightCompute:
@@ -305,8 +318,8 @@ class TestSharedStarGraph:
     def test_one_sweep_per_round(self, monkeypatch, lu):
         # Each chunk is read once for round 1's pair table and once per
         # round; the sparse path's pairs pass reads it once more, once per run.
-        # No read spans the whole star graph, and `U.graph`, which holds every
-        # slot's endpoints, is never built.
+        # No read spans the whole star graph, and `flatten`, which holds every
+        # slot's endpoints, is never called.
         if lu:
             monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
         monkeypatch.setattr(core, "CHUNK_SLOTS", 16)
@@ -321,8 +334,9 @@ class TestSharedStarGraph:
         def whole_graph(U):
             raise AssertionError("the round loop built the whole star graph")
 
-        monkeypatch.setattr(core, "star_slots", ranged_read)
-        monkeypatch.setattr(core.UnderlyingGraph, "graph", property(whole_graph))
+        for module in (core, overestimate):
+            monkeypatch.setattr(module, "star_slots", ranged_read)
+            monkeypatch.setattr(module, "flatten", whole_graph, raising=False)
         monkeypatch.setattr(overestimate, "pair_table", lambda G: tables.append(G) or pair_table(G))
         monkeypatch.setattr(linalg, "_positive_pairs", lambda n, C: pair_passes.append(n) or positive_pairs(n, C))
 
@@ -458,7 +472,7 @@ class TestLeverageExact:
 def assert_witness_star_sums_exact(H, res):
     """The label-wise average of the round graphs is the witness; its stars sum to w_e."""
     mean = np.mean([U.weights for U in round_graphs(H, len(res.rounds))], axis=0)
-    np.testing.assert_allclose(init_underlying(H).with_weights(mean).star_sums(), H.weights, rtol=1e-12)
+    np.testing.assert_allclose(star_sums(init_underlying(H).with_weights(mean)), H.weights, rtol=1e-12)
 
 
 class TestValidateOverestimate:

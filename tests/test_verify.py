@@ -245,6 +245,17 @@ class TestSpectralSampled:
         with pytest.raises(ValueError):
             verify_spectral_sampled(H, H, eps=0.1, trials=0, seed=0)
 
+    @pytest.mark.parametrize("trials, ok", [
+        (3, True), (np.int64(3), True), (2.5, False), (3.0, False), (float("nan"), False), (np.float64(3.0), False),
+    ])
+    def test_trials_must_be_an_integer(self, trials, ok):
+        H = Hypergraph(13, [((0, 12), 1.0)])
+        if ok:
+            assert verify_spectral_sampled(H, H, eps=0.1, trials=trials, seed=0).directions_checked == 3
+        else:
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                verify_spectral_sampled(H, H, eps=0.1, trials=trials, seed=0)
+
 
 @pytest.mark.parametrize("eps", [-1.0, -0.0 - 1e-300, np.nan, np.inf])
 def test_epsilon_outside_zero_to_infinity_rejected(eps):
