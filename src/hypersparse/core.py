@@ -91,7 +91,8 @@ class Hypergraph:
 
     `Hypergraph(n, edges)` takes (vertices, weight) pairs, `from_arrays` the
     three arrays; both sort each hyperedge and validate alike, rejecting a
-    count, offset or vertex id that is not a whole number.
+    count, offset or vertex id that is not a whole number. `subset` keeps
+    some hyperedges under new weights and checks only the weights.
     """
 
     __slots__ = ("n", "indptr", "indices", "weights")
@@ -162,12 +163,36 @@ class Hypergraph:
             repeat = inner & (np.diff(indices) == 0)
             if repeat.any():
                 raise HyperedgeError(int(edge_of[1:][repeat][0]), "repeats a vertex")
+        self._freeze(n, indptr, indices, weights)
+
+    def _freeze(self, n, indptr, indices, weights):
         for arr in (indptr, indices, weights):
             arr.flags.writeable = False
         self.n = n
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
+
+    def subset(self, keep, weights) -> "Hypergraph":
+        """The hyperedges where the mask `keep` holds, in order, with
+        `weights` (one finite positive weight per kept hyperedge) in place of
+        their own. The pins are this hypergraph's, already checked, so only
+        the weights are checked."""
+        weights = np.array(weights, dtype=float)
+        if weights.shape != (np.count_nonzero(keep),):
+            raise ValueError("subset needs one weight per kept hyperedge")
+        if len(weights) == 0:
+            raise ValueError("hypergraph must contain at least one hyperedge")
+        bad = ~((weights > 0.0) & np.isfinite(weights))
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise HyperedgeError(e, f"weight {weights[e]} is not a finite positive number")
+        sizes = np.diff(self.indptr)
+        indptr = np.zeros(len(weights) + 1, dtype=np.int64)
+        np.cumsum(sizes[keep], out=indptr[1:])
+        out = Hypergraph.__new__(Hypergraph)
+        out._freeze(self.n, indptr, self.indices[np.repeat(keep, sizes)], weights)
+        return out
 
     @property
     def m(self) -> int:

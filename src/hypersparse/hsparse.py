@@ -162,11 +162,7 @@ def sparsify_hypergraph(
     )
 
     keep = new_weights > 0.0
-    sizes = np.diff(H.indptr)
-    indptr = np.concatenate([[0], np.cumsum(sizes[keep])])
-    output = Hypergraph.from_arrays(
-        H.n, indptr, H.indices[np.repeat(keep, sizes)], new_weights[keep]
-    )
+    output = H.subset(keep, new_weights[keep])
     return SparsifierReport(
         hypergraph=output,
         samples=M,

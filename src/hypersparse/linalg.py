@@ -4,17 +4,19 @@ Every solve goes through one cached factorization of the grounded Laplacian,
 in which one vertex of each component has its row and column replaced by the
 identity. That matrix is positive definite, and its inverse F (zero on the
 grounded rows and columns) gives R_ab = F_aa + F_bb - 2 F_ab for a and b in
-one component. While the dense Laplacian, F and one n x n temporary fit
-DENSE_BYTES (`fits_dense`), F is formed by LAPACK Cholesky (`potrf` +
-`potri`); above it the grounded Laplacian gets one sparse LU (`splu`).
+one component. While the dense Laplacian and F fit DENSE_BYTES
+(`fits_dense`, 2 n^2 float64, n <= 8,192), F is formed by LAPACK Cholesky
+(`potrf` + `potri`) and the resistance table is written over it; above it
+the grounded Laplacian gets one sparse LU (`splu`).
 Connectivity is tracked per component and resistance queries across
 components are hard errors rather than infinities.
 
 `pair_table` adds a graph's edge weights (or a chunked graph's) into a table
 of ordered vertex pairs (u, v) with `np.add.at`, so every pair sums its edges
 in edge order whatever the chunking, and `laplacian_from_table` makes L of
-it: the dense table is n x n and becomes L in place; the sparse one holds
-the distinct pairs of positive-weight edges.
+it: the dense table is n x n and becomes L in place, its components labeled
+by a sweep over its rows; the sparse one holds the distinct pairs of
+positive-weight edges.
 
 `edge_resistances(G, L)` is the one entry point for per-edge resistances,
 exact on both paths: read from `Laplacian.pair_resistances`, the resistances
@@ -51,8 +53,8 @@ __all__ = [
     "foster_sum",
 ]
 
-# Byte budget of the dense path: the Laplacian, its grounded inverse and one
-# n x n temporary (3 n^2 float64). 1 GiB admits n <= 6,688.
+# Byte budget of the dense path: the Laplacian and its grounded inverse, which
+# the resistance table overwrites (2 n^2 float64). 1 GiB admits n <= 8,192.
 DENSE_BYTES = 1 << 30
 SKETCH_ROW_FACTOR = 24.0
 RESISTANCE_FLOOR = 1e-15
@@ -67,8 +69,14 @@ class DisconnectedError(ValueError):
 
 
 def fits_dense(n: int) -> bool:
-    """Whether an n-vertex Laplacian takes the dense path (3 n^2 float64 <= DENSE_BYTES)."""
-    return 24 * n * n <= DENSE_BYTES
+    """Whether an n-vertex Laplacian takes the dense path (2 n^2 float64 <= DENSE_BYTES)."""
+    return 16 * n * n <= DENSE_BYTES
+
+
+def _row_block(n: int) -> int:
+    """Rows per block of a dense n x n sweep: n / 16, at least 64, so that a
+    block's temporaries stay near n^2 / 16 entries."""
+    return max(64, n // 16)
 
 
 class Laplacian:
@@ -78,7 +86,8 @@ class Laplacian:
     matrix. `grounded` holds one vertex per component. `pairs` (sparse path
     only) holds the sorted ids u n + v of its table's ordered pairs. The
     factor of the grounded Laplacian and the resistances across L's pairs
-    are computed lazily and cached.
+    are computed lazily and cached; the dense resistances take over F's
+    buffer, so a caller keeps no F across `pair_resistances`.
     """
 
     __slots__ = ("n", "matrix", "components", "n_components", "grounded", "pairs", "_factor", "_pair_resistances")
@@ -99,8 +108,9 @@ class Laplacian:
 
     def factor(self):
         """Grounded inverse F (dense path) or the grounded Laplacian's sparse
-        LU, cached. Raises np.linalg.LinAlgError (a ValueError) when rounding
-        leaves the grounded Laplacian singular."""
+        LU, cached until `pair_resistances` overwrites F. Raises
+        np.linalg.LinAlgError (a ValueError) when rounding leaves the
+        grounded Laplacian singular."""
         if self._factor is None:
             g = self.grounded
             if self.is_dense:
@@ -121,7 +131,13 @@ class Laplacian:
                     F, info = lapack.dpotri(F, overwrite_c=True)
                 if info != 0:
                     raise np.linalg.LinAlgError(f"grounded Laplacian is singular in floating point (info {info})")
-                F += np.triu(F, 1).T
+                # potri fills the upper triangle of the Fortran-ordered F, the
+                # lower one of its C-ordered transpose C; mirror it into the
+                # rest of C by row blocks, the diagonal blocks included.
+                C = F.T
+                rows = _row_block(self.n)
+                for i in range(0, self.n, rows):
+                    C[i:i + rows] += np.tril(C[:, i:i + rows], -i - 1).T
                 F[g, g] = 0.0
                 self._factor = F
             else:
@@ -150,16 +166,22 @@ class Laplacian:
 
     def pair_resistances(self) -> np.ndarray:
         """Unclamped exact resistance across each of L's pairs, cached: dense,
-        d_u + d_v - 2 F_uv at u n + v for every ordered pair (in blocks of
-        n / 16 rows, at least 64, so that beside L and F only the table is
-        n x n); sparse, across each of `pairs`, from one sweep of the LU."""
+        d_u + d_v - 2 F_uv at u n + v for every ordered pair, written over F
+        by row blocks (`_row_block`), so the cached factor is dropped and a
+        later solve factors L again; sparse, across each of `pairs`, from one
+        sweep of the LU."""
         if self._pair_resistances is None and self.is_dense:
             F = self.factor()
-            d = F.diagonal()
-            R = np.empty((self.n, self.n))
-            rows = max(64, self.n // 16)
+            d = F.diagonal().copy()
+            # F is symmetric and Fortran-ordered: its transpose holds F_uv at
+            # u n + v, and each block reads only the rows it overwrites.
+            R = F.T
+            rows = _row_block(self.n)
             for i in range(0, self.n, rows):
-                np.subtract(np.add.outer(d[i:i + rows], d), 2.0 * F[i:i + rows], out=R[i:i + rows])
+                block = R[i:i + rows]
+                block *= 2.0
+                np.subtract(np.add.outer(d[i:i + rows], d), block, out=block)
+            self._factor = None
             self._pair_resistances = R.ravel()
         elif self._pair_resistances is None:
             self._pair_resistances = _exact_resistances(self, self.pairs // self.n, self.pairs % self.n)
@@ -210,20 +232,22 @@ def pair_table(G) -> tuple:
 def laplacian_from_table(n: int, table: np.ndarray, pairs=None) -> Laplacian:
     """The Laplacian of a `pair_table`. A dense table becomes L in place:
     adding its transpose makes the adjacency exactly symmetric (peak about
-    2 n^2 float64); a sparse one goes to CSR. A pair of weight 0 (a weight-0
-    edge, or an overestimate slot whose weight underflowed) connects nothing.
-    Each component is grounded at its largest-degree vertex (the first on a
-    tie): a heavy cluster left ungrounded would lose its light tie to the
-    ground in rounding."""
+    2 n^2 float64), and a sweep over its rows labels the components; a
+    sparse one goes to CSR and scipy labels them. A pair of weight 0 (a
+    weight-0 edge, or an overestimate slot whose weight underflowed)
+    connects nothing. Components are numbered by their smallest vertex, and
+    each is grounded at its largest-degree vertex (the first on a tie): a
+    heavy cluster left ungrounded would lose its light tie to the ground in
+    rounding."""
     if pairs is None:
         adj = table.reshape(n, n)
         adj += adj.T
-        graph = sp.csr_matrix(adj)
+        n_components, labels = _row_components(adj)
     else:
         adj = sp.csr_matrix((table, (pairs // n, pairs % n)), shape=(n, n))
         # The sum keeps no zero entries, so a pair of weight 0 connects nothing.
-        graph = adj = adj + adj.T
-    n_components, labels = connected_components(graph, directed=False)
+        adj = adj + adj.T
+        n_components, labels = connected_components(adj, directed=False)
     degrees = np.asarray(adj.sum(axis=1)).ravel()
     if pairs is None:
         # 0 - A rather than -A, so entries without an edge stay +0.0.
@@ -234,6 +258,30 @@ def laplacian_from_table(n: int, table: np.ndarray, pairs=None) -> Laplacian:
     order = np.lexsort((-degrees, labels))
     grounded = order[np.searchsorted(labels[order], np.arange(n_components))]
     return Laplacian(n, matrix, labels, n_components, grounded, pairs)
+
+
+def _row_components(adj: np.ndarray) -> tuple:
+    """(count, labels) of the components of a symmetric dense adjacency,
+    numbered by their smallest vertex, as `connected_components` numbers
+    them: a breadth-first search that gathers each level's rows in blocks
+    (`_row_block`) and reads every row once, O(n^2) in all."""
+    n = len(adj)
+    labels = np.full(n, -1, dtype=np.int32)
+    rows = _row_block(n)
+    count = 0
+    for s in range(n):
+        if labels[s] >= 0:
+            continue
+        labels[s] = count
+        frontier = np.array([s])
+        while len(frontier):
+            reached = np.zeros(n, dtype=bool)
+            for i in range(0, len(frontier), rows):
+                reached |= adj[frontier[i:i + rows]].any(axis=0)
+            frontier = np.flatnonzero(reached & (labels < 0))
+            labels[frontier] = count
+        count += 1
+    return count, labels
 
 
 def _positive_pairs(n: int, chunks) -> np.ndarray:
@@ -254,12 +302,12 @@ def _positive_pairs(n: int, chunks) -> np.ndarray:
 def _project_out_kernel(L: Laplacian, x: np.ndarray) -> np.ndarray:
     """Remove per-component means (the kernel of L) along the first axis."""
     x = np.asarray(x, dtype=float)
-    sizes = np.bincount(L.components, minlength=L.n_components)
-    means = sp.csr_matrix(
-        (1.0 / sizes[L.components], (L.components, np.arange(L.n))),
-        shape=(L.n_components, L.n),
-    )
-    return x - (means @ x)[L.components]
+    c = L.components
+    shares = x * (1.0 / np.bincount(c, minlength=L.n_components))[c].reshape(-1, *(1,) * (x.ndim - 1))
+    # Each component's mean sums its shares in vertex order, column by column.
+    columns = shares.reshape(L.n, x[0].size).T
+    means = np.stack([np.bincount(c, weights=col, minlength=L.n_components) for col in columns], axis=1)
+    return np.subtract(x, means.reshape(L.n_components, *x.shape[1:])[c], out=shares)
 
 
 def _check_pairs(components: np.ndarray, a, b):

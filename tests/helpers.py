@@ -264,6 +264,17 @@ def coo_laplacian(G) -> Laplacian:
     return Laplacian(n, np.diag(degrees) - adj.toarray(), labels, n_components, grounded)
 
 
+def refuse_sparse(monkeypatch):
+    """Fail the test if scipy.sparse builds a matrix or an array (every one
+    runs the constructor of their common base) or if `linalg` labels
+    components with scipy."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense path built a scipy.sparse object or called connected_components")
+
+    monkeypatch.setattr(sp._base._spbase, "__init__", refuse)
+    monkeypatch.setattr(linalg, "connected_components", refuse)
+
+
 def pair_solve_resistances(L: Laplacian, a, b) -> np.ndarray:
     """Resistances from one grounded solve of delta_a - delta_b per pair, the
     sparse-LU query that the column sweep replaced."""

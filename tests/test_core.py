@@ -447,6 +447,31 @@ class TestCsrLayout:
         copies = H.indptr.nbytes + H.indices.nbytes + H.weights.nbytes
         assert peak - copies <= 8 * len(indices)
 
+    def test_subset_checks_only_the_weights(self, monkeypatch):
+        H = mixed_instance(6)
+        sizes = np.diff(H.indptr)
+        keep = np.arange(H.m) % 3 != 1
+        w = np.linspace(0.5, 2.0, np.count_nonzero(keep))
+        want = Hypergraph.from_arrays(H.n, np.concatenate([[0], np.cumsum(sizes[keep])]),
+                                      H.indices[np.repeat(keep, sizes)], w)
+
+        def refuse(*args):
+            raise AssertionError("subset checked the pins again")
+
+        monkeypatch.setattr(Hypergraph, "_init_arrays", refuse)
+        S = H.subset(keep, w)
+        assert S == want and S.indptr.dtype == S.indices.dtype == np.int64
+        for arr in (S.indptr, S.indices, S.weights):
+            assert not arr.flags.writeable
+        for bad in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(HyperedgeError) as err:
+                H.subset(keep, np.where(np.arange(len(w)) == 4, bad, w))
+            assert err.value.edge == 4
+        with pytest.raises(ValueError, match="one weight per kept hyperedge"):
+            H.subset(keep, w[1:])
+        with pytest.raises(ValueError, match="at least one hyperedge"):
+            H.subset(np.zeros(H.m, dtype=bool), [])
+
     def test_unequal_objects(self):
         H = Hypergraph(3, [((0, 1), 1.0)])
         assert H != Hypergraph(3, [((0, 1), 2.0)])

@@ -221,6 +221,20 @@ class TestSparsifyHypergraph:
             assert w > 0.0
         assert rep.distinct_edges <= min(rep.samples, H.m)
 
+    def test_output_takes_the_checked_pins_of_h(self, monkeypatch):
+        H = random_hypergraph(71, n=12, m=60, rank=5)
+        cfg = SparsifyConfig(eps=0.3, seed=2)
+        res = compute_overestimate(H, OverestimateConfig(rounds=default_rounds(H.rank)))
+
+        def refuse(*args):
+            raise AssertionError("the output's pins were checked again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Hypergraph, "_init_arrays", refuse)
+            out = sparsify_hypergraph(H, cfg, res).hypergraph
+        assert out == Hypergraph.from_arrays(out.n, out.indptr, out.indices, out.weights)
+        assert out == sparsify_hypergraph(H, cfg, res).hypergraph
+
     def test_duplicate_vertex_sets_stay_separate(self):
         H = Hypergraph(3, [((0, 1), 1.0), ((0, 1), 3.0), ((1, 2), 2.0)])
         rep = sparsify_hypergraph(H, SparsifyConfig(eps=0.4, seed=3))

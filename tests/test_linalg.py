@@ -28,6 +28,7 @@ from helpers import (
     pair_query_edge_resistances,
     pair_solve_resistances,
     random_weighted_graph,
+    refuse_sparse,
 )
 
 
@@ -158,7 +159,47 @@ def crowded_multigraph():
     return WeightedGraph.from_arrays(12, u, v, w)
 
 
-ASSEMBLY_INSTANCES = {**FACTOR_INSTANCES, "multigraph": multigraph, "crowded_multigraph": crowded_multigraph}
+def shuffled_path():
+    # The deepest search: one vertex per level, met out of label order.
+    order = np.random.default_rng(6).permutation(300)
+    return WeightedGraph.from_arrays(300, order[:-1], order[1:], np.ones(299))
+
+
+def complete_graph():
+    # The first level holds 149 vertices, more than one block of rows.
+    u, v = np.triu_indices(150, k=1)
+    return WeightedGraph.from_arrays(150, u, v, np.random.default_rng(7).uniform(0.5, 2.0, len(u)))
+
+
+def broom():
+    # The first level holds 100 vertices, more than one block of rows, and
+    # only the last of them leads on, to a tail of three.
+    tail = [(100, 101, 1.0), (101, 102, 2.0), (102, 103, 0.5)]
+    return WeightedGraph(104, [(0, v, 1.0) for v in range(1, 101)] + tail)
+
+
+def interleaved_components():
+    # 169 components of 1 to 3 vertices spread over 400 ids, with weight-0
+    # edges between them.
+    rng = np.random.default_rng(8)
+    order = rng.permutation(400)
+    u, v = order[:-1], order[1:]
+    w = rng.uniform(0.5, 2.0, 399) * (np.arange(399) % 3 != 2)
+    w[rng.random(399) < 0.1] = 0.0
+    return WeightedGraph.from_arrays(400, u, v, w)
+
+
+ASSEMBLY_INSTANCES = {
+    **FACTOR_INSTANCES,
+    "multigraph": multigraph,
+    "crowded_multigraph": crowded_multigraph,
+    "shuffled_path": shuffled_path,
+    "complete_graph": complete_graph,
+    "broom": broom,
+    "interleaved_components": interleaved_components,
+    "one_vertex": lambda: WeightedGraph(1, []),
+    "two_apart": lambda: WeightedGraph(2, [(0, 1, 0.0)]),
+}
 
 
 class TestAssembly:
@@ -219,6 +260,21 @@ class TestAssembly:
         got = linalg._positive_pairs(G.n, chunks)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+    def test_dense_path_builds_no_sparse_object(self, monkeypatch):
+        G = disconnected()
+        refuse_sparse(monkeypatch)
+        L = build_laplacian(G)
+        assert L.is_dense and L.n_components == 7
+        L.pseudo_inverse()
+        L.solve_grounded(np.ones(G.n))
+        edge_resistances(G, L)
+        foster_sum(G, L)
+        resistance_table(G)
+        effective_resistance_exact(G, 0, 1)
+        monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        with pytest.raises(AssertionError, match="scipy.sparse"):
+            build_laplacian(G)
 
     def test_multigraph_components(self):
         L = build_laplacian(multigraph())
@@ -301,6 +357,19 @@ class TestGroundedFactor:
         assert dense_path and not lu_path
         for got, want in zip(lu, dense):
             assert_relative(got, want)
+
+    def test_solve_after_pair_resistances(self):
+        # The table overwrites F, so a later solve factors L again.
+        G = disconnected()
+        L = build_laplacian(G)
+        F = L.factor().copy(order="F")
+        d = F.diagonal()
+        R = L.pair_resistances()
+        np.testing.assert_array_equal(R, (np.add.outer(d, d) - 2.0 * F).ravel(), strict=True)
+        B = np.random.default_rng(2).standard_normal((G.n, 4))
+        np.testing.assert_array_equal(L.solve_grounded(B), F @ B, strict=True)
+        assert not np.shares_memory(L.factor(), R)
+        assert L.pair_resistances() is R
 
     def test_empty_graph_grounds_every_vertex(self, factor_path):
         G = WeightedGraph(4, [])
@@ -551,7 +620,7 @@ class TestEdgeResistances:
         G = random_weighted_graph(50, n=520, m=4 * 520)
         want = edge_resistances(G)
         # The first size past the cutoff is G.n; the values come from the LU.
-        monkeypatch.setattr(linalg, "DENSE_BYTES", 24 * (G.n - 1) ** 2)
+        monkeypatch.setattr(linalg, "DENSE_BYTES", 16 * (G.n - 1) ** 2)
         assert fits_dense(G.n - 1) and not build_laplacian(G).is_dense
         np.testing.assert_allclose(edge_resistances(G), want, rtol=1e-9)
 

@@ -27,6 +27,7 @@ from helpers import (
     loop_leverages_from_table,
     loop_violations,
     random_hypergraph,
+    refuse_sparse,
     round_graphs,
     round_slots,
     star_sums,
@@ -121,8 +122,8 @@ class TestComputeOverestimate:
             assert 0.9 * scale <= res.scores[0] <= 1.1 * scale
 
     def test_exact_mode_runs_past_cutoff(self):
-        assert fits_dense(6688) and not fits_dense(6689)
-        H = Hypergraph(6689, [((0, 1), 1.0), ((1, 2, 6688), 2.0)])
+        assert fits_dense(8192) and not fits_dense(8193)
+        H = Hypergraph(8193, [((0, 1), 1.0), ((1, 2, 8192), 2.0)])
         exact = compute_overestimate(H, OverestimateConfig(rounds=2, exact=True))
         default = compute_overestimate(H, OverestimateConfig(rounds=2, seed=5))
         np.testing.assert_array_equal(exact.scores, default.scores)
@@ -352,6 +353,31 @@ class TestSharedStarGraph:
         assert len(starts) > 3 and sorted(reads) == starts
         assert set(reads.values()) == {3 + 1 + lu}
         assert len(tables) == 1 and len(pair_passes) == lu
+
+    def test_dense_round_builds_no_sparse_object(self, monkeypatch):
+        # The dense rounds label components by a sweep over the rows of
+        # their table, so no round converts it to a sparse matrix.
+        refuse_sparse(monkeypatch)
+        for H in self._underflow_instances():
+            result = compute_overestimate(H, OverestimateConfig(rounds=3))
+            assert {r.factor for r in result.rounds} == {"dense"}
+
+    def test_dense_round_peak_memory(self):
+        # A round holds L and F, which the resistance table overwrites, then
+        # the table and the next round's pair table: 2 n^2 float64, plus
+        # blocks of n / 16 rows and the slots. A third n x n array live
+        # beside them lifts the peak above 3 n^2.
+        n = 1500
+        H = random_hypergraph(5, n=n, m=3000, rank=8, connected=False)
+        cfg = OverestimateConfig(rounds=2)
+        tracemalloc.start()
+        try:
+            result = compute_overestimate(H, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.factor for r in result.rounds] == ["dense", "dense"]
+        assert peak <= 2.2 * 8 * n * n
 
     @staticmethod
     def _underflow_instances():
