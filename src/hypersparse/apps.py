@@ -12,8 +12,10 @@ capacity, so a directed s-t cut must pay w_e exactly when e has vertices on
 both sides. The network is one (A, 3) array of arcs, and Dinic's max-flow
 builds each phase's level graph with numpy, leaving only the blocking-flow
 DFS to Python. Approximate variants run the exact solver on a spectral
-sparsifier built with a third of the accuracy budget. Both mincuts refuse
-weights whose sum overflows, as their cut values could.
+sparsifier built with a third of the accuracy budget, or on the input
+itself, with an exact value, when that sparsifier's sample count M reaches
+m. Both mincuts refuse weights whose sum overflows, as their cut values
+could.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import Hypergraph, sorted_distinct
-from .hsparse import SparsifyConfig, sparsify_hypergraph
+from .hsparse import SparsifyConfig, sample_count, sparsify_hypergraph
 from .seeding import derive_seed
 
 __all__ = [
@@ -178,11 +180,17 @@ def max_flow(net: FlowNetwork) -> float:
 
 
 def _sparsify_for_apps(H, eps, cfg):
+    """The eps/3-sparsifier of H that the approximate mincuts solve exactly,
+    or H itself when H has a positive weight and the sparsifier would draw
+    at least m samples: it could then keep nearly every hyperedge, at more
+    cost than the exact solve on H, whose value is exact."""
     budget = eps / 3.0
     if cfg is None:
         cfg = SparsifyConfig(eps=budget)
     else:
         cfg = replace(cfg, eps=budget)
+    if (H.weights > 0.0).any() and sample_count(H.n, H.rank, budget, cfg.sample_constant) >= H.m:
+        return H
     cfg = replace(cfg, seed=derive_seed(cfg.seed, "apps/sparsify"))
     return sparsify_hypergraph(H, cfg).hypergraph
 
@@ -191,10 +199,12 @@ def st_mincut(
     H: Hypergraph, s: int, t: int, eps: float = 0.0, cfg: SparsifyConfig | None = None
 ) -> tuple[float, bool]:
     """Minimum s-t cut value; exact at eps = 0, else exact flow on an
-    eps/3-sparsifier (value carries the sparsifier's cut fidelity).
+    eps/3-sparsifier (value carries the sparsifier's cut fidelity). When
+    that sparsifier would draw at least m samples, the flow runs on H and
+    the value is exact.
 
-    Returns (value, approximate flag). Weights whose sum is not finite
-    raise ValueError.
+    Returns (value, approximate flag); the flag is True whenever eps > 0.
+    Weights whose sum is not finite raise ValueError.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
@@ -309,8 +319,10 @@ def global_mincut(
     the last vertex, still takes n - 1. The witness is the side holding
     vertex 0; a hypergraph whose positive-weight hyperedges do not connect
     all vertices yields 0 with vertex 0's component as the witness.
-    Approximate mode runs the exact solver on an eps/3-sparsifier. Weights
-    whose sum is not finite raise ValueError in either mode.
+    Approximate mode runs the exact solver on an eps/3-sparsifier, or on H,
+    with an exact value, when that sparsifier would draw at least m
+    samples. Weights whose sum is not finite raise ValueError in either
+    mode.
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")

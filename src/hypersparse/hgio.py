@@ -3,9 +3,11 @@ holding the weight followed by 1-indexed vertex ids. Lines whose first token
 starts with '%' are comments. Files are ASCII; tokens and lines are those of
 str.split() and str.splitlines(). The parser reads line-aligned blocks of
 about PARSE_BLOCK_BYTES, makes a fixed number of numpy passes over each
-block's bytes, calls float() on the weight tokens only, and keeps only the
-blocks' id, weight and size arrays. Serialization prints weights with 17
-significant digits so a parse/serialize round trip is lossless."""
+block's bytes, reads ids and plain decimal weights digit position by digit
+position (the weights exactly as float() reads them; other tokens go
+through int() and float()), and keeps only the blocks' id, weight and size
+arrays. Serialization prints weights with 17 significant digits so a
+parse/serialize round trip is lossless."""
 
 from __future__ import annotations
 
@@ -25,8 +27,16 @@ __all__ = [
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-# Every decimal of up to 18 digits fits in int64; longer id tokens go to int().
+# Every decimal of up to 18 digits fits in int64; longer id tokens go to int()
+# and longer weight tokens to float().
 _FAST_DIGITS = 18
+_INT_POW10 = 10 ** np.arange(_FAST_DIGITS + 1, dtype=np.int64)
+# Weights are read in long double where it is an IEEE format with a
+# significand of at least 64 bits: x87's 80-bit format or binary128, in which
+# 10^0 .. 10^18 (= 2^j 5^j, 5^18 < 2^64) and every 18-digit integer are exact
+# and each operation rounds once. PowerPC's double-double is not such a format.
+_EXTENDED = np.finfo(np.longdouble).nmant in (63, 112)
+_POW10 = np.cumprod(np.concatenate([[1], np.full(_FAST_DIGITS, 10)]).astype(np.longdouble))
 # The control bytes (< 32) by role: 0 belongs to a token, 1 is whitespace and
 # 2 a line break, as str.split() and str.splitlines() treat them. Space is the
 # only other whitespace byte.
@@ -95,41 +105,94 @@ def _content_tokens(a: np.ndarray) -> tuple:
     return starts, ends, line_first, sizes, breaks
 
 
-def _floats(tokens: list) -> tuple:
-    """float() of every token, and the position of the first one it rejects
-    (len(tokens) if none)."""
-    try:
-        return np.fromiter(map(float, tokens), float, len(tokens)), len(tokens)
-    except ValueError:
-        for e, token in enumerate(tokens):
-            try:
-                float(token)
-            except ValueError:
-                return None, e
+def _digit_runs(a: np.ndarray, ends, lengths) -> tuple:
+    """The decimal value of each run of `lengths` bytes ending before `ends`,
+    and a mask of the runs that hold a byte other than a digit or more than
+    _FAST_DIGITS bytes (whose values are then meaningless).
+
+    The digits are summed one vectorised pass per digit position counted
+    from the right. A position that some run does not reach reads a byte
+    before that run (an index of at least -len(a), as no run is longer than
+    a) and masks it, so a run may be empty.
+    """
+    value = np.zeros(len(ends), np.int64)
+    odd = lengths > _FAST_DIGITS
+    at = ends - 1
+    term = np.empty_like(value)
+    shortest = int(lengths.min(initial=0))
+    for j in range(min(int(lengths.max(initial=0)), _FAST_DIGITS)):
+        digit = a[at] - np.uint8(48)
+        if j >= shortest:
+            digit *= lengths > j
+        odd |= digit > 9
+        # dtype= makes the product int64 under every promotion rule; a uint8
+        # product would wrap.
+        value += np.multiply(digit, 10**j, out=term, dtype=np.int64)
+        at -= 1
+    return value, odd
+
+
+def _weights(data: bytes, a: np.ndarray, starts, ends) -> tuple:
+    """float() of every weight token [starts, ends), and the position of the
+    first one it rejects (len(starts) if none).
+
+    A token of an optional sign and at most _FAST_DIGITS digits, with at
+    most one '.', is read as float() reads it: its digits make an integer d,
+    and the digits after the point a count f. d / 10^f is divided once in
+    long double, where both are exact, and rounded to float64. The second
+    rounding can differ from float()'s single one only when the first lands
+    on a float64 midpoint. Such a token, every other token, and every token
+    where long double is not wide enough (`_EXTENDED`) go through float().
+    """
+    count = len(starts)
+    values = np.empty(count)
+    slow = np.ones(count, bool)
+    if _EXTENDED and count:
+        lead = a[starts]
+        signed = (lead == 43) | (lead == 45)
+        # Each token's first '.' among its first _FAST_DIGITS + 2 bytes, or
+        # its end: a later '.' leaves too many digits or a second point in a
+        # run, and the token goes to float().
+        point = ends.copy()
+        todo = np.arange(count)
+        for j in range(_FAST_DIGITS + 2):
+            at = starts[todo] + j
+            found = a[at] == 46
+            point[todo[found]] = at[found]
+            todo = todo[~found & (at + 1 < ends[todo])]
+            if not len(todo):
+                break
+        whole_len = point - starts - signed
+        frac_len = np.maximum(ends - point - 1, 0)
+        whole, bad = _digit_runs(a, point, whole_len)
+        frac, bad_frac = _digit_runs(a, ends, frac_len)
+        digits = whole_len + frac_len
+        fast = ~(bad | bad_frac) & (digits > 0) & (digits <= _FAST_DIGITS)
+        shift = np.minimum(frac_len, _FAST_DIGITS)
+        quotient = (whole * _INT_POW10[shift] + frac).astype(np.longdouble) / _POW10[shift]
+        values = quotient.astype(float)
+        # The float64 midpoint between the result and its neighbour on the
+        # quotient's side, formed exactly in long double.
+        toward = np.where(quotient > values, np.inf, -np.inf)
+        half = (values.astype(np.longdouble) + np.nextafter(values, toward)) / 2
+        slow = ~fast | (quotient == half)
+        np.negative(values, out=values, where=lead == 45)
+    for k in np.flatnonzero(slow).tolist():
+        try:
+            values[k] = float(data[starts[k]:ends[k]])
+        except ValueError:
+            return values, k
+    return values, count
 
 
 def _vertex_ids(data: bytes, a: np.ndarray, starts, ends) -> tuple:
     """The integer value of every id token [starts, ends), and the position of
     the first one that is not an integer in int64 range (len(starts) if none).
 
-    Tokens of at most 18 decimal digits are summed digit by digit, one
-    vectorised pass per digit position counted from the right; any other
+    Tokens of at most 18 decimal digits are read by `_digit_runs`; any other
     token (a sign, an underscore, more digits) goes through int().
     """
-    lengths = ends - starts
-    ids = np.zeros(len(starts), np.int64)
-    odd = lengths > _FAST_DIGITS
-    at = ends - 1
-    term = np.empty_like(ids)
-    for j in range(min(int(lengths.max(initial=0)), _FAST_DIGITS)):
-        digit = a[at] - np.uint8(48)
-        if j:
-            digit *= lengths > j
-        odd |= digit > 9
-        # dtype= makes the product int64 under every promotion rule; a uint8
-        # product would wrap.
-        ids += np.multiply(digit, 10**j, out=term, dtype=np.int64)
-        at -= 1
+    ids, odd = _digit_runs(a, ends, ends - starts)
     for k in np.flatnonzero(odd).tolist():
         try:
             value = int(data[starts[k]:ends[k]])
@@ -255,11 +318,11 @@ def _read_lines(data, a, starts, ends, lead, size, ids, weights, sizes):
     is_id[lead] = False
     is_id[:lead[0]] = False
     block_ids, bad_id = _vertex_ids(data, a, starts[is_id], ends[is_id])
-    tokens = [data[i:j] for i, j in zip(starts[lead].tolist(), ends[lead].tolist())]
-    block_weights, bad_weight = _floats(tokens)
+    block_weights, bad_weight = _weights(data, a, starts[lead], ends[lead])
     bad_line = int(np.searchsorted(np.cumsum(id_counts), bad_id, side="right"))
     if bad_weight <= bad_line and bad_weight < len(lead):
-        return bad_weight, f"invalid weight {tokens[bad_weight].decode()!r}"
+        token = data[starts[lead[bad_weight]]:ends[lead[bad_weight]]]
+        return bad_weight, f"invalid weight {token.decode()!r}"
     if bad_line < len(lead):
         return bad_line, "invalid vertex id"
     block_ids -= 1

@@ -135,7 +135,9 @@ def sparsify_hypergraph(
     rank-driven round count. Only hyperedges with accumulated weight > 0
     appear in the output, at most min(M, m) distinct. Raises ValueError when
     no hyperedge has positive weight, as there is nothing to sample, and
-    when the supplied result does not hold one score per hyperedge of H.
+    when the supplied result does not hold one score per hyperedge of H or
+    was computed for a hypergraph other than H (a result built without one
+    is checked by its score count only).
     """
     if not (H.weights > 0.0).any():
         raise ValueError("no hyperedge has positive weight, so there is nothing to sample")
@@ -144,6 +146,9 @@ def sparsify_hypergraph(
     scores = overestimate.scores
     if scores.shape != (H.m,):
         raise ValueError(f"overestimate holds {len(scores)} scores for {H.m} hyperedges: it is for another hypergraph")
+    source = overestimate.hypergraph
+    if source is not None and source is not H and source != H:
+        raise ValueError("overestimate was computed for another hypergraph")
     positive = H.weights > 0.0
     if (scores[positive] <= 0.0).any():
         bad = int(np.flatnonzero(positive & (scores <= 0.0))[0])

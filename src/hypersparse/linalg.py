@@ -7,7 +7,9 @@ grounded rows and columns) gives R_ab = F_aa + F_bb - 2 F_ab for a and b in
 one component. While the dense Laplacian and F fit DENSE_BYTES
 (`fits_dense`, 2 n^2 float64, n <= 8,192), F is formed by LAPACK Cholesky
 (`potrf` + `potri`) and the resistance table is written over it; above it
-the grounded Laplacian gets one sparse LU (`splu`).
+the grounded Laplacian gets one sparse LU (`splu`). scipy.sparse is imported
+only by the branches that use it (the sparse Laplacian, the LU and the
+sketch), so a dense run never loads it.
 Connectivity is tracked per component and resistance queries across
 components are hard errors rather than infinities.
 
@@ -31,10 +33,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .core import WeightedGraph, sorted_distinct
 
@@ -141,6 +140,9 @@ class Laplacian:
                 F[g, g] = 0.0
                 self._factor = F
             else:
+                import scipy.sparse as sp
+                from scipy.sparse.linalg import splu
+
                 keep = np.ones(self.n)
                 keep[g] = 0.0
                 D = sp.diags(keep)
@@ -244,6 +246,9 @@ def laplacian_from_table(n: int, table: np.ndarray, pairs=None) -> Laplacian:
         adj += adj.T
         n_components, labels = _row_components(adj)
     else:
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
         adj = sp.csr_matrix((table, (pairs // n, pairs % n)), shape=(n, n))
         # The sum keeps no zero entries, so a pair of weight 0 connects nothing.
         adj = adj + adj.T
@@ -402,6 +407,8 @@ def build_sketch(G: WeightedGraph, eps_sketch: float, seed: int) -> ResistanceSk
     applied blockwise so Pi is never fully materialized; the p rows then go
     through the grounded factor as one multi-right-hand-side solve.
     """
+    import scipy.sparse as sp
+
     if not 0.0 < eps_sketch < 1.0:
         raise ValueError("eps_sketch must lie in (0, 1)")
     n = G.n

@@ -109,10 +109,15 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class OverestimateResult:
+    """Per-hyperedge scores and the rounds behind them. `hypergraph` is the
+    hypergraph they were computed for (set by `compute_overestimate`, None
+    for a result built by hand); it takes no part in eq or repr."""
+
     scores: np.ndarray
     rounds: list[RoundRecord]
     scale: float
     mass_bound: float
+    hypergraph: Hypergraph | None = field(default=None, compare=False, repr=False)
 
     @property
     def l1(self) -> float:
@@ -218,7 +223,7 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig) -> Overestimate
         raise MassBoundError(
             f"overestimate mass {total!r} exceeds the bound {bound!r}"
         )
-    return OverestimateResult(scores, rounds, scale, bound)
+    return OverestimateResult(scores, rounds, scale, bound, H)
 
 
 def _leverages_from_table(H: Hypergraph, table: np.ndarray) -> np.ndarray:

@@ -267,12 +267,12 @@ def coo_laplacian(G) -> Laplacian:
 def refuse_sparse(monkeypatch):
     """Fail the test if scipy.sparse builds a matrix or an array (every one
     runs the constructor of their common base) or if `linalg` labels
-    components with scipy."""
+    components with scipy, which its sparse branch looks up when it runs."""
     def refuse(*args, **kwargs):
         raise AssertionError("the dense path built a scipy.sparse object or called connected_components")
 
     monkeypatch.setattr(sp._base._spbase, "__init__", refuse)
-    monkeypatch.setattr(linalg, "connected_components", refuse)
+    monkeypatch.setattr(sp.csgraph, "connected_components", refuse)
 
 
 def pair_solve_resistances(L: Laplacian, a, b) -> np.ndarray:

@@ -12,7 +12,7 @@ from hypersparse.apps import (
     st_mincut,
 )
 from hypersparse.core import Hypergraph, cut_value
-from hypersparse.hsparse import SparsifyConfig
+from hypersparse.hsparse import SparsifyConfig, sample_count
 from hypersparse.verify import _cut_values, verify_cut_sparsifier
 
 from helpers import (
@@ -418,3 +418,68 @@ class TestWeightOverflow:
         H = Hypergraph(3, [((0, 1), 1e307), ((1, 2), 1e307), ((0, 2), 1e307)])
         assert global_mincut(H)[0] == 2e307
         assert st_mincut(H, 0, 2)[0] == pytest.approx(2e307)
+
+
+class TestApproximateSparsifier:
+    """The approximate mincuts solve an eps/3-sparsifier only when it would
+    draw fewer than m samples; otherwise they solve H, exactly."""
+
+    eps = 0.9  # a budget of 0.3: M = 813 at n = 8, r = 3
+
+    @staticmethod
+    def _spy(monkeypatch, refuse=False):
+        calls = []
+        real = apps.sparsify_hypergraph
+
+        def spy(H, cfg):
+            if refuse:
+                raise AssertionError("sparsified a hypergraph that its sample count covers")
+            calls.append(H.m)
+            return real(H, cfg)
+
+        monkeypatch.setattr(apps, "sparsify_hypergraph", spy)
+        return calls
+
+    def test_covered_instance_is_solved_exactly(self, monkeypatch):
+        H = random_hypergraph(80, n=12, m=150, rank=5)
+        assert sample_count(H.n, H.rank, self.eps / 3.0, 4.0) >= H.m
+        exact_global, exact_st = global_mincut(H), st_mincut(H, 0, 11)
+        self._spy(monkeypatch, refuse=True)
+        assert global_mincut(H, eps=self.eps) == exact_global
+        assert st_mincut(H, 0, 11, eps=self.eps) == (exact_st[0], True)
+        assert apps._sparsify_for_apps(H, self.eps, None) is H
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_boundary(self, monkeypatch, extra):
+        M = sample_count(8, 3, self.eps / 3.0, 4.0)
+        assert M == 813
+        H = random_hypergraph(81, n=8, m=M + extra, rank=3)
+        assert H.rank == 3
+        calls = self._spy(monkeypatch)
+        global_mincut(H, eps=self.eps)
+        st_mincut(H, 0, 7, eps=self.eps)
+        assert calls == [H.m, H.m] * extra
+
+    def test_sample_constant_counts(self, monkeypatch):
+        H = random_hypergraph(83, n=8, m=300, rank=3)
+        calls = self._spy(monkeypatch)
+        global_mincut(H, eps=self.eps, cfg=SparsifyConfig(eps=1.0))
+        assert calls == []
+        cfg = SparsifyConfig(eps=1.0, sample_constant=0.25)
+        assert sample_count(H.n, H.rank, self.eps / 3.0, cfg.sample_constant) < H.m
+        global_mincut(H, eps=self.eps, cfg=cfg)
+        assert calls == [H.m]
+
+    def test_more_hyperedges_than_samples_sparsified_within_sandwich(self, monkeypatch):
+        H = random_hypergraph(82, n=8, m=3000, rank=3)
+        calls = self._spy(monkeypatch)
+        target = apps._sparsify_for_apps(H, self.eps, None)
+        assert calls == [H.m] and target.m < H.m
+        assert verify_cut_sparsifier(H, target, self.eps / 3.0).passed
+        low, high = 1.0 - self.eps / 3.0, 1.0 + self.eps / 3.0
+        exact, _ = global_mincut(H)
+        value, witness = global_mincut(H, eps=self.eps)
+        assert low * exact <= value <= high * exact and 0 < len(witness) < H.n
+        exact, _ = st_mincut(H, 0, 7)
+        value, approx = st_mincut(H, 0, 7, eps=self.eps)
+        assert approx and low * exact <= value <= high * exact

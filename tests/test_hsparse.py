@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypersparse.hsparse import (
     sparsify_hypergraph,
     sum_estimate,
 )
-from hypersparse.overestimate import OverestimateConfig, compute_overestimate, default_rounds
+from hypersparse.overestimate import OverestimateConfig, OverestimateResult, compute_overestimate, default_rounds
 from hypersparse.seeding import derive_seed
 
 from helpers import edges, random_hypergraph, search_sample_counts
@@ -162,16 +163,33 @@ class TestNonFiniteSampleCounts:
 
 
 class TestSparsifyHypergraph:
-    @pytest.mark.parametrize("other_m, ok", [(20, True), (19, False), (21, False)])
-    def test_overestimate_of_another_hypergraph_rejected(self, other_m, ok):
+    @pytest.mark.parametrize("other_m, same_count", [(20, True), (19, False), (21, False)])
+    def test_overestimate_of_another_hypergraph_rejected(self, other_m, same_count):
+        # With as many scores as H has hyperedges, only the hypergraph the
+        # result records tells that it is another one's.
         H = random_hypergraph(71, n=9, m=20, rank=4)
         other = random_hypergraph(72, n=9, m=other_m, rank=4)
         result = compute_overestimate(other, OverestimateConfig(rounds=2))
-        if ok:
-            assert sparsify_hypergraph(H, SparsifyConfig(eps=0.5), result).hypergraph.n == H.n
-        else:
-            with pytest.raises(ValueError, match="for another hypergraph"):
-                sparsify_hypergraph(H, SparsifyConfig(eps=0.5), result)
+        assert (len(result.scores) == H.m) == same_count
+        with pytest.raises(ValueError, match="for another hypergraph"):
+            sparsify_hypergraph(H, SparsifyConfig(eps=0.5), result)
+
+    def test_overestimate_of_an_equal_hypergraph_accepted(self):
+        H = random_hypergraph(71, n=9, m=20, rank=4)
+        twin = Hypergraph.from_arrays(H.n, H.indptr, H.indices, H.weights)
+        assert twin is not H and twin == H
+        cfg = SparsifyConfig(eps=0.5, seed=3)
+        result = compute_overestimate(twin, OverestimateConfig(rounds=2))
+        assert result.hypergraph is twin
+        want = sparsify_hypergraph(H, cfg).hypergraph
+        assert sparsify_hypergraph(H, cfg, result).hypergraph == want
+        # A result built without a hypergraph is checked by its count only;
+        # the field takes no part in eq or repr.
+        bare = OverestimateResult(result.scores, result.rounds, result.scale, result.mass_bound)
+        assert bare.hypergraph is None and bare == result and "hypergraph" not in repr(result)
+        assert sparsify_hypergraph(H, cfg, bare).hypergraph == want
+        other = compute_overestimate(random_hypergraph(72, n=9, m=20, rank=4), OverestimateConfig(rounds=2))
+        assert sparsify_hypergraph(H, cfg, replace(other, hypergraph=None)).hypergraph.m > 0
 
     def test_single_hyperedge_recovers_weight_exactly(self):
         H = Hypergraph(3, [((0, 1, 2), 2.5)])

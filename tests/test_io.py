@@ -1,4 +1,6 @@
+import functools
 import io
+import math
 import os
 import threading
 import tracemalloc
@@ -183,6 +185,133 @@ class TestTokens:
         with pytest.raises(HgrFormatError, match="invalid weight 'bad'") as err:
             parse_hypergraph_text("2 3 1\nbad 1 x\n1 1 y\n")
         assert err.value.line_no == 2
+
+
+def _digit_tokens(rng, count: int) -> np.ndarray:
+    """`count` tokens of 1-20 random digits (more of 17 and 18), with leading
+    and trailing zero runs, a point anywhere or none, and no sign, '+' or
+    '-': rows of 23 bytes, space-padded, each ending in a newline."""
+    ndig = rng.choice(np.arange(1, 21), (count, 1), p=np.r_[np.full(16, 0.03), 0.2, 0.2, 0.06, 0.06])
+    point = np.where(rng.random((count, 1)) < 0.85, rng.integers(0, ndig + 1), 99)
+    used = ndig + (point < 99)
+    # Column 0 holds the sign and columns 1 to `used` the digits and point.
+    grid = rng.integers(48, 58, (count, 23), dtype=np.uint8)
+    cols = np.arange(23)
+    leading = 1 + rng.integers(0, 6, (count, 1)) * (rng.random((count, 1)) < 0.3)
+    trailing = rng.integers(0, 6, (count, 1)) * (rng.random((count, 1)) < 0.3)
+    np.copyto(grid, 48, where=(cols < leading) | (cols > used - trailing))
+    np.copyto(grid, 46, where=cols == point + 1)
+    np.copyto(grid, 32, where=cols > used)
+    grid[:, 0] = rng.choice(np.array([32, 43, 45], np.uint8), count, p=[0.6, 0.1, 0.3])
+    grid[:, -1] = 10
+    return grid.ravel()
+
+
+def _midpoint_tokens(rng, count: int) -> list:
+    """Decimals at or next to float64 midpoints: 2^53 + 1 and other odd
+    multiples of half an ulp written exactly, and for random midpoints mu
+    (1 + 2^-53 and 0.5 + 2^-54 among them) the 16- to 20-digit decimals just
+    below and just above mu."""
+    tokens = ["9007199254740993", "9007199254740995", "4503599627370496.5", "2251799813685248.25"]
+    for j in rng.integers(0, 2**40, 50).tolist():
+        for t in range(7):
+            tokens.append(str((2**53 + 2 * j + 1) << t))
+        tokens += [f"{2**52 + j}.5", f"{2**51 + j}.25", f"{2**51 + j}.75"]
+    # mu = (2 q + 1) 2^e lies halfway between the doubles q 2^(e+1) and
+    # (q + 1) 2^(e+1) for a float64 significand q in [2^52, 2^53).
+    mids = [(2 * 2**52 + 1, -53), (2 * 2**52 + 1, -54)]
+    mids += [(2 * q + 1, e) for q, e in zip(rng.integers(2**52, 2**53, count).tolist(),
+                                             rng.integers(-60, -45, count).tolist())]
+    for odd, e in mids:
+        for sig in range(16, 21):
+            # mu 10^k lies in [10^(sig-1), 10^sig); k >= 0 here.
+            k = sig - 1 - math.floor(math.log10(odd) + e * math.log10(2))
+            scaled = odd * 10**k
+            below = scaled >> -e
+            for q in (below - 1, below, below + 1, below + 2):
+                text = str(q).rjust(k + 1, "0")
+                tokens.append(f"{text[:-k]}.{text[-k:]}" if k else text)
+    return tokens
+
+
+SPECIAL_WEIGHTS = ["0", "-0", "-0.0", "+0.000", "0.", ".0", "5.", ".5", "-.5", "+5.", "007.500",
+                   "1_0", "1_000.5", "inf", "-inf", "+Infinity", "nan", "-nan", "1e5", "1E+05", "2.5e-3",
+                   "000000000000000000000000001", "1" + "0" * 25, "0." + "0" * 30 + "1"]
+
+
+@functools.lru_cache(maxsize=1)
+def _weight_documents() -> tuple:
+    """Seeded documents of one weight token per line, at most about 6 MB
+    each: 1.88M digit strings, the repr, .17g and %.{1..20}g forms of
+    doubles with decimal exponents -30 to 30, midpoint decimals, and
+    special forms."""
+    rng = np.random.default_rng(20260)
+    docs = [_digit_tokens(rng, 235_000).tobytes() for _ in range(8)]
+    x = rng.uniform(1.0, 10.0, 90_000) * 10.0 ** rng.integers(-30, 31, 90_000)
+    x[::7] *= -1.0
+    formatted = [*map(repr, x[:30_000].tolist()), *map("{:.17g}".format, x[30_000:60_000].tolist())]
+    formatted += [f"{v:.{1 + i % 20}g}" for i, v in enumerate(x[60_000:].tolist())]
+    formatted += _midpoint_tokens(rng, 3_000) + SPECIAL_WEIGHTS
+    docs.append("\n".join(formatted).encode() + b"\n")
+    return tuple(docs)
+
+
+def _read_weights(data: bytes) -> np.ndarray:
+    a = np.frombuffer(data, np.uint8)
+    starts, ends, _, sizes, _ = hgio._content_tokens(a)
+    assert (sizes == 1).all()
+    values, bad = hgio._weights(data, a, starts, ends)
+    assert bad == len(starts)
+    return values
+
+
+class TestWeightReader:
+    """The vectorised weight reader against float(), bit for bit (so -0.0
+    counts), on about 2M seeded tokens."""
+
+    def test_matches_float_bitwise(self):
+        tokens = 0
+        for data in _weight_documents():
+            want = np.fromiter(map(float, data.split()), float)
+            got = _read_weights(data)
+            bad = np.flatnonzero(got.view(np.int64) != want.view(np.int64))
+            assert not len(bad), [data.split()[k] for k in bad[:5]]
+            tokens += len(want)
+        assert tokens >= 2_000_000
+
+    def test_float_path_alone_gives_the_same_bits(self, monkeypatch):
+        data = _weight_documents()[-1]
+        fast = _read_weights(data)
+        monkeypatch.setattr(hgio, "_EXTENDED", False)
+        assert np.array_equal(_read_weights(data).view(np.int64), fast.view(np.int64))
+
+    @pytest.mark.parametrize("token", ["1.86126253225027527", "26.509289971129677", "0.14848422992710196"])
+    def test_double_rounding_on_a_midpoint(self, token):
+        # In x87's long double the quotient of these decimals is a float64
+        # midpoint, which a second rounding resolves to the even neighbour,
+        # away from the decimal's side of it.
+        whole, _, frac = token.partition(".")
+        twice = float(np.longdouble(int(whole + frac)) / hgio._POW10[len(frac)])
+        once = float(token)
+        if np.finfo(np.longdouble).nmant == 63:
+            assert twice != once
+        assert _read_weights(token.encode() + b"\n").tolist() == [once]
+
+    @pytest.mark.parametrize("tokens, bad", [
+        ([b"1.5", b"2", b"1.2.3", b"x"], 2),
+        ([b".", b"1"], 0),
+        ([b"1", b"+", b"-"], 1),
+        ([b"1", b"2", b"1e"], 2),
+        ([b"0.5", b"3"], 2),
+    ])
+    def test_first_rejected_token(self, tokens, bad):
+        data = b"\n".join(tokens) + b"\n"
+        a = np.frombuffer(data, np.uint8)
+        starts, ends, _, _, _ = hgio._content_tokens(a)
+        values, first = hgio._weights(data, a, starts, ends)
+        assert first == bad
+        for k in range(bad):
+            assert values[k] == float(tokens[k])
 
 
 def test_peak_memory_of_a_wide_file(tmp_path):

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from itertools import combinations
 
@@ -30,6 +34,8 @@ from helpers import (
     random_weighted_graph,
     refuse_sparse,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def path_graph(n, weight=1.0):
@@ -275,6 +281,29 @@ class TestAssembly:
         monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
         with pytest.raises(AssertionError, match="scipy.sparse"):
             build_laplacian(G)
+
+    def test_dense_session_loads_no_sparse_module(self):
+        # scipy.sparse is imported only where the sparse path runs, so a
+        # fresh interpreter that parses, sparsifies, verifies and cuts a
+        # dense instance never loads it.
+        script = textwrap.dedent("""
+            import sys
+            import hypersparse as hs
+            text = "5 6 1\\n1 1 2 3\\n2.5 3 4\\n0.5 4 5 6\\n1 1 6\\n2 2 5\\n"
+            H = hs.parse_hypergraph_text(text)
+            Ht = hs.sparsify_hypergraph(H, hs.SparsifyConfig(eps=0.5, seed=1)).hypergraph
+            assert hs.verify_spectral_sampled(H, Ht, 0.5, 20, 1) is not None
+            assert hs.verify_cut_sparsifier(H, Ht, 0.5) is not None
+            for eps in (0.0, 0.5):
+                hs.global_mincut(H, eps)
+                hs.st_mincut(H, 0, 5, eps)
+            hs.serialize_hypergraph_text(Ht)
+            print(sorted(name for name in sys.modules if name.startswith("scipy.sparse")))
+        """)
+        env = {**os.environ, "PYTHONPATH": SRC}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_multigraph_components(self):
         L = build_laplacian(multigraph())
