@@ -80,6 +80,49 @@ class HyperedgeError(ValueError):
         self.edge = edge
 
 
+def check_hyperedges(n, sizes, indices, weights) -> tuple:
+    """Check hyperedges given by their id counts `sizes`, ids back to back
+    and weights, on n vertices, for: at least two ids, whole-number ids, ids
+    in [0, n), a finite nonnegative weight and no repeated vertex, in order.
+    Returns the ids as int64 sorted within each hyperedge (in place if
+    int64) and the first failing check as (its position in that order, the
+    first hyperedge failing it, its message), or None. As no lower check
+    fails anywhere, of runs of hyperedges checked alone the first with the
+    lowest position gives the whole's."""
+    ends = np.cumsum(sizes)
+
+    def edge_of(pin) -> int:
+        return int(np.searchsorted(ends, pin, side="right"))
+
+    if (sizes < 2).any():
+        return indices, (0, int(np.argmax(sizes < 2)), "needs at least 2 vertices")
+    at = _fraction_at(indices)
+    if at >= 0:
+        return indices, (1, edge_of(at), f"vertex id {float(indices[at])} is not an integer")
+    indices = indices.astype(np.int64, copy=False)
+    if indices.min() < 0 or indices.max() >= n:
+        return indices, (2, edge_of(np.argmax((indices < 0) | (indices >= n))), f"has a vertex id outside the {n} vertices")
+    if not (weights.min() >= 0.0 and weights.max() < np.inf):
+        e = int(np.argmax(~((weights >= 0.0) & np.isfinite(weights))))
+        return indices, (3, e, f"weight {weights[e]} is not a finite nonnegative number")
+    # Sort unless every hyperedge already rises (a step between two ids may
+    # fall only where a hyperedge starts); after the sort a tie is a repeat.
+    step = indices[1:] <= indices[:-1]
+    step[ends[:-1] - 1] = False
+    if step.any():
+        # The hyperedges of one size are rows of a window view, gathered by
+        # one index each; no key edge * n + id can overflow.
+        for size in np.flatnonzero(np.bincount(sizes)):
+            view = np.lib.stride_tricks.sliding_window_view(indices, size, writeable=True)
+            rows = np.compress(sizes == size, ends) - size
+            view[rows] = np.sort(view[rows], axis=1)
+        np.equal(indices[1:], indices[:-1], out=step)
+        step[ends[:-1] - 1] = False
+        if step.any():
+            return indices, (4, edge_of(np.argmax(step)), "repeats a vertex")
+    return indices, None
+
+
 class Hypergraph:
     """Immutable weighted hypergraph on vertices 0..n-1, in CSR layout.
 
@@ -91,8 +134,9 @@ class Hypergraph:
 
     `Hypergraph(n, edges)` takes (vertices, weight) pairs, `from_arrays` the
     three arrays; both sort each hyperedge and validate alike, rejecting a
-    count, offset or vertex id that is not a whole number. `subset` keeps
-    some hyperedges under new weights and checks only the weights.
+    count, offset or vertex id that is not a whole number, by
+    `check_hyperedges`. `subset` keeps some hyperedges under new weights
+    and checks only the weights.
     """
 
     __slots__ = ("n", "indptr", "indices", "weights")
@@ -110,21 +154,12 @@ class Hypergraph:
 
     @classmethod
     def from_arrays(cls, n, indptr, indices, weights) -> "Hypergraph":
-        return cls._adopt(
+        return cls.__new__(cls)._init_arrays(
             int(_int64(n, "vertex count")),
             _int64(indptr, "offset"),
             np.array(indices),
             np.array(weights, dtype=float),
         )
-
-    @classmethod
-    def _adopt(cls, n, indptr, indices, weights) -> "Hypergraph":
-        """`from_arrays` over int64 offsets, vertex ids (copied only if not
-        int64) and float64 weights that the caller hands over and does not
-        use again: they are checked and frozen, not copied."""
-        self = cls.__new__(cls)
-        self._init_arrays(n, indptr, indices, weights)
-        return self
 
     def _init_arrays(self, n, indptr, indices, weights):
         if n < 1:
@@ -135,43 +170,19 @@ class Hypergraph:
         if (indptr.ndim != 1 or indices.ndim != 1 or len(sizes) != len(weights)
                 or indptr[0] != 0 or indptr[-1] != len(indices) or (sizes < 0).any()):
             raise ValueError("indptr must rise from 0 to len(indices), one step per hyperedge")
-        if (sizes < 2).any():
-            raise HyperedgeError(int(np.argmax(sizes < 2)), "needs at least 2 vertices")
-        at = _fraction_at(indices)
-        if at >= 0:
-            e = int(np.searchsorted(indptr, at, side="right")) - 1
-            raise HyperedgeError(e, f"vertex id {float(indices[at])} is not an integer")
-        indices = indices.astype(np.int64, copy=False)
-        outside = (indices < 0) | (indices >= n)
-        if outside.any():
-            e = int(np.searchsorted(indptr, np.argmax(outside), side="right")) - 1
-            raise HyperedgeError(e, f"has a vertex id outside the {n} vertices")
-        bad = ~((weights >= 0.0) & np.isfinite(weights))
-        if bad.any():
-            e = int(np.argmax(bad))
-            raise HyperedgeError(e, f"weight {weights[e]} is not a finite nonnegative number")
-        # Sort unless every hyperedge already rises: a step between two pins
-        # may fall only where a hyperedge starts. The key edge * n + vertex
-        # keeps hyperedges in place; a remaining tie is a repeated vertex.
-        fall = indices[1:] <= indices[:-1]
-        fall[indptr[1:-1] - 1] = False
-        if fall.any():
-            del fall
-            edge_of = np.repeat(np.arange(len(weights)), sizes)
-            inner = edge_of[1:] == edge_of[:-1]
-            indices = np.sort(edge_of * n + indices) - edge_of * n
-            repeat = inner & (np.diff(indices) == 0)
-            if repeat.any():
-                raise HyperedgeError(int(edge_of[1:][repeat][0]), "repeats a vertex")
-        self._freeze(n, indptr, indices, weights)
+        indices, fault = check_hyperedges(n, sizes, indices, weights)
+        if fault is not None:
+            raise HyperedgeError(*fault[1:])
+        return self._freeze(n, indptr, indices, weights)
 
-    def _freeze(self, n, indptr, indices, weights):
+    def _freeze(self, n, indptr, indices, weights) -> "Hypergraph":
         for arr in (indptr, indices, weights):
             arr.flags.writeable = False
         self.n = n
         self.indptr = indptr
         self.indices = indices
         self.weights = weights
+        return self
 
     def subset(self, keep, weights) -> "Hypergraph":
         """The hyperedges where the mask `keep` holds, in order, with
@@ -190,9 +201,7 @@ class Hypergraph:
         sizes = np.diff(self.indptr)
         indptr = np.zeros(len(weights) + 1, dtype=np.int64)
         np.cumsum(sizes[keep], out=indptr[1:])
-        out = Hypergraph.__new__(Hypergraph)
-        out._freeze(self.n, indptr, self.indices[np.repeat(keep, sizes)], weights)
-        return out
+        return Hypergraph.__new__(Hypergraph)._freeze(self.n, indptr, self.indices[np.repeat(keep, sizes)], weights)
 
     @property
     def m(self) -> int:
@@ -408,7 +417,7 @@ def total_energy(H: Hypergraph, x) -> float:
 def cut_value(H: Hypergraph, subset) -> float:
     """Total weight of hyperedges with vertices on both sides of (S, V - S),
     i.e. total_energy(H, indicator of S)."""
-    members = np.fromiter(map(int, subset), dtype=np.int64)
+    members = _int64(list(subset), "vertex id")
     outside = members[(members < 0) | (members >= H.n)]
     if len(outside):
         raise ValueError(f"vertex id {outside[0]} outside [0, {H.n})")

@@ -5,8 +5,9 @@ str.split() and str.splitlines(). The parser reads line-aligned blocks of
 about PARSE_BLOCK_BYTES, makes a fixed number of numpy passes over each
 block's bytes, reads ids and plain decimal weights digit position by digit
 position (the weights exactly as float() reads them; other tokens go
-through int() and float()), and keeps only the blocks' id, weight and size
-arrays. Serialization prints weights with 17 significant digits so a
+through int() and float()), checks each block's hyperedges while it is in
+hand, and keeps only the blocks' id, weight and size arrays: each byte is
+read once. Serialization prints weights with 17 significant digits so a
 parse/serialize round trip is lossless."""
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import io
 
 import numpy as np
 
-from .core import HyperedgeError, Hypergraph
+from .core import HyperedgeError, Hypergraph, check_hyperedges
 
 __all__ = [
     "HgrFormatError",
@@ -205,21 +206,20 @@ def _vertex_ids(data: bytes, a: np.ndarray, starts, ends) -> tuple:
 
 
 def _blocks(handle):
-    """Offsets and bytes of the stream's line-aligned blocks of about
-    PARSE_BLOCK_BYTES, the last one running to the end of the stream. A \\r
-    that ends a read may begin a \\r\\n pair, so it waits for the next."""
-    offset, carry = 0, b""
+    """The stream's line-aligned blocks of about PARSE_BLOCK_BYTES, the last
+    one running to the end of the stream. A \\r that ends a read may begin a
+    \\r\\n pair, so it waits for the next."""
+    carry = b""
     while True:
         chunk = handle.read(PARSE_BLOCK_BYTES)
         data = carry + chunk
         if not chunk:
             if data:
-                yield offset, data
+                yield data
             return
         cut = 1 + max(data.rfind(b"\r", 0, len(data) - 1), *map(data.rfind, _BREAKS))
         if cut:
-            yield offset, data[:cut]
-            offset += cut
+            yield data[:cut]
         carry = data[cut:]
 
 
@@ -248,23 +248,22 @@ def _header(data: bytes, starts, ends, size) -> tuple:
 
 
 def _parse(handle) -> Hypergraph:
-    """Parse the seekable binary stream block by block.
+    """Parse the binary stream block by block, reading each byte once.
 
-    Each block yields its hyperedges' 0-based ids, weights and sizes, and
-    only those arrays are kept and concatenated. The first error in the
-    order of the checks wins: a non-ASCII byte, a missing or bad header, a
-    wrong count of hyperedge lines, the first line with a bad token (its
-    weight first), then `Hypergraph.from_arrays`' checks. An error of the
-    last kind names its line by reading its block again.
+    Each block's hyperedges (0-based ids, weights and sizes) are checked
+    while the block is in hand, and only those arrays are kept. The first
+    error in the order of the checks wins: a non-ASCII byte, a missing or
+    bad header, a wrong count of hyperedge lines, the first line with a bad
+    token (its weight first), then `check_hyperedges`' lowest failing check.
     """
-    # `fatal` (a bad header or an extra line) outranks every later error
-    # but a non-ASCII byte, which fails at once; a bad token only waits for
-    # the line count.
-    header = fatal = bad_token = last = None
+    # `fatal` (a bad header or an extra line) outranks every later error but
+    # a non-ASCII byte, which fails at once. `fault` is the blocks' lowest
+    # (rank, line, message), the earliest on a tie; a bad token is rank -1.
+    header = fatal = fault = last = None
     line0 = 1  # line number of the block's first line
     body = 0  # hyperedge lines so far
-    ids, weights, sizes, spans = [], [], [], []
-    for offset, data in _blocks(handle):
+    ids, weights, sizes = [], [], []
+    for data in _blocks(handle):
         a = np.frombuffer(data, np.uint8)
         if a.max() >= 128:
             raise HgrFormatError(line0 - 1 + _line_of(a, int(np.argmax(a >= 128))), "non-ASCII byte")
@@ -280,12 +279,13 @@ def _parse(handle) -> Hypergraph:
                 m, k = header[0], len(size) - first
                 if body + k > m:
                     fatal = (line_no(first + m - body), "unexpected extra line")
-                elif k and bad_token is None:
-                    bad = _read_lines(data, a, starts, ends, lead[first:], size[first:], ids, weights, sizes)
-                    if bad is None:
-                        spans.append((offset, len(data), line0, body, first))
-                    else:
-                        bad_token = (line_no(first + bad[0]), bad[1])
+                elif k and (fault is None or fault[0] >= 0):
+                    bad = _read_lines(data, a, starts, ends, lead[first:], size[first:], header[1], ids, weights, sizes)
+                    if bad is not None and (fault is None or bad[0] < fault[0]):
+                        rank, j, message = bad
+                        if rank >= 0:
+                            message = str(HyperedgeError(body + j, message))
+                        fault = (rank, line_no(first + j), message)
                 body += k
             last = (line_no, len(size) - 1)
         line0 += breaks
@@ -296,23 +296,20 @@ def _parse(handle) -> Hypergraph:
     m, n = header
     if body < m:
         raise HgrFormatError(last[0](last[1]), f"expected {m} hyperedge lines, found {body}")
-    if bad_token is not None:
-        raise HgrFormatError(*bad_token)
+    if fault is not None:
+        raise HgrFormatError(*fault[1:])
     indptr = np.zeros(m + 1, np.int64)
     np.cumsum(np.concatenate(sizes), out=indptr[1:])
     del sizes
-    ids, weights = np.concatenate(ids), np.concatenate(weights)
-    try:
-        return Hypergraph._adopt(n, indptr, ids, weights)
-    except HyperedgeError as err:
-        raise HgrFormatError(_edge_line(handle, spans, err.edge), str(err)) from None
+    return Hypergraph.__new__(Hypergraph)._freeze(n, indptr, np.concatenate(ids), np.concatenate(weights))
 
 
-def _read_lines(data, a, starts, ends, lead, size, ids, weights, sizes):
-    """Append the 0-based ids, the weights and the id counts of a block's
-    hyperedge lines (first tokens `lead`, token counts `size`) to the three
-    lists; or return the position among them of the first line with a bad
-    token and its message, the weight being read first."""
+def _read_lines(data, a, starts, ends, lead, size, n, ids, weights, sizes):
+    """Append the ids (0-based, sorted within each line), weights and id
+    counts of a block's hyperedge lines (first tokens `lead`, token counts
+    `size`) on n vertices to the three lists, or return the block's first
+    fault: (-1, line, message) for the first line with a bad token, its
+    weight read first, else `check_hyperedges`' fault."""
     id_counts = size - 1
     is_id = np.ones(len(starts), bool)
     is_id[lead] = False
@@ -322,23 +319,16 @@ def _read_lines(data, a, starts, ends, lead, size, ids, weights, sizes):
     bad_line = int(np.searchsorted(np.cumsum(id_counts), bad_id, side="right"))
     if bad_weight <= bad_line and bad_weight < len(lead):
         token = data[starts[lead[bad_weight]]:ends[lead[bad_weight]]]
-        return bad_weight, f"invalid weight {token.decode()!r}"
+        return -1, bad_weight, f"invalid weight {token.decode()!r}"
     if bad_line < len(lead):
-        return bad_line, "invalid vertex id"
+        return -1, bad_line, "invalid vertex id"
     block_ids -= 1
-    ids.append(block_ids)
-    weights.append(block_weights)
-    sizes.append(id_counts)
-    return None
-
-
-def _edge_line(handle, spans, edge: int) -> int:
-    """Line number of hyperedge `edge`, from its block read again."""
-    offset, length, line0, body0, first = next(span for span in reversed(spans) if span[3] <= edge)
-    handle.seek(offset)
-    a = np.frombuffer(handle.read(length), np.uint8)
-    starts, _, lead, _, _ = _content_tokens(a)
-    return _line_numbers(a, line0, starts[lead])(first + edge - body0)
+    block_ids, bad = check_hyperedges(n, id_counts, block_ids, block_weights)
+    if bad is None:
+        ids.append(block_ids)
+        weights.append(block_weights)
+        sizes.append(id_counts)
+    return bad
 
 
 def parse_hypergraph_text(text: str | bytes) -> Hypergraph:
@@ -357,10 +347,10 @@ def parse_hypergraph_text(text: str | bytes) -> Hypergraph:
 
 
 def parse_hypergraph(path) -> Hypergraph:
-    """Parse the file at `path`, reading it in blocks as `parse_hypergraph_text`
-    parses its contents; a stream that cannot seek is read whole first."""
+    """Parse the file at `path`, reading it once, in blocks, as
+    `parse_hypergraph_text` parses its contents; it may be a pipe."""
     with open(path, "rb") as handle:
-        return _parse(handle if handle.seekable() else io.BytesIO(handle.read()))
+        return _parse(handle)
 
 
 def serialize_hypergraph_text(H: Hypergraph) -> str:

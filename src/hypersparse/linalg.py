@@ -35,7 +35,7 @@ import math
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import WeightedGraph, sorted_distinct
+from .core import WeightedGraph, _int64, sorted_distinct
 
 __all__ = [
     "DisconnectedError",
@@ -316,8 +316,7 @@ def _project_out_kernel(L: Laplacian, x: np.ndarray) -> np.ndarray:
 
 
 def _check_pairs(components: np.ndarray, a, b):
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    a, b = _int64(a, "vertex id"), _int64(b, "vertex id")
     n = len(components)
     if ((a < 0) | (a >= n) | (b < 0) | (b >= n)).any():
         raise ValueError(f"vertex id outside the graph's {n} vertices")

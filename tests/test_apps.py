@@ -72,6 +72,10 @@ class TestMaxFlow:
         arcs = ((0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0))
         assert max_flow(FlowNetwork(4, arcs, 0, 3)) == pytest.approx(2.0)
 
+    def test_source_equal_to_sink_rejected(self):
+        with pytest.raises(ValueError, match="source and sink must differ"):
+            FlowNetwork(2, ((0, 1, 1.0),), 1, 1)
+
     def test_no_path_gives_zero(self):
         net = FlowNetwork(3, ((0, 1, 2.0),), 0, 2)
         assert max_flow(net) == 0.0
@@ -186,6 +190,14 @@ class TestStMincut:
         else:
             with pytest.raises(ValueError, match="integer vertex ids"):
                 st_mincut(H, s, t)
+
+    @pytest.mark.parametrize("mincut", [lambda H, eps: st_mincut(H, 0, 3, eps), lambda H, eps: global_mincut(H, eps)],
+                             ids=["st", "global"])
+    def test_negative_eps_rejected(self, mincut):
+        H = Hypergraph(4, [((0, 1, 2), 2.0), ((2, 3), 1.0)])
+        for eps in (-0.5, -1e-300):
+            with pytest.raises(ValueError, match="eps must be nonnegative"):
+                mincut(H, eps)
 
     def test_exact_matches_reduction(self):
         H = random_hypergraph(30, n=9, m=16, rank=4)

@@ -132,6 +132,22 @@ class TestCutValue:
             complement = set(range(6)) - subset
             assert cut_value(H, subset) == pytest.approx(cut_value(H, complement))
 
+    @pytest.mark.parametrize("subset", [[1.5], [0, 2.5], (np.nan,), np.array([0.0, 1.25])])
+    def test_fractional_id_rejected(self, subset):
+        H = Hypergraph(4, [((0, 1, 2), 3.0), ((2, 3), 1.0)])
+        with pytest.raises(ValueError, match="is not an integer"):
+            cut_value(H, subset)
+
+    def test_whole_float_ids_accepted(self):
+        H = Hypergraph(4, [((0, 1, 2), 3.0), ((2, 3), 1.0)])
+        assert cut_value(H, [1.0, 2.0]) == cut_value(H, {1, 2}) == 4.0
+
+    @pytest.mark.parametrize("subset", [[4], [0, -1]])
+    def test_id_out_of_range_rejected(self, subset):
+        H = Hypergraph(4, [((0, 1, 2), 3.0), ((2, 3), 1.0)])
+        with pytest.raises(ValueError, match=r"outside \[0, 4\)"):
+            cut_value(H, subset)
+
 
 class TestInitUnderlying:
     def test_uniform_share_per_star_edge(self):
@@ -299,6 +315,21 @@ class TestValidation:
             G = WeightedGraph.from_arrays(n, ids[:2], ids[2:], [1.0, 2.0])
             assert (G.n, G.u.tolist(), G.v.tolist(), G.u.dtype) == (4, [0, 2], [1, 3], np.int64)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: WeightedGraph(0, []), "vertex count must be positive"),
+        (lambda: WeightedGraph.from_arrays(3, [0, 1], [1], [1.0]), "equal length"),
+        (lambda: WeightedGraph.from_arrays(3, [0], [1], [1.0, 2.0]), "equal length"),
+        (lambda: WeightedGraph(3, [(0, 3, 1.0)]), "outside"),
+        (lambda: WeightedGraph(3, [(-1, 2, 1.0)]), "outside"),
+        (lambda: WeightedGraph(3, [(0, 1, -1.0)]), "finite and nonnegative"),
+        (lambda: WeightedGraph(3, [(0, 1, 1.0), (1, 2, np.inf)]), "finite and nonnegative"),
+        (lambda: WeightedGraph.from_arrays(3, [0], [1], [np.nan]), "finite and nonnegative"),
+    ], ids=["no vertices", "short v", "long w", "endpoint too large", "negative endpoint",
+            "negative weight", "infinite weight", "nan weight"])
+    def test_weighted_graph_rejects(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_zero_weight_edges_kept_but_inert(self):
         H = Hypergraph(3, [((0, 1), 0.0), ((1, 2), 1.0)])
         assert H.m == 2
@@ -432,6 +463,19 @@ class TestCsrLayout:
             Hypergraph.from_arrays(8, indptr, [3, 5, 7, 7, 1, 0, 1, 2], [1.0] * 4)
         assert err.value.edge == 1
 
+    @pytest.mark.parametrize("n", [2**62, 2**61])
+    def test_ids_near_int64_sort_within_their_hyperedges(self, n):
+        # Five hyperedges: a sort key edge * n + id would pass 2^63 on both.
+        rows = [[5, 3], [7, 4], [n - 1, 0], [2, n - 2, 1], [n - 3, 6]]
+        indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+        H = Hypergraph.from_arrays(n, indptr, np.concatenate(rows), [1.0] * 5)
+        assert H.vertex_sets == tuple(tuple(sorted(r)) for r in rows)
+        assert H == Hypergraph(n, [(r, 1.0) for r in rows])
+        rows[3][0] = n - 2
+        with pytest.raises(HyperedgeError, match="repeats a vertex") as err:
+            Hypergraph.from_arrays(n, indptr, np.concatenate(rows), [1.0] * 5)
+        assert err.value.edge == 3
+
     def test_sorted_input_peak_beside_the_copies(self):
         # The sortedness check is one boolean per pin: no int64 hyperedge
         # id per pin, no difference array.
@@ -539,3 +583,61 @@ def test_energy_quadratic_scaling(H, beta):
 @given(small_hypergraphs())
 def test_flattened_initial_stars_conserve_weight(H):
     assert_stars_sum_to_weights(init_underlying(H))
+
+
+FAULTS = ("short", "fraction", "outside", "weight", "repeat")
+
+
+@st.composite
+def faulty_arrays(draw):
+    """CSR arrays of 1-12 hyperedges on distinct, unsorted vertex ids, and
+    up to four faults of the kinds `check_hyperedges` reports, each on its
+    own hyperedge; the ids are floats when a fraction is among the faults,
+    and may be floats otherwise."""
+    n = draw(st.integers(2, 9))
+    m = draw(st.integers(1, 12))
+    rows = [draw(st.permutations(range(n)))[:draw(st.integers(2, min(n, 5)))] for _ in range(m)]
+    weights = [draw(st.floats(0, 10)) for _ in range(m)]
+    faults = draw(st.lists(st.tuples(st.sampled_from(FAULTS), st.integers(0, m - 1)),
+                           max_size=4, unique_by=lambda fault: fault[1]))
+    for kind, e in faults:
+        at = draw(st.integers(0, len(rows[e]) - 1))
+        if kind == "short":
+            rows[e] = rows[e][:draw(st.integers(0, 1))]
+        elif kind == "fraction":
+            rows[e][at] = draw(st.sampled_from([0.5, 2.25, np.nan, np.inf]))
+        elif kind == "outside":
+            rows[e][at] = draw(st.sampled_from([-1, n, n + 7]))
+        elif kind == "weight":
+            weights[e] = draw(st.sampled_from([-1.0, -np.inf, np.inf, np.nan]))
+        else:
+            rows[e].insert(draw(st.integers(0, len(rows[e]))), rows[e][at])
+    floats = any(kind == "fraction" for kind, _ in faults) or draw(st.booleans())
+    sizes = np.array([len(r) for r in rows], dtype=np.int64)
+    ids = np.array([v for r in rows for v in r], dtype=float if floats else np.int64)
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=m - 1))) if m > 1 else []
+    return n, sizes, ids, np.array(weights), [0, *cuts, m]
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_arrays())
+def test_checks_by_blocks_match_the_whole(arrays):
+    """Each block of hyperedges checked alone: the lowest failing check, of
+    the earliest block on a tie, is the error of the whole arrays, and clean
+    blocks give the whole arrays' sorted ids."""
+    n, sizes, ids, weights, bounds = arrays
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    best, parts = None, []
+    for e0, e1 in zip(bounds[:-1], bounds[1:]):
+        block, fault = core.check_hyperedges(n, sizes[e0:e1], ids[indptr[e0]:indptr[e1]].copy(), weights[e0:e1])
+        parts.append(block)
+        if fault is not None and (best is None or fault[0] < best[0]):
+            best = (fault[0], e0 + fault[1], fault[2])
+    try:
+        H = Hypergraph.from_arrays(n, indptr, ids, weights)
+    except HyperedgeError as err:
+        assert best is not None
+        assert (best[1], str(HyperedgeError(best[1], best[2]))) == (err.edge, str(err))
+    else:
+        assert best is None
+        np.testing.assert_array_equal(np.concatenate(parts), H.indices, strict=True)

@@ -358,6 +358,42 @@ def test_parse_peak_grows_by_at_most_32_bytes_per_pin(tmp_path):
     assert above2 - above <= 32 * (pins2 - pins)
 
 
+def test_unsorted_parse_peak_per_pin(tmp_path):
+    # Ids listed out of order in every line, as the shape of the benchmark's
+    # wide instance: each block's hyperedges are sorted while it is in hand,
+    # so no temporary spans the whole id array.
+    n, m = 30, 100_000
+    rng = np.random.default_rng(9)
+    sizes = rng.integers(2, 7, m)
+    order = np.argsort(rng.random((m, n)), axis=1)
+    flat = order[np.arange(n) < sizes[:, None]]
+    indptr = np.concatenate([[0], np.cumsum(sizes)])
+    weights = rng.uniform(0.5, 2.0, m)
+    lines = np.split(flat + 1, indptr[1:-1])
+    path = tmp_path / "unsorted.hgr"
+    path.write_text(f"{m} {n} 1\n" + "".join(f"{w!r} {' '.join(map(str, vs.tolist()))}\n" for w, vs in zip(weights.tolist(), lines)))
+    del lines
+    tracemalloc.start()
+    try:
+        parsed = parse_hypergraph(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == Hypergraph.from_arrays(n, indptr, flat, weights)
+    result = parsed.indices.nbytes + parsed.indptr.nbytes + parsed.weights.nbytes
+    assert peak - result <= 26 * len(flat)
+
+
+@pytest.mark.parametrize("n", [2**62, 2**61])
+def test_ids_near_int64_sort_within_their_lines(n):
+    text = f"5 {n} 1\n1 6 4\n1 8 5\n1 {n} 1\n1 3 {n - 1} 2\n1 {n - 2} 7\n"
+    H = parse_hypergraph_text(text)
+    assert H.vertex_sets == ((3, 5), (4, 7), (0, n - 1), (1, 2, n - 2), (6, n - 3))
+    with pytest.raises(HgrFormatError, match="hyperedge 3: repeats a vertex") as err:
+        parse_hypergraph_text(text.replace(f"1 3 {n - 1} 2", f"1 {n - 1} 3 {n - 1}"))
+    assert err.value.line_no == 5
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(2, 7),
@@ -462,6 +498,26 @@ def test_serializer_matches_line_loop(seed):
         assert parse_hypergraph_text(serialize_hypergraph_text(H)) == H
 
 
+class ReadOnce:
+    """A binary stream that counts the bytes it hands out and refuses to
+    seek or tell."""
+
+    def __init__(self, data: bytes):
+        self._data = io.BytesIO(data)
+        self.bytes_read = 0
+
+    def read(self, size=-1):
+        chunk = self._data.read(size)
+        self.bytes_read += len(chunk)
+        return chunk
+
+    def seek(self, *args):
+        raise AssertionError("the parser seeks")
+
+    def tell(self):
+        raise AssertionError("the parser asks where it is")
+
+
 class TestBlocks:
     """Blocks of a few bytes: every line and \\r\\n pair stays whole, and the
     parse and its errors are those of the line loop."""
@@ -471,10 +527,8 @@ class TestBlocks:
     def test_blocks_end_on_whole_line_breaks(self, monkeypatch, data, block):
         monkeypatch.setattr(hgio, "PARSE_BLOCK_BYTES", block)
         blocks = list(hgio._blocks(io.BytesIO(data)))
-        assert b"".join(b for _, b in blocks) == data
-        lengths = [len(b) for _, b in blocks]
-        assert [offset for offset, _ in blocks] == np.cumsum([0] + lengths)[:-1].tolist()
-        for (_, b), (_, after) in zip(blocks, blocks[1:]):
+        assert b"".join(blocks) == data
+        for b, after in zip(blocks, blocks[1:]):
             assert b[-1] in b"\n\r\x0b\x0c\x1c\x1d\x1e"
             assert not (b.endswith(b"\r") and after.startswith(b"\n"))
 
@@ -511,6 +565,48 @@ class TestBlocks:
             writer.join(timeout=10)
         assert not writer.is_alive()
         assert err.value.line_no == 4
+
+    @pytest.mark.parametrize("last", ["0.5 7 3 7", "0.5 3 0", "-2 1 2", "0.5 4", "1 2 x"])
+    def test_each_byte_is_read_once(self, monkeypatch, last):
+        # A reader that counts what it hands out and cannot go back: a
+        # structural error on the last line still names that line.
+        monkeypatch.setattr(hgio, "PARSE_BLOCK_BYTES", 64)
+        text = serialize_hypergraph_text(wide_instance(40, seed=2)).replace("40 30 1", "41 30 1", 1)
+        good, bad = text + "1 1 2\n", text + "% c\n" + last + "\n"
+        reader = ReadOnce(good.encode())
+        assert hgio._parse(reader) == parse_hypergraph_text(good)
+        assert reader.bytes_read == len(good)
+        reader = ReadOnce(bad.encode())
+        with pytest.raises(HgrFormatError) as err:
+            hgio._parse(reader)
+        assert err.value.line_no == 43
+        assert str(err.value) == str(pytest.raises(HgrFormatError, loop_parse_hypergraph_text, bad).value)
+        assert reader.bytes_read == len(bad)
+
+    def test_pipe_parse_peaks_as_the_file_parse(self, tmp_path):
+        # Nothing is buffered whole: a pipe is parsed in the memory of the
+        # same file.
+        path, fifo = tmp_path / "wide.hgr", tmp_path / "in.hgr"
+        serialize_hypergraph(wide_instance(100_000, seed=4), path)
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+
+        def traced_parse(source):
+            tracemalloc.start()
+            try:
+                assert parse_hypergraph(source).m == 100_000
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        file_peak = traced_parse(path)
+        writer.start()
+        try:
+            pipe_peak = traced_parse(fifo)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert pipe_peak <= 1.05 * file_peak
 
     def test_non_ascii_byte_beats_an_earlier_error(self, monkeypatch):
         text = b"3 4\n1 1 2\n% caf\xc3\xa9\n1 3 4\n"

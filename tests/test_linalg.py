@@ -458,6 +458,33 @@ class TestExactResistance:
         with pytest.raises(ValueError):
             effective_resistance_exact(G, 1, 1)
 
+    @pytest.mark.parametrize("a, b", [(0.5, 2), (0, 2.5), (np.nan, 2), (np.float64(1.25), 0)])
+    def test_fractional_vertex_rejected(self, a, b):
+        G = path_graph(3)
+        with pytest.raises(ValueError, match="is not an integer"):
+            effective_resistance_exact(G, a, b)
+        S = build_sketch(G, 0.5, seed=0)
+        with pytest.raises(ValueError, match="is not an integer"):
+            sketch_resistance(S, a, b)
+        with pytest.raises(ValueError, match="is not an integer"):
+            sketch_resistance_many(S, [0, a], [1, b])
+
+    def test_whole_float_vertices_accepted(self):
+        G = path_graph(3)
+        assert effective_resistance_exact(G, 0.0, 2.0) == effective_resistance_exact(G, 0, 2)
+        S = build_sketch(G, 0.5, seed=0)
+        assert sketch_resistance(S, np.float64(0.0), 2) == sketch_resistance(S, 0, 2)
+
+    def test_dense_only_queries_refuse_the_lu(self, monkeypatch):
+        G = path_graph(4)
+        monkeypatch.setattr(linalg, "DENSE_BYTES", 0)
+        L = build_laplacian(G)
+        assert not L.is_dense
+        with pytest.raises(ValueError, match="pseudo_inverse requires the dense representation"):
+            L.pseudo_inverse()
+        with pytest.raises(ValueError, match="resistance_table requires the dense representation"):
+            resistance_table(G)
+
     def test_metric_triangle_inequality(self):
         G = random_weighted_graph(5, n=20, m=50)
         table = resistance_table(G)

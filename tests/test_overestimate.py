@@ -98,6 +98,12 @@ class TestWeightCompute:
         with pytest.raises(ValueError):
             weight_compute(U, np.array([-0.5]))
 
+    @pytest.mark.parametrize("resistances", [[1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]])
+    def test_misaligned_resistances_rejected(self, resistances):
+        U = init_underlying(Hypergraph(3, [((0, 1, 2), 4.0)]))
+        with pytest.raises(ValueError, match="align with star slots"):
+            weight_compute(U, np.array(resistances))
+
     def test_dead_star_falls_back_to_uniform(self):
         H = Hypergraph(3, [((0, 1, 2), 4.0)])
         U = init_underlying(H).with_weights(np.zeros(2))
@@ -106,6 +112,19 @@ class TestWeightCompute:
 
 
 class TestComputeOverestimate:
+    def test_mass_above_the_bound_raises(self, monkeypatch):
+        H = random_hypergraph(2, n=8, m=12, rank=4)
+        monkeypatch.setattr(OverestimateConfig, "mass_bound", lambda cfg, n, rank: 1e-6)
+        with pytest.raises(overestimate.MassBoundError, match="exceeds the bound 1e-06"):
+            compute_overestimate(H, OverestimateConfig(rounds=1, exact=True))
+
+    def test_validation_needs_rounds(self):
+        H = Hypergraph(3, [((0, 1, 2), 1.0)])
+        res = compute_overestimate(H, OverestimateConfig(rounds=1, exact=True))
+        assert validate_overestimate(H, res).ok
+        with pytest.raises(ValueError, match="no round data"):
+            validate_overestimate(H, OverestimateResult(res.scores, [], res.scale, res.mass_bound))
+
     def test_single_pair_exact_trace(self):
         H = Hypergraph(2, [((0, 1), 1.0)])
         res = compute_overestimate(H, OverestimateConfig(rounds=1, exact=True))
