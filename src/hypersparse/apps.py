@@ -53,6 +53,9 @@ class FlowNetwork:
     sink: int
 
     def __post_init__(self):
+        for name in ("node_count", "source", "sink"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         arcs = np.asarray(self.arcs, dtype=float).reshape(len(self.arcs), 3)
         object.__setattr__(self, "arcs", arcs)
         if self.source == self.sink:

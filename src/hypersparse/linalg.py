@@ -7,9 +7,11 @@ grounded rows and columns) gives R_ab = F_aa + F_bb - 2 F_ab for a and b in
 one component. While the dense Laplacian and F fit DENSE_BYTES
 (`fits_dense`, 2 n^2 float64, n <= 8,192), F is formed by LAPACK Cholesky
 (`potrf` + `potri`) and the resistance table is written over it; above it
-the grounded Laplacian gets one sparse LU (`splu`). scipy.sparse is imported
-only by the branches that use it (the sparse Laplacian, the LU and the
-sketch), so a dense run never loads it.
+the grounded Laplacian gets one sparse LU (`splu`). scipy is imported only
+where it computes: scipy.linalg at the first dense factor, scipy.sparse by
+the sparse branches (the sparse Laplacian, the LU and the sketch). So
+importing this module loads only numpy, a run that factors nothing loads no
+scipy, and a dense run never loads scipy.sparse.
 Connectivity is tracked per component and resistance queries across
 components are hard errors rather than infinities.
 
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .core import WeightedGraph, _int64, sorted_distinct
 
@@ -107,12 +108,15 @@ class Laplacian:
 
     def factor(self):
         """Grounded inverse F (dense path) or the grounded Laplacian's sparse
-        LU, cached until `pair_resistances` overwrites F. Raises
-        np.linalg.LinAlgError (a ValueError) when rounding leaves the
-        grounded Laplacian singular."""
+        LU, cached until `pair_resistances` overwrites F. Each branch imports
+        the scipy module it calls, scipy.linalg's LAPACK or scipy.sparse's LU,
+        on its first run. Raises np.linalg.LinAlgError (a ValueError) when
+        rounding leaves the grounded Laplacian singular."""
         if self._factor is None:
             g = self.grounded
             if self.is_dense:
+                from scipy.linalg import lapack
+
                 M = self.matrix.copy()
                 M[g, :] = 0.0
                 M[:, g] = 0.0
@@ -305,14 +309,25 @@ def _positive_pairs(n: int, chunks) -> np.ndarray:
 
 
 def _project_out_kernel(L: Laplacian, x: np.ndarray) -> np.ndarray:
-    """Remove per-component means (the kernel of L) along the first axis."""
+    """Remove per-component means (the kernel of L) along the first axis.
+
+    Each mean sums its shares in vertex order. The columns go in blocks of
+    `_row_block`, so that a block's temporaries stay near n^2 / 16 entries:
+    one bincount over its (component, column) bins, fed vertex-major, then
+    the means are taken off the block in place.
+    """
     x = np.asarray(x, dtype=float)
-    c = L.components
-    shares = x * (1.0 / np.bincount(c, minlength=L.n_components))[c].reshape(-1, *(1,) * (x.ndim - 1))
-    # Each component's mean sums its shares in vertex order, column by column.
-    columns = shares.reshape(L.n, x[0].size).T
-    means = np.stack([np.bincount(c, weights=col, minlength=L.n_components) for col in columns], axis=1)
-    return np.subtract(x, means.reshape(L.n_components, *x.shape[1:])[c], out=shares)
+    c, k = L.components, L.n_components
+    columns = x.reshape(L.n, -1)
+    out = columns * (1.0 / np.bincount(c, minlength=k))[c, None]
+    block = min(out.shape[1], _row_block(L.n))
+    for j in range(0, out.shape[1], block):
+        shares = out[:, j:j + block]
+        width = shares.shape[1]
+        bins = (c.astype(np.intp)[:, None] * width + np.arange(width)).ravel()
+        means = np.bincount(bins, weights=shares.ravel(), minlength=k * width).reshape(k, width)
+        np.subtract(columns[:, j:j + width], means[c], out=shares)
+    return out.reshape(x.shape)
 
 
 def _check_pairs(components: np.ndarray, a, b):

@@ -4,6 +4,11 @@ The `loop_*` functions are the per-hyperedge Python loops that the library's
 array code replaced; the differential tests compare the two.
 """
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 from collections import deque
 from itertools import combinations
 
@@ -19,6 +24,22 @@ from hypersparse.hgio import HgrFormatError
 from hypersparse.linalg import RESISTANCE_FLOOR, Laplacian, build_laplacian
 from hypersparse.overestimate import weight_compute
 from hypersparse.verify import _ABS_TOL
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def fresh_scipy_modules(script: str) -> list:
+    """Sorted names of the `scipy*` modules that `script` leaves loaded when
+    run in a fresh interpreter on this checkout's `src`. An in-process test
+    cannot tell, since the suite's warning filter for
+    scipy.sparse.SparseEfficiencyWarning imports scipy.sparse first."""
+    probe = "import json, sys\nprint(json.dumps(sorted(name for name in sys.modules if name.startswith('scipy'))))\n"
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script) + "\n" + probe],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def edges(H: Hypergraph):
@@ -345,6 +366,17 @@ def loop_project_out_kernel(labels, n_components, x) -> np.ndarray:
         mask = labels == c
         out[mask] -= out[mask].mean()
     return out
+
+
+def column_project_out_kernel(L: Laplacian, x) -> np.ndarray:
+    """`linalg._project_out_kernel` with one bincount per column: the form
+    the blocked (component, column) bincount replaced."""
+    x = np.asarray(x, dtype=float)
+    c = L.components
+    shares = x * (1.0 / np.bincount(c, minlength=L.n_components))[c].reshape(-1, *(1,) * (x.ndim - 1))
+    columns = shares.reshape(L.n, x[0].size).T
+    means = np.stack([np.bincount(c, weights=col, minlength=L.n_components) for col in columns], axis=1)
+    return x - means.reshape(L.n_components, *x.shape[1:])[c]
 
 
 def loop_component(H: Hypergraph, source: int) -> frozenset:

@@ -115,6 +115,22 @@ class TestMaxFlow:
         with pytest.raises(ValueError, match="node range"):
             FlowNetwork(2, ((0, 1, 1.0),), s, t)
 
+    @pytest.mark.parametrize("count, s, t, bad", [
+        (3, 0.5, 2, "source"),
+        (3, 0, 1.7, "sink"),
+        (2.5, 0, 1, "node_count"),
+        (3, np.float64(0.0), 2, "source"),
+        (3, 0, np.float32(2.0), "sink"),
+        (np.float64(3.0), 0, 2, "node_count"),
+    ])
+    def test_non_integer_id_rejected(self, count, s, t, bad):
+        with pytest.raises(ValueError, match=f"{bad} must be an integer"):
+            FlowNetwork(count, ((0, 1, 2.0), (1, 2, 1.0)), s, t)
+
+    def test_numpy_integer_ids_accepted(self):
+        net = FlowNetwork(np.int32(3), ((0, 1, 2.0), (1, 2, 1.0)), np.int64(0), np.uint8(2))
+        assert max_flow(net) == 1.0
+
     @pytest.mark.parametrize("arc", [(0, 2, 1.0), (-1, 1, 1.0), (0.5, 1, 1.0), (np.nan, 1, 1.0)])
     def test_arc_endpoint_outside_node_range_rejected(self, arc):
         with pytest.raises(ValueError, match="node range"):

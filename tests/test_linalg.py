@@ -1,8 +1,4 @@
 import math
-import os
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 from itertools import combinations
 
@@ -27,15 +23,15 @@ from hypersparse.linalg import (
 )
 
 from helpers import (
+    column_project_out_kernel,
     coo_laplacian,
+    fresh_scipy_modules,
     loop_project_out_kernel,
     pair_query_edge_resistances,
     pair_solve_resistances,
     random_weighted_graph,
     refuse_sparse,
 )
-
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def path_graph(n, weight=1.0):
@@ -115,6 +111,23 @@ class TestSolveLaplacian:
         np.testing.assert_allclose(out, loop_project_out_kernel(L.components, L.n_components, x), rtol=0, atol=1e-13)
         sums = np.bincount(L.components, weights=out)
         np.testing.assert_allclose(sums, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(25,), (25, 1), (25, 150), (150, 25)])
+    def test_kernel_projection_bitwise_per_column(self, shape):
+        # Two components and five isolated vertices. 150 columns go in blocks
+        # of 64, 64 and 22; the (150, 25) input is read transposed, as
+        # `pseudo_inverse` reads its second pass.
+        L = build_laplacian(disconnected())
+        x = np.random.default_rng(3).standard_normal(shape)
+        x = x.T if shape[0] != L.n else x
+        got = linalg._project_out_kernel(L, x)
+        assert got.shape == x.shape
+        np.testing.assert_array_equal(got.view(np.uint64), column_project_out_kernel(L, x).view(np.uint64))
+
+    def test_pseudo_inverse_bitwise_per_column(self):
+        L = build_laplacian(disconnected())
+        want = column_project_out_kernel(L, column_project_out_kernel(L, L.factor()).T)
+        np.testing.assert_array_equal(L.pseudo_inverse().view(np.uint64), want.view(np.uint64))
 
 
 def isolated_ends():
@@ -286,8 +299,7 @@ class TestAssembly:
         # scipy.sparse is imported only where the sparse path runs, so a
         # fresh interpreter that parses, sparsifies, verifies and cuts a
         # dense instance never loads it.
-        script = textwrap.dedent("""
-            import sys
+        loaded = fresh_scipy_modules("""
             import hypersparse as hs
             text = "5 6 1\\n1 1 2 3\\n2.5 3 4\\n0.5 4 5 6\\n1 1 6\\n2 2 5\\n"
             H = hs.parse_hypergraph_text(text)
@@ -298,12 +310,8 @@ class TestAssembly:
                 hs.global_mincut(H, eps)
                 hs.st_mincut(H, 0, 5, eps)
             hs.serialize_hypergraph_text(Ht)
-            print(sorted(name for name in sys.modules if name.startswith("scipy.sparse")))
         """)
-        env = {**os.environ, "PYTHONPATH": SRC}
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert [name for name in loaded if name.startswith("scipy.sparse")] == []
 
     def test_multigraph_components(self):
         L = build_laplacian(multigraph())
@@ -325,6 +333,62 @@ class TestAssembly:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * 8 * n * n + 64 * m
+
+    def test_pseudo_inverse_peak_memory(self):
+        # Beside F, the first pass's result and the second's output are
+        # n x n; the kernel projection's blocks add about n^2 / 8. A whole
+        # n x n means gather beside them would lift the peak to 3 n^2.
+        n, m = 1200, 24_000
+        rng = np.random.default_rng(10)
+        u = rng.integers(0, n, m)
+        L = build_laplacian(WeightedGraph.from_arrays(n, u, (u + rng.integers(1, n, m)) % n, rng.uniform(0.5, 2.0, m)))
+        L.factor()
+        tracemalloc.start()
+        try:
+            L.pseudo_inverse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * n * n
+
+
+class TestScipyImports:
+    """scipy is imported where it computes, so each case runs in a fresh
+    interpreter (`fresh_scipy_modules`)."""
+
+    def test_import_loads_no_scipy(self):
+        assert fresh_scipy_modules("import hypersparse") == []
+
+    def test_session_without_factor_loads_no_scipy(self, tmp_path):
+        # The approximate mincuts solve H itself here: their eps / 3
+        # sparsifier would draw more samples than H has hyperedges.
+        text = "6 6 1\n1 1 2 3\n2.5 3 4\n0.5 4 5 6\n1 1 6\n2 2 5\n3 5 6\n"
+        path = tmp_path / "h.hgr"
+        path.write_text(text)
+        loaded = fresh_scipy_modules(f"""
+            import hypersparse as hs
+            from hypersparse import cli
+            H = hs.parse_hypergraph_text({text!r})
+            Ht = hs.parse_hypergraph_text({text.replace("2.5", "2.25")!r})
+            assert hs.sample_count(H.n, H.rank, 0.5 / 3, 4.0) >= H.m
+            hs.serialize_hypergraph_text(H)
+            assert hs.verify_cut_sparsifier(H, Ht, 0.5).passed
+            assert hs.verify_spectral_sampled(H, Ht, 0.5, 20, 1).passed
+            for eps in (0.0, 0.5):
+                hs.global_mincut(H, eps)
+                hs.st_mincut(H, 0, 5, eps)
+            assert cli.run_command(["mincut", {str(path)!r}, "--epsilon", "0.5"]) == 0
+        """)
+        assert loaded == []
+
+    def test_dense_sparsify_loads_linalg_not_sparse(self):
+        loaded = fresh_scipy_modules("""
+            import hypersparse as hs
+            H = hs.parse_hypergraph_text("5 6 1\\n1 1 2 3\\n2.5 3 4\\n0.5 4 5 6\\n1 1 6\\n2 2 5\\n")
+            hs.sparsify_hypergraph(H, hs.SparsifyConfig(eps=0.5, seed=1))
+        """)
+        assert "scipy.linalg" in loaded
+        assert [name for name in loaded if name.startswith("scipy.sparse")] == []
 
 
 def component_pairs(G, limit=200):
