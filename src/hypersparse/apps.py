@@ -11,21 +11,20 @@ member vertex connects to e_in and from e_out with effectively unlimited
 capacity, so a directed s-t cut must pay w_e exactly when e has vertices on
 both sides. The network is one (A, 3) array of arcs, and Dinic's max-flow
 builds each phase's level graph with numpy, leaving only the blocking-flow
-DFS to Python. Approximate variants run the exact solver on a spectral
-sparsifier built with a third of the accuracy budget, or on the input
-itself, with an exact value, when that sparsifier's sample count M reaches
-m. Both mincuts refuse weights whose sum overflows, as their cut values
-could.
+DFS to Python. Each mincut runs its exact solver once, on the input at
+eps = 0 and otherwise on a spectral sparsifier built with a third of the
+accuracy budget, or on the input itself, with an exact value, when that
+sparsifier's sample count M reaches m. Both mincuts refuse weights whose
+sum overflows, as their cut values could.
 """
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Hypergraph, sorted_distinct
+from .core import Hypergraph, is_integer, sorted_distinct
 from .hsparse import SparsifyConfig, sample_count, sparsify_hypergraph
 from .seeding import derive_seed
 
@@ -54,7 +53,7 @@ class FlowNetwork:
 
     def __post_init__(self):
         for name in ("node_count", "source", "sink"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         arcs = np.asarray(self.arcs, dtype=float).reshape(len(self.arcs), 3)
         object.__setattr__(self, "arcs", arcs)
@@ -77,7 +76,7 @@ def _check_total_weight(H: Hypergraph) -> None:
 
 
 def _check_terminals(H: Hypergraph, s: int, t: int) -> None:
-    if not (isinstance(s, numbers.Integral) and isinstance(t, numbers.Integral)):
+    if not (is_integer(s) and is_integer(t)):
         raise ValueError(f"source and sink must be integer vertex ids, got {s!r} and {t!r}")
     if s == t:
         raise ValueError("source and sink must differ")
@@ -183,10 +182,12 @@ def max_flow(net: FlowNetwork) -> float:
 
 
 def _sparsify_for_apps(H, eps, cfg):
-    """The eps/3-sparsifier of H that the approximate mincuts solve exactly,
-    or H itself when H has a positive weight and the sparsifier would draw
-    at least m samples: it could then keep nearly every hyperedge, at more
-    cost than the exact solve on H, whose value is exact."""
+    """The hypergraph the mincuts solve exactly: H itself at eps = 0, or when
+    H has a positive weight and the eps/3-sparsifier would draw at least m
+    samples (it could then keep nearly every hyperedge, at more cost than
+    the exact solve on H, whose value is exact); else that sparsifier."""
+    if eps == 0.0:
+        return H
     budget = eps / 3.0
     if cfg is None:
         cfg = SparsifyConfig(eps=budget)
@@ -213,12 +214,7 @@ def st_mincut(
         raise ValueError("eps must be nonnegative")
     _check_terminals(H, s, t)
     _check_total_weight(H)
-    if eps == 0.0:
-        value = max_flow(lawler_reduction(H, s, t))
-        return value, False
-    target = _sparsify_for_apps(H, eps, cfg)
-    value = max_flow(lawler_reduction(target, s, t))
-    return value, True
+    return max_flow(lawler_reduction(_sparsify_for_apps(H, eps, cfg), s, t)), bool(eps != 0.0)
 
 
 def _ma_phase(k, w, pe, pv):
@@ -330,7 +326,4 @@ def global_mincut(
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     _check_total_weight(H)
-    if eps == 0.0:
-        return _global_mincut_exact(H)
-    target = _sparsify_for_apps(H, eps, cfg)
-    return _global_mincut_exact(target)
+    return _global_mincut_exact(_sparsify_for_apps(H, eps, cfg))

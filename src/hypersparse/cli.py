@@ -1,7 +1,10 @@
 """Command-line surface: sparsify, verify, mincut, stmincut, resistance,
-overestimate. One global --seed fans out into per-module seeds, so identical
-invocations produce byte-identical output. Exit codes: 0 success, 1
-verification violation, 2 usage or input error or out of memory."""
+overestimate. Each command returns its payload, its exit code and its
+extra lines (overestimate's score lines, empty for the others);
+`run_command` prints them once, the command's name first. One global --seed
+fans out into per-module seeds, so identical invocations produce
+byte-identical output. Exit codes: 0 success, 1 verification violation, 2
+usage or input error or out of memory."""
 
 from __future__ import annotations
 
@@ -10,14 +13,9 @@ import json
 import sys
 
 from .core import flatten, init_underlying
-from .hgio import HgrFormatError, parse_hypergraph, serialize_hypergraph
+from .hgio import parse_hypergraph, serialize_hypergraph
 from .hsparse import ScorePositivityError, SparsifyConfig, sparsify_hypergraph
-from .linalg import (
-    DisconnectedError,
-    build_sketch,
-    effective_resistance_exact,
-    sketch_resistance,
-)
+from .linalg import build_sketch, effective_resistance_exact, sketch_resistance
 from .apps import global_mincut, st_mincut
 from .overestimate import (
     MassBoundError,
@@ -30,15 +28,8 @@ from .verify import verify_cut_sparsifier, verify_spectral_sampled
 
 __all__ = ["run_command", "main"]
 
-_USAGE_ERRORS = (
-    OSError,
-    HgrFormatError,
-    DisconnectedError,
-    ScorePositivityError,
-    MassBoundError,
-    ValueError,
-    MemoryError,
-)
+# HgrFormatError and DisconnectedError are ValueErrors.
+_USAGE_ERRORS = (OSError, ScorePositivityError, MassBoundError, ValueError, MemoryError)
 
 
 def _fmt(value) -> str:
@@ -51,7 +42,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(payload: dict, as_json: bool, extra_lines=()):
+def _emit(payload: dict, as_json: bool, extra_lines):
     if as_json:
         body = dict(payload)
         body["format"] = 1
@@ -109,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sparsify(args) -> int:
+def _cmd_sparsify(args):
     H = parse_hypergraph(args.input)
     cfg = SparsifyConfig(
         eps=args.epsilon,
@@ -119,63 +110,44 @@ def _cmd_sparsify(args) -> int:
     )
     report = sparsify_hypergraph(H, cfg)
     serialize_hypergraph(report.hypergraph, args.output)
-    payload = {
-        "command": "sparsify",
-        "input": args.input,
-        "output": args.output,
-        "epsilon": args.epsilon,
-        **report.as_dict(),
-    }
-    _emit(payload, args.json)
-    return 0
+    payload = {"input": args.input, "output": args.output, "epsilon": args.epsilon, **report.as_dict()}
+    return payload, 0, ()
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     H = parse_hypergraph(args.input)
     Ht = parse_hypergraph(args.candidate)
     if args.mode == "cut":
         report = verify_cut_sparsifier(H, Ht, args.epsilon)
-        payload = {"command": "verify", "mode": "cut", **report.as_dict()}
-        payload["worst_cut"] = [v + 1 for v in report.worst_cut]
+        payload = {"mode": "cut", **report.as_dict(), "worst_cut": [v + 1 for v in report.worst_cut]}
     else:
         report = verify_spectral_sampled(H, Ht, args.epsilon, args.trials, args.seed)
-        payload = {"command": "verify", "mode": "spectral", **report.as_dict()}
-    _emit(payload, args.json)
-    return 0 if report.passed else 1
+        payload = {"mode": "spectral", **report.as_dict()}
+    return payload, 0 if report.passed else 1, ()
 
 
-def _cmd_mincut(args) -> int:
+def _cmd_mincut(args):
     H = parse_hypergraph(args.input)
     cfg = SparsifyConfig(eps=1.0, seed=args.seed)
     value, witness = global_mincut(H, args.epsilon, cfg)
     payload = {
-        "command": "mincut",
         "epsilon": args.epsilon,
         "value": value,
         "witness": sorted(v + 1 for v in witness),
         "approx": args.epsilon > 0.0,
     }
-    _emit(payload, args.json)
-    return 0
+    return payload, 0, ()
 
 
-def _cmd_stmincut(args) -> int:
+def _cmd_stmincut(args):
     H = parse_hypergraph(args.input)
     cfg = SparsifyConfig(eps=1.0, seed=args.seed)
     value, approx = st_mincut(H, args.source - 1, args.sink - 1, args.epsilon, cfg)
-    payload = {
-        "command": "stmincut",
-        "source": args.source,
-        "sink": args.sink,
-        "epsilon": args.epsilon,
-        "value": value,
-        "approx": approx,
-    }
-    _emit(payload, args.json)
-    return 0
+    payload = {"source": args.source, "sink": args.sink, "epsilon": args.epsilon, "value": value, "approx": approx}
+    return payload, 0, ()
 
 
-def _cmd_resistance(args) -> int:
+def _cmd_resistance(args):
     U = init_underlying(parse_hypergraph(args.input))
     a, b = args.a - 1, args.b - 1
     if args.sketch_eps != 0.0:
@@ -185,30 +157,15 @@ def _cmd_resistance(args) -> int:
     else:
         value = effective_resistance_exact(U, a, b)
         mode = "exact"
-    payload = {
-        "command": "resistance",
-        "a": args.a,
-        "b": args.b,
-        "mode": mode,
-        "value": value,
-    }
-    _emit(payload, args.json)
-    return 0
+    return {"a": args.a, "b": args.b, "mode": mode, "value": value}, 0, ()
 
 
-def _cmd_overestimate(args) -> int:
+def _cmd_overestimate(args):
     H = parse_hypergraph(args.input)
     rounds = default_rounds(H.rank)
     result = compute_overestimate(H, OverestimateConfig(rounds=rounds))
-    payload = {
-        "command": "overestimate",
-        "rounds": rounds,
-        "l1_norm": result.l1,
-        "mass_bound": result.mass_bound,
-    }
-    lines = [(e, float(z)) for e, z in enumerate(result.scores)]
-    _emit(payload, args.json, extra_lines=lines)
-    return 0
+    payload = {"rounds": rounds, "l1_norm": result.l1, "mass_bound": result.mass_bound}
+    return payload, 0, [(e, float(z)) for e, z in enumerate(result.scores)]
 
 
 _DISPATCH = {
@@ -228,7 +185,9 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return _DISPATCH[args.command](args)
+        payload, code, lines = _DISPATCH[args.command](args)
+        _emit({"command": args.command, **payload}, args.json, lines)
+        return code
     except _USAGE_ERRORS as exc:
         detail = str(exc)
         if isinstance(exc, MemoryError):

@@ -17,6 +17,7 @@ the CSR arrays: `UnderlyingGraph.spans` and `flatten` go through it.
 from __future__ import annotations
 
 import copy
+import numbers
 
 import numpy as np
 
@@ -39,6 +40,12 @@ ENERGY_BLOCK_BYTES = 1 << 18
 # Star slots per chunk of an UnderlyingGraph: a sweep's per-slot temporaries
 # then stay within a few MiB.
 CHUNK_SLOTS = 1 << 16
+
+
+def is_integer(x) -> bool:
+    """Whether x is an integer id or count: a `numbers.Integral` other than
+    bool, which numpy reads as a mask where it reads an int as an index."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def sorted_distinct(ids: np.ndarray) -> np.ndarray:

@@ -432,17 +432,9 @@ def build_sketch(G: WeightedGraph, eps_sketch: float, seed: int) -> ResistanceSk
     # Signed, weight-scaled incidence operator: one row per edge.
     scale = np.sqrt(G.w)
     m = G.m
-    if m:
-        rows = np.repeat(np.arange(m), 2)
-        cols = np.empty(2 * m, dtype=np.int64)
-        cols[0::2] = G.u
-        cols[1::2] = G.v
-        vals = np.empty(2 * m)
-        vals[0::2] = scale
-        vals[1::2] = -scale
-        incidence = sp.csr_matrix((vals, (rows, cols)), shape=(m, n))
-    else:
-        incidence = sp.csr_matrix((m, n))
+    incidence = sp.csr_matrix(
+        (np.concatenate([scale, -scale]), (np.tile(np.arange(m), 2), np.concatenate([G.u, G.v]))), shape=(m, n)
+    )
 
     rng = np.random.default_rng(seed)
     inv_root_p = 1.0 / math.sqrt(p)
@@ -451,9 +443,8 @@ def build_sketch(G: WeightedGraph, eps_sketch: float, seed: int) -> ResistanceSk
     block = max(1, QUERY_BLOCK_BYTES // (16 * max(m, 1)))
     for start in range(0, p, block):
         stop = min(start + block, p)
-        if m:
-            signs = rng.integers(0, 2, size=(stop - start, m)) * 2.0 - 1.0
-            Y[start:stop] = (signs @ incidence) * inv_root_p
+        signs = rng.integers(0, 2, size=(stop - start, m)) * 2.0 - 1.0
+        Y[start:stop] = (signs @ incidence) * inv_root_p
 
     Z = L.solve_grounded(Y.T).T
     return ResistanceSketch(Z, p, L.components)

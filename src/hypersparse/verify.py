@@ -10,13 +10,12 @@ program this module does not solve.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import core
-from .core import Hypergraph, UnderlyingGraph, energies, flatten
+from .core import Hypergraph, UnderlyingGraph, energies, flatten, is_integer
 from .linalg import build_laplacian, foster_sum
 
 __all__ = [
@@ -136,11 +135,9 @@ def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutRepor
 
 def _sign_directions(n: int) -> np.ndarray:
     """All +-1 vectors with the last coordinate pinned to +1."""
-    count = 1 << (n - 1)
-    masks = np.arange(count, dtype=np.int64)
-    cols = np.ones((n, count))
-    for v in range(n - 1):
-        cols[v] = np.where((masks >> v) & 1, 1.0, -1.0)
+    masks = np.arange(1 << (n - 1), dtype=np.int64)
+    cols = np.ones((n, len(masks)))
+    cols[:-1] = 2 * ((masks >> np.arange(n - 1)[:, None]) & 1) - 1
     return cols
 
 
@@ -154,7 +151,7 @@ def verify_spectral_sampled(
     Directions with Q_H = 0 are excluded from the ratio.
     """
     _check_inputs(H, Ht, eps)
-    if not isinstance(trials, numbers.Integral) or trials < 1:
+    if not is_integer(trials) or trials < 1:
         raise ValueError(f"trials must be an integer of at least 1, got {trials!r}")
     rng = np.random.default_rng(seed)
     blocks = [rng.standard_normal((H.n, trials))]

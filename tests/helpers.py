@@ -322,15 +322,22 @@ def pair_query_edge_resistances(G) -> np.ndarray:
 
 def copying_overestimate(H: Hypergraph, cfg):
     """The overestimate rounds with a fresh copy of the star graph per round,
-    queried through `pair_query_edge_resistances`; returns the scores and
-    each round's (resistances, weights)."""
+    each resistance a caller-pair query clamped at the overestimate's floor,
+    RESISTANCE_FLOOR over the largest weight; returns the scores and each
+    round's (resistances, weights)."""
     U = init_underlying(H)
     u, v, slot_edges = star_slots(H)
+    top = H.weights.max(initial=0.0)
+    floor = RESISTANCE_FLOOR / top if top > 0.0 else RESISTANCE_FLOOR
     acc = np.zeros(H.m)
     rounds = []
     for _ in range(cfg.rounds):
         G = WeightedGraph.from_arrays(H.n, u, v, U.weights)
-        res = pair_query_edge_resistances(G)
+        L = build_laplacian(G)
+        support = np.flatnonzero(G.w > 0.0)
+        a, b = linalg._check_pairs(L.components, G.u[support], G.v[support])
+        res = np.zeros(G.m)
+        res[support] = np.maximum(linalg._exact_resistances(L, a, b), floor)
         rounds.append((res, U.weights))
         np.add.at(acc, slot_edges, U.weights * res)
         U = weight_compute(U, res)
@@ -492,6 +499,46 @@ def loop_cut_report(H: Hypergraph, Ht: Hypergraph) -> tuple:
     worst = float(rel.max()) if rel.size else 0.0
     worst_mask = int(masks[live][np.argmax(rel)]) if worst > 0.0 else 0
     return worst, worst_mask, int(((~live) & (q_t > _ABS_TOL)).sum())
+
+
+def loop_sign_directions(n: int) -> np.ndarray:
+    """All +-1 vectors with the last coordinate pinned to +1, one vertex row
+    at a time: the spectral verifier's former sign sweep."""
+    masks = np.arange(1 << (n - 1), dtype=np.int64)
+    cols = np.ones((n, len(masks)))
+    for v in range(n - 1):
+        cols[v] = np.where((masks >> v) & 1, 1.0, -1.0)
+    return cols
+
+
+def interleaved_sketch(G: WeightedGraph, eps_sketch: float, seed: int) -> tuple:
+    """(incidence, Z) of `linalg.build_sketch` as it was built before: the
+    incidence's entries interleaved edge by edge, (e, u_e) then (e, v_e), and
+    no sign rows drawn at m = 0."""
+    p = linalg.sketch_rows(G.n, eps_sketch)
+    L = build_laplacian(G)
+    scale = np.sqrt(G.w)
+    m = G.m
+    if m:
+        rows = np.repeat(np.arange(m), 2)
+        cols = np.empty(2 * m, dtype=np.int64)
+        cols[0::2] = G.u
+        cols[1::2] = G.v
+        vals = np.empty(2 * m)
+        vals[0::2] = scale
+        vals[1::2] = -scale
+        incidence = sp.csr_matrix((vals, (rows, cols)), shape=(m, G.n))
+    else:
+        incidence = sp.csr_matrix((m, G.n))
+    rng = np.random.default_rng(seed)
+    Y = np.zeros((p, G.n))
+    block = max(1, linalg.QUERY_BLOCK_BYTES // (16 * max(m, 1)))
+    for start in range(0, p, block):
+        stop = min(start + block, p)
+        if m:
+            signs = rng.integers(0, 2, size=(stop - start, m)) * 2.0 - 1.0
+            Y[start:stop] = (signs @ incidence) * (1.0 / np.sqrt(p))
+    return incidence, L.solve_grounded(Y.T).T
 
 
 def brute_st_mincut(H: Hypergraph, s: int, t: int) -> float:

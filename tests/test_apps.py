@@ -51,6 +51,13 @@ class TestLawlerReduction:
         assert net.arcs.shape == expected.shape
         assert np.array_equal(net.arcs, expected)
 
+    @pytest.mark.parametrize("s, t", [(True, 3), (0, True), (False, 3)])
+    def test_bool_terminals_rejected(self, s, t):
+        # numpy reads a bool index as a mask, so max_flow would never return.
+        H = Hypergraph(4, [((0, 1, 2), 2.0), ((2, 3), 1.0)])
+        with pytest.raises(ValueError, match="integer vertex ids"):
+            lawler_reduction(H, s, t)
+
     def test_same_terminals_rejected(self):
         H = Hypergraph(2, [((0, 1), 1.0)])
         with pytest.raises(ValueError):
@@ -122,6 +129,9 @@ class TestMaxFlow:
         (3, np.float64(0.0), 2, "source"),
         (3, 0, np.float32(2.0), "sink"),
         (np.float64(3.0), 0, 2, "node_count"),
+        (3, True, 2, "source"),
+        (3, 0, True, "sink"),
+        (True, 0, 1, "node_count"),
     ])
     def test_non_integer_id_rejected(self, count, s, t, bad):
         with pytest.raises(ValueError, match=f"{bad} must be an integer"):
@@ -206,6 +216,11 @@ class TestStMincut:
         else:
             with pytest.raises(ValueError, match="integer vertex ids"):
                 st_mincut(H, s, t)
+
+    def test_flag_is_a_python_bool(self):
+        H = Hypergraph(4, [((0, 1, 2), 2.0), ((2, 3), 1.0)])
+        for eps, flag in ((np.float64(0.0), False), (np.float64(0.5), True), (np.float32(0.5), True)):
+            assert st_mincut(H, 0, 3, eps)[1] is flag
 
     @pytest.mark.parametrize("mincut", [lambda H, eps: st_mincut(H, 0, 3, eps), lambda H, eps: global_mincut(H, eps)],
                              ids=["st", "global"])

@@ -26,6 +26,7 @@ from helpers import (
     column_project_out_kernel,
     coo_laplacian,
     fresh_scipy_modules,
+    interleaved_sketch,
     loop_project_out_kernel,
     pair_query_edge_resistances,
     pair_solve_resistances,
@@ -646,6 +647,30 @@ class TestSketch:
         G = WeightedGraph(2, [(0, 1, 1.0)])
         with pytest.raises(ValueError):
             build_sketch(G, 1.5, seed=0)
+
+    @pytest.mark.parametrize("graph", [
+        lambda: random_weighted_graph(41, n=15, m=40),
+        lambda: random_weighted_graph(42, n=30, m=12, connected=False),
+        lambda: WeightedGraph(6, [(0, 1, 1.0), (1, 0, 2.0), (2, 3, 0.0), (3, 4, 0.5), (0, 1, 0.25)]),
+        lambda: WeightedGraph(5, []),
+    ], ids=["connected", "disconnected", "parallel-and-zero", "no-edges"])
+    def test_incidence_and_z_bitwise_interleaved_build(self, monkeypatch, graph):
+        import scipy.sparse as sp
+
+        G = graph()
+        made, real = [], sp.csr_matrix
+        for seed in range(3):
+            with monkeypatch.context() as patch:
+                patch.setattr(sp, "csr_matrix", lambda *args, **kwargs: made.append(real(*args, **kwargs)) or made[-1])
+                Z = build_sketch(G, 0.3, seed).Z
+            (incidence,) = [M for M in made if M.shape == (G.m, G.n)]
+            made.clear()
+            want, want_Z = interleaved_sketch(G, 0.3, seed)
+            for name in ("indptr", "indices", "data"):
+                got, expected = getattr(incidence, name), getattr(want, name)
+                assert got.dtype == expected.dtype
+                np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(Z, want_Z)
 
 
 class TestSketchQueryBlocks:

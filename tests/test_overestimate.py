@@ -61,7 +61,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("rounds, ok", [
         (2, True), (np.int64(2), True), (np.int32(1), True),
-        (1.5, False), (2.0, False), (float("nan"), False), (np.float64(2.0), False), ("2", False),
+        (1.5, False), (2.0, False), (float("nan"), False), (np.float64(2.0), False), ("2", False), (True, False),
     ])
     def test_rounds_must_be_an_integer(self, rounds, ok):
         H = Hypergraph(3, [((0, 1, 2), 1.0)])
@@ -209,6 +209,26 @@ class TestComputeOverestimate:
         a = compute_overestimate(H, cfg)
         b = compute_overestimate(doubled, cfg)
         np.testing.assert_allclose(b.scores, a.scores, rtol=1e-9)
+
+    @pytest.mark.parametrize("k", [-150, 25, 50, 100, 200])
+    def test_scores_bitwise_equal_under_power_of_four_scaling(self, k):
+        # Scaling by 4^k scales every resistance by 4^-k exactly, and the
+        # resistance floor with them, so the scores stay bitwise the same;
+        # a fixed floor lifts the resistances of weights near 1e15 and past.
+        H = random_hypergraph(3, n=20, m=120, rank=5)
+        scaled = Hypergraph(H.n, [(vs, w * 4.0**k) for vs, w in edges(H)])
+        cfg = OverestimateConfig(rounds=default_rounds(H.rank))
+        np.testing.assert_array_equal(compute_overestimate(scaled, cfg).scores, compute_overestimate(H, cfg).scores)
+
+    @pytest.mark.parametrize("seed, heavy", [(3, [5]), (11, [2]), (12, list(range(0, 60, 6)))])
+    def test_weights_one_and_four_to_the_27_validate(self, seed, heavy):
+        # The heavy slots' resistances, near 5e-17, come out of the factor to
+        # about 1e-15 relative; a floor set by the light weights (1e-15) would
+        # lift them some 18-fold and break the mass bound.
+        H = random_hypergraph(seed, n=20, m=120, rank=5)
+        H = Hypergraph(H.n, [(vs, 4.0**27 if e in heavy else 1.0) for e, (vs, _) in enumerate(edges(H))])
+        res = compute_overestimate(H, OverestimateConfig(rounds=default_rounds(H.rank)))
+        assert validate_overestimate(H, res).ok
 
     def test_exact_mode_is_deterministic(self):
         H = random_hypergraph(35, n=8, m=18, rank=4)
@@ -536,17 +556,7 @@ class TestValidateOverestimate:
         res = compute_overestimate(H, OverestimateConfig(rounds=2, seed=2))
         report = validate_overestimate(H, res)
         assert report.l1_ok
-        assert report.l1_ok_doubled
-        assert report.mass_bound_doubled == pytest.approx(2.0 * report.mass_bound)
-        assert report.checked == int((H.weights > 0).sum())
         assert_witness_star_sums_exact(H, res)
-
-    def test_report_dict_round_trip(self):
-        H = random_hypergraph(61, n=8, m=16, rank=3)
-        res = compute_overestimate(H, OverestimateConfig(rounds=1, exact=True))
-        d = validate_overestimate(H, res).as_dict()
-        assert d["ok"] is True
-        assert d["violations"] == 0
 
     def test_lowered_scores_match_per_hyperedge_loop(self, monkeypatch):
         H = random_hypergraph(62, n=10, m=30, rank=5)

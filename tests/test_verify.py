@@ -18,6 +18,7 @@ from helpers import (
     loop_cut_report,
     loop_cut_values,
     loop_edge_bits,
+    loop_sign_directions,
     random_hypergraph,
     round_graphs,
 )
@@ -234,6 +235,12 @@ class TestSpectralSampled:
         sign_error = np.max(np.abs(q_h[live] - q_t[live]) / q_h[live])
         assert sign_error == pytest.approx(cut_report.max_rel_error, rel=1e-12)
 
+    def test_sign_directions_match_per_vertex_loop(self):
+        for n in range(1, 13):
+            got, want = _sign_directions(n), loop_sign_directions(n)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_sampled_error_at_least_sign_error(self):
         H = random_hypergraph(85, n=7, m=10, rank=3)
         Ht = doubled(H)
@@ -247,6 +254,7 @@ class TestSpectralSampled:
 
     @pytest.mark.parametrize("trials, ok", [
         (3, True), (np.int64(3), True), (2.5, False), (3.0, False), (float("nan"), False), (np.float64(3.0), False),
+        (True, False),
     ])
     def test_trials_must_be_an_integer(self, trials, ok):
         H = Hypergraph(13, [((0, 12), 1.0)])
