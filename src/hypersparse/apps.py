@@ -9,18 +9,22 @@ value of 0 comes with vertex 0's component. For s-t cuts Lawler's reduction
 turns each hyperedge e into a gadget e_in -> e_out of capacity w_e; every
 member vertex connects to e_in and from e_out with effectively unlimited
 capacity, so a directed s-t cut must pay w_e exactly when e has vertices on
-both sides. The network is one (A, 3) array of arcs, and Dinic's max-flow
-builds each phase's level graph with numpy, leaving only the blocking-flow
-DFS to Python. Each mincut runs its exact solver once, on the input at
-eps = 0 and otherwise on a spectral sparsifier built with a third of the
-accuracy budget, or on the input itself, with an exact value, when that
-sparsifier's sample count M reaches m. Both mincuts refuse weights whose
-sum overflows, as their cut values could.
+both sides. The network is reduced: s and t serve as the in- and out-nodes
+of the hyperedges holding them, a hyperedge holding both is one s -> t arc,
+a pair is two plain arcs, and weight-0 hyperedges, arcs into s and arcs out
+of t are left out. It is held as int32 endpoint arrays (int64 past 2^31
+nodes) beside float64 capacities, and Dinic's max-flow builds each phase's
+level graph with numpy, leaving only the blocking-flow DFS, on lists the
+size of that level graph, to Python. Each mincut runs its exact solver
+once, on the input at eps = 0 and otherwise on a spectral sparsifier built
+with a third of the accuracy budget, or on the input itself, with an exact
+value, when that sparsifier's sample count M reaches m. Both mincuts refuse
+weights whose sum overflows, as their cut values could.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,43 +40,72 @@ __all__ = [
     "global_mincut",
 ]
 
-# Finite stand-in for unlimited capacity; strictly above any feasible flow.
+# Finite stand-in for unlimited capacity: above the weight sum, so above any
+# feasible flow, and capped at the largest float, so residuals stay finite.
 _SENTINEL_MARGIN = 1e-6
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
-@dataclass(frozen=True, eq=False)
+def _node_dtype(node_count: int):
+    # Endpoint arrays are int32 while every node id fits in it.
+    return np.int32 if node_count <= 2**31 else np.int64
+
+
 class FlowNetwork:
-    """Directed flow network on nodes 0..node_count-1. `arcs` is an (A, 3)
-    float array of (tail, head, capacity) rows; a sequence of triples is
-    converted. Endpoints must be node ids and capacities finite and >= 0."""
+    """Directed flow network on nodes 0..node_count-1, held as arrays: arc i
+    runs tails[i] -> heads[i] with capacity capacities[i]. Endpoints are
+    int32 while the node ids fit, else int64; capacities are float64. `arcs`
+    gives the (A, 3) float array of (tail, head, capacity) rows.
 
-    node_count: int
-    arcs: np.ndarray
-    source: int
-    sink: int
+    `FlowNetwork(node_count, arcs, source, sink)` takes a sequence of such
+    triples and checks it: endpoints must be node ids and capacities finite
+    and >= 0. The library builds its networks from arrays that are valid by
+    construction, through `_unchecked`.
+    """
 
-    def __post_init__(self):
-        for name in ("node_count", "source", "sink"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        arcs = np.asarray(self.arcs, dtype=float).reshape(len(self.arcs), 3)
-        object.__setattr__(self, "arcs", arcs)
-        if self.source == self.sink:
+    __slots__ = ("node_count", "tails", "heads", "capacities", "source", "sink")
+
+    def __init__(self, node_count, arcs, source, sink):
+        for name, value in (("node_count", node_count), ("source", source), ("sink", sink)):
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        arcs = np.asarray(arcs, dtype=float).reshape(len(arcs), 3)
+        if source == sink:
             raise ValueError("source and sink must differ")
-        if not (0 <= self.source < self.node_count and 0 <= self.sink < self.node_count):
+        if not (0 <= source < node_count and 0 <= sink < node_count):
             raise ValueError("source/sink outside the node range")
         ends = arcs[:, :2]
-        if not ((ends >= 0) & (ends < self.node_count) & (ends == np.floor(ends))).all():
+        if not ((ends >= 0) & (ends < node_count) & (ends == np.floor(ends))).all():
             raise ValueError("arc endpoint is not a node id in the node range")
         if not ((arcs[:, 2] >= 0.0) & (arcs[:, 2] < np.inf)).all():
             raise ValueError("arc capacity must be finite and nonnegative")
+        dtype = _node_dtype(node_count)
+        self._set(int(node_count), arcs[:, 0].astype(dtype), arcs[:, 1].astype(dtype), arcs[:, 2].copy(),
+                  int(source), int(sink))
+
+    @classmethod
+    def _unchecked(cls, node_count, tails, heads, capacities, source, sink) -> "FlowNetwork":
+        """A network over arrays that already form a valid one: no checks, no copies."""
+        return cls.__new__(cls)._set(node_count, tails, heads, capacities, source, sink)
+
+    def _set(self, node_count, tails, heads, capacities, source, sink) -> "FlowNetwork":
+        for arr in (tails, heads, capacities):
+            arr.flags.writeable = False
+        self.node_count, self.source, self.sink = node_count, source, sink
+        self.tails, self.heads, self.capacities = tails, heads, capacities
+        return self
+
+    @property
+    def arcs(self) -> np.ndarray:
+        return np.column_stack((self.tails, self.heads, self.capacities))
 
 
-def _check_total_weight(H: Hypergraph) -> None:
+def _total_weight(H: Hypergraph) -> float:
     with np.errstate(over="ignore"):
-        total = H.weights.sum()
+        total = float(H.weights.sum())
     if not np.isfinite(total):
         raise ValueError("the hyperedge weights sum past the float range, so cut values would overflow")
+    return total
 
 
 def _check_terminals(H: Hypergraph, s: int, t: int) -> None:
@@ -85,26 +118,57 @@ def _check_terminals(H: Hypergraph, s: int, t: int) -> None:
 
 
 def lawler_reduction(H: Hypergraph, s: int, t: int) -> FlowNetwork:
-    """Digraph with per-hyperedge in/out nodes whose s-t mincut equals the
-    hypergraph s-t mincut.
+    """Digraph whose maximum s-t flow equals the hypergraph s-t mincut:
+    Lawler's in/out-node gadgets, reduced.
 
-    Nodes 0..n-1 are the original vertices; hyperedge e owns nodes
-    n + 2e (in) and n + 2e + 1 (out). Hyperedge e's rows are (e_in, e_out,
-    w_e), then (v, e_in, U) and (e_out, v, U) per member v: m + 2 * sum(|e|)
-    arcs, with U above any feasible flow.
+    A hyperedge e of weight w_e > 0 becomes:
+    - if it holds s and t, one arc s -> t of capacity w_e;
+    - else if e = {u, v}, arcs u -> v and v -> u of capacity w_e;
+    - else a gadget: e_in -> e_out of capacity w_e, and v -> e_in and
+      e_out -> v for each member v, of capacity U (the weight sum times
+      1 + 1e-6, at most the largest float). Since v -> e_in and e_out -> v
+      never cross a cut below U, s itself is e's in-node if e holds s, and
+      t its out-node if e holds t.
+    A weight-0 hyperedge adds nothing, and arcs into s or out of t, which
+    carry no s-t flow, are left out. So e gives 1 arc if it holds s and t,
+    2 if it is a pair (1 if it holds s or t), and 1 + 2|e| as a gadget (|e|
+    if it holds s or t).
+
+    Nodes 0..n-1 are the vertices; then come each gadget's new in-node (if
+    it holds no s) and out-node (if it holds no t), by hyperedge. The arcs
+    are the s -> t arcs, the pairs' u -> v (u < v), their v -> u, the
+    gadgets' w_e arcs, their v -> e_in and their e_out -> v arcs, each group
+    by hyperedge and then by member.
     """
     _check_terminals(H, s, t)
-    unlimited = float(H.weights.sum()) * (1.0 + _SENTINEL_MARGIN)
-    e_in = H.n + 2 * np.arange(H.m)
-    pin_edge = np.repeat(np.arange(H.m), np.diff(H.indptr))
-    # Hyperedge e's block starts at row e + 2 * indptr[e]; pin p's pair follows.
-    into = pin_edge + 2 * np.arange(len(pin_edge)) + 1
-    arcs = np.full((H.m + 2 * len(pin_edge), 3), unlimited)
-    arcs[np.arange(H.m) + 2 * H.indptr[:-1]] = np.column_stack((e_in, e_in + 1, H.weights))
-    arcs[into, 0] = arcs[into + 1, 1] = H.indices
-    arcs[into, 1] = e_in[pin_edge]
-    arcs[into + 1, 0] = e_in[pin_edge] + 1
-    return FlowNetwork(H.n + 2 * H.m, arcs, s, t)
+    unlimited = min(_total_weight(H) * (1.0 + _SENTINEL_MARGIN), _FLOAT_MAX)
+    sizes, first = np.diff(H.indptr), H.indptr[:-1]
+    has_s = np.zeros(H.m, dtype=bool)
+    has_s[np.searchsorted(H.indptr, np.flatnonzero(H.indices == s), side="right") - 1] = True
+    has_t = np.zeros(H.m, dtype=bool)
+    has_t[np.searchsorted(H.indptr, np.flatnonzero(H.indices == t), side="right") - 1] = True
+    live = H.weights > 0.0
+    both = live & has_s & has_t
+    pair = live & ~both & (sizes == 2)
+    gadget = live & ~both & (sizes > 2)
+    new_in, new_out = gadget & ~has_s, gadget & ~has_t
+    new = new_in.astype(np.int64) + new_out
+    base = H.n + np.cumsum(new) - new
+    e_in = np.where(has_s, s, base)
+    e_out = np.where(has_t, t, base + new_in)
+    u, v, w = H.indices[first[pair]], H.indices[first[pair] + 1], H.weights[pair]
+    forward, backward = (u != t) & (v != s), (v != t) & (u != s)
+    pe, pv = np.repeat(np.flatnonzero(gadget), sizes[gadget]), H.indices[np.repeat(gadget, sizes)]
+    into, out = ~has_s[pe] & (pv != t), ~has_t[pe] & (pv != s)
+    node_count = H.n + int(new.sum())
+    dtype = _node_dtype(node_count)
+    tails = np.concatenate((np.full(both.sum(), s), u[forward], v[backward], e_in[gadget], pv[into],
+                            e_out[pe[out]]), dtype=dtype)
+    heads = np.concatenate((np.full(both.sum(), t), v[forward], u[backward], e_out[gadget], e_in[pe[into]],
+                            pv[out]), dtype=dtype)
+    capacities = np.concatenate((H.weights[both], w[forward], w[backward], H.weights[gadget],
+                                 np.full(into.sum() + out.sum(), unlimited)))
+    return FlowNetwork._unchecked(node_count, tails, heads, capacities, int(s), int(t))
 
 
 def max_flow(net: FlowNetwork) -> float:
@@ -115,18 +179,22 @@ def max_flow(net: FlowNetwork) -> float:
     level one scan of the arcs with residual capacity (O(depth * arcs)), then
     a reverse sweep from the sink over the arcs with d[head] = d[tail] + 1
     keeps those on a shortest s-t path. Only the blocking-flow DFS, with
-    current-arc pointers over those arcs grouped by tail, runs in Python.
+    current-arc pointers over those arcs grouped by tail, runs in Python; it
+    numbers the level graph's nodes apart (its tails in order, then the
+    sink), so its lists grow with the level graph, not with the network.
     """
-    n, s, t = net.node_count, net.source, net.sink
-    ends = net.arcs[:, :2].astype(np.intp)
-    tail, head = ends.ravel(), ends[:, ::-1].ravel()
+    s, t = net.source, net.sink
+    # intp ids: numpy gathers by them without converting them first.
+    tail, head = np.empty((2, 2 * len(net.capacities)), np.intp)
+    tail[::2] = head[1::2] = net.tails
+    tail[1::2] = head[::2] = net.heads
     rc = np.zeros(len(tail))
-    rc[::2] = net.arcs[:, 2]
+    rc[::2] = net.capacities
     flow = 0.0
     while True:
         live = np.flatnonzero(rc > 0.0)
         lt, lh = tail[live], head[live]
-        d = np.full(n, -1)
+        d = np.full(net.node_count, -1, dtype=np.int32)
         d[s] = 0
         level = 0
         while d[t] < 0:
@@ -139,7 +207,7 @@ def max_flow(net: FlowNetwork) -> float:
         layer = d[lt]
         step = (d[lh] == layer + 1) & (layer >= 0)
         live, lt, lh, layer = live[step], lt[step], lh[step], layer[step]
-        reach = np.zeros(n, dtype=bool)
+        reach = np.zeros(net.node_count, dtype=bool)
         reach[t] = True
         # Layer 0 is s alone; its arcs are kept by their heads.
         for k in range(level - 1, 0, -1):
@@ -148,13 +216,18 @@ def max_flow(net: FlowNetwork) -> float:
         sel = np.flatnonzero(reach[lh])
         sel = sel[np.argsort(lt[sel], kind="stable")]
         arcs, lt, lh = live[sel], lt[sel], lh[sel]
-        bounds = np.searchsorted(lt, np.arange(n + 1))
-        cap, tails, heads = rc[arcs].tolist(), lt.tolist(), lh.tolist()
-        it, end = bounds[:-1].tolist(), bounds[1:].tolist()
+        # Every head but t is the tail of a kept arc.
+        start = np.flatnonzero(np.diff(lt, prepend=-1))
+        local = np.empty(net.node_count, dtype=np.intp)
+        local[lt[start]] = np.arange(len(start))
+        local[t] = len(start)
+        cap, tails, heads = rc[arcs].tolist(), local[lt].tolist(), local[lh].tolist()
+        it, end = start.tolist(), [*start[1:].tolist(), len(lt)]
         path = []
-        u = s
+        source, sink = int(local[s]), len(start)
+        u = source
         while True:
-            if u == t:
+            if u == sink:
                 pushed = min(cap[p] for p in path)
                 flow += pushed
                 for p in path:
@@ -170,7 +243,7 @@ def max_flow(net: FlowNetwork) -> float:
                     u = heads[p]
                 else:
                     it[u] += 1
-            elif u == s:
+            elif u == source:
                 break
             else:
                 # Dead end: retreat and skip the arc that led here.
@@ -213,7 +286,7 @@ def st_mincut(
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
     _check_terminals(H, s, t)
-    _check_total_weight(H)
+    _total_weight(H)
     return max_flow(lawler_reduction(_sparsify_for_apps(H, eps, cfg), s, t)), bool(eps != 0.0)
 
 
@@ -325,5 +398,5 @@ def global_mincut(
     """
     if eps < 0.0:
         raise ValueError("eps must be nonnegative")
-    _check_total_weight(H)
+    _total_weight(H)
     return _global_mincut_exact(_sparsify_for_apps(H, eps, cfg))

@@ -137,13 +137,15 @@ def _weights(data: bytes, a: np.ndarray, starts, ends) -> tuple:
     """float() of every weight token [starts, ends), and the position of the
     first one it rejects (len(starts) if none).
 
-    A token of an optional sign and at most _FAST_DIGITS digits, with at
-    most one '.', is read as float() reads it: its digits make an integer d,
-    and the digits after the point a count f. d / 10^f is divided once in
-    long double, where both are exact, and rounded to float64. The second
-    rounding can differ from float()'s single one only when the first lands
-    on a float64 midpoint. Such a token, every other token, and every token
-    where long double is not wide enough (`_EXTENDED`) go through float().
+    A token of an optional sign and digits with at most one '.', each digit
+    run at most _FAST_DIGITS bytes and at most _FAST_DIGITS digits from the
+    first nonzero one, is read as float() reads it: its digits make an
+    integer d, and the digits after the point a count f. d / 10^f is
+    divided once in long double, where both are exact, and rounded to
+    float64. The second rounding can differ from float()'s single one only
+    when the first lands on a float64 midpoint. Such a token, every other
+    token, and every token where long double is not wide enough
+    (`_EXTENDED`) go through float().
     """
     count = len(starts)
     values = np.empty(count)
@@ -167,9 +169,11 @@ def _weights(data: bytes, a: np.ndarray, starts, ends) -> tuple:
         frac_len = np.maximum(ends - point - 1, 0)
         whole, bad = _digit_runs(a, point, whole_len)
         frac, bad_frac = _digit_runs(a, ends, frac_len)
-        digits = whole_len + frac_len
-        fast = ~(bad | bad_frac) & (digits > 0) & (digits <= _FAST_DIGITS)
+        # d = whole * 10^f + frac stays below 10^18, at most _FAST_DIGITS
+        # significant digits, exactly when whole < 10^(18 - f); leading
+        # zeros do not count.
         shift = np.minimum(frac_len, _FAST_DIGITS)
+        fast = ~(bad | bad_frac) & (whole_len + frac_len > 0) & (whole < _INT_POW10[_FAST_DIGITS - shift])
         quotient = (whole * _INT_POW10[shift] + frac).astype(np.longdouble) / _POW10[shift]
         values = quotient.astype(float)
         # The float64 midpoint between the result and its neighbour on the

@@ -191,6 +191,10 @@ def loop_leverages_from_table(H: Hypergraph, table) -> np.ndarray:
 
 
 def loop_lawler_arcs(H: Hypergraph) -> tuple:
+    """Lawler's network unreduced, on nodes 0..n + 2m - 1: per hyperedge e,
+    e_in -> e_out of capacity w_e, then v -> e_in and e_out -> v for each
+    member v. The library's former reduction, kept as the oracle of the
+    reduced one."""
     unlimited = float(H.weights.sum()) * (1.0 + 1e-6)
     arcs = []
     for e, vs in enumerate(H.vertex_sets):
@@ -200,6 +204,36 @@ def loop_lawler_arcs(H: Hypergraph) -> tuple:
             arcs.append((v, e_in, unlimited))
             arcs.append((e_in + 1, v, unlimited))
     return tuple(arcs)
+
+
+def loop_reduced_arcs(H: Hypergraph, s: int, t: int) -> tuple:
+    """The node count and arcs of `lawler_reduction(H, s, t)`, hyperedge by
+    hyperedge, by the rules and in the order its docstring states."""
+    unlimited = min(float(H.weights.sum()) * (1.0 + 1e-6), sys.float_info.max)
+    node_count = H.n
+    both, forward, backward, weight, into, out = [], [], [], [], [], []
+    for vs, w in edges(H):
+        if w == 0.0:
+            continue
+        if s in vs and t in vs:
+            both.append((s, t, w))
+        elif len(vs) == 2:
+            u, v = vs
+            if u != t and v != s:
+                forward.append((u, v, w))
+            if v != t and u != s:
+                backward.append((v, u, w))
+        else:
+            e_in = s if s in vs else node_count
+            node_count += s not in vs
+            e_out = t if t in vs else node_count
+            node_count += t not in vs
+            weight.append((e_in, e_out, w))
+            if s not in vs:
+                into += [(v, e_in, unlimited) for v in vs if v != t]
+            if t not in vs:
+                out += [(e_out, v, unlimited) for v in vs if v != s]
+    return node_count, tuple(both + forward + backward + weight + into + out)
 
 
 def loop_max_flow(net) -> float:

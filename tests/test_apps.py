@@ -23,6 +23,7 @@ from helpers import (
     loop_component,
     loop_lawler_arcs,
     loop_max_flow,
+    loop_reduced_arcs,
     random_hypergraph,
 )
 
@@ -39,15 +40,31 @@ class TestLawlerReduction:
     def test_node_and_arc_counts(self):
         H = random_hypergraph(1, n=8, m=12, rank=4)
         net = lawler_reduction(H, 0, 7)
-        assert net.node_count == 8 + 2 * 12
-        assert len(net.arcs) == 12 + 2 * sum(len(vs) for vs in H.vertex_sets)
+        node_count, arcs = loop_reduced_arcs(H, 0, 7)
+        # 1 arc for a hyperedge holding both terminals, 2 for a pair and
+        # 1 + 2|e| for a gadget, each less the arcs into s and out of t.
+        count = 0
+        for vs in H.vertex_sets:
+            ends = (0 in vs) + (7 in vs)
+            if ends == 2:
+                count += 1
+            elif len(vs) == 2:
+                count += 2 - ends
+            else:
+                count += len(vs) if ends else 1 + 2 * len(vs)
+        gadgets = [vs for vs in H.vertex_sets if len(vs) > 2 and not (0 in vs and 7 in vs)]
+        assert net.node_count == node_count == 8 + sum(2 - (0 in vs) - (7 in vs) for vs in gadgets)
+        assert len(net.arcs) == len(arcs) == count
 
     @pytest.mark.parametrize("seed", range(5))
     def test_arcs_match_per_hyperedge_loop(self, seed):
         H = random_hypergraph(seed + 600, n=10, m=25, rank=6, connected=False)
         net = lawler_reduction(H, 0, 9)
-        expected = np.array(loop_lawler_arcs(H))
+        node_count, arcs = loop_reduced_arcs(H, 0, 9)
+        expected = np.array(arcs)
+        assert net.tails.dtype == net.heads.dtype == np.int32
         assert net.arcs.dtype == np.float64
+        assert net.node_count == node_count
         assert net.arcs.shape == expected.shape
         assert np.array_equal(net.arcs, expected)
 
@@ -202,6 +219,71 @@ class TestMatchesPerArcDinic:
         for s, t in [(0, n - 1), (1, n // 2), (n // 3, 2 * n // 3), (0, n // 2 - 1)]:
             net = lawler_reduction(H, s, t)
             assert max_flow(net) == pytest.approx(loop_max_flow(net), rel=1e-12, abs=0.0)
+
+
+def _st_instance(seed, integer_weights=False):
+    """A hypergraph on 4-10 vertices and its terminals s, t, with pairs,
+    hyperedges holding both terminals, weight-0 hyperedges and repeated
+    ones. On every third seed t is in no hyperedge; on every fourth, no
+    hyperedge joins the lower half of the vertices to the upper half."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 11))
+    s, t = (int(x) for x in rng.choice(n, size=2, replace=False))
+    pools = [np.arange(n)]
+    if seed % 4 == 1:
+        pools = [np.arange(n // 2), np.arange(n // 2, n)]
+    if seed % 3 == 0:
+        pools = [pool[pool != t] for pool in pools]
+    pools = [pool for pool in pools if len(pool) >= 2]
+    edges = []
+    for _ in range(int(rng.integers(n, 3 * n))):
+        pool = pools[int(rng.integers(len(pools)))]
+        size = int(rng.integers(2, min(5, len(pool)) + 1))
+        edges.append([rng.choice(pool, size=size, replace=False), 0.0])
+    if seed % 3 and seed % 4 != 1:
+        others = [v for v in range(n) if v not in (s, t)]
+        for extra in range(3):
+            edges.append([[s, t, *rng.choice(others, size=extra, replace=False)], 0.0])
+    edges += [list(edges[int(i)]) for i in rng.integers(0, len(edges), size=3)]
+    for edge in edges:
+        edge[1] = float(rng.integers(0, 6)) if integer_weights else float(rng.uniform(0.5, 2.0))
+        if rng.random() < 0.15:
+            edge[1] = 0.0
+    return Hypergraph(n, edges), s, t
+
+
+class TestReducedNetwork:
+    """The reduced network against the unreduced one it replaced."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_flow_matches_unreduced_network(self, seed):
+        H, s, t = _st_instance(seed)
+        oracle = FlowNetwork(H.n + 2 * H.m, loop_lawler_arcs(H), s, t)
+        assert max_flow(lawler_reduction(H, s, t)) == pytest.approx(loop_max_flow(oracle), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_integer_weights_match_exhaustive_cut(self, seed):
+        H, s, t = _st_instance(seed, integer_weights=True)
+        assert max_flow(lawler_reduction(H, s, t)) == brute_st_mincut(H, s, t)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_arcs_match_per_hyperedge_loop(self, seed):
+        H, s, t = _st_instance(seed)
+        net = lawler_reduction(H, s, t)
+        node_count, arcs = loop_reduced_arcs(H, s, t)
+        assert net.node_count == node_count
+        assert np.array_equal(net.arcs, np.array(arcs).reshape(-1, 3))
+        assert not (net.heads == s).any() and not (net.tails == t).any()
+
+    def test_unlimited_capacity_stays_finite_near_the_float_maximum(self):
+        # The weight sum is finite, but sum * (1 + 1e-6) is not.
+        H = Hypergraph(4, [((0, 1, 2), 1e308), ((1, 2, 3), 7.97692e307)])
+        net = lawler_reduction(H, 0, 3)
+        assert np.isfinite(net.capacities).all()
+        assert net.capacities.max() >= H.weights.sum()
+        assert global_mincut(H)[0] == 7.97692e307
+        for eps in (0.0, 0.5):
+            assert st_mincut(H, 0, 3, eps)[0] == 7.97692e307
 
 
 class TestStMincut:

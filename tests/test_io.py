@@ -297,6 +297,31 @@ class TestWeightReader:
             assert twice != once
         assert _read_weights(token.encode() + b"\n").tolist() == [once]
 
+    @pytest.mark.parametrize("token, fast", [
+        ("0.018269203891185619", True),  # 19 digits, 18 significant
+        ("-0.000000000000000001", True),
+        ("0000000000000000012.5", False),  # a 19-byte digit run
+        ("000000000000000012.5", True),
+        ("0.0001234567890123456789", False),  # a 22-byte digit run
+        ("0.1234567890123456789", False),  # 19 significant digits
+        ("123456789.1234567891", False),
+        ("123456789.123456789", True),
+    ])
+    def test_leading_zeros_are_not_significant(self, token, fast):
+        if not hgio._EXTENDED:
+            pytest.skip("long double is float64 here, so every token goes through float()")
+        read = []
+
+        class Data(bytes):
+            # The reader slices the text only to hand a token to float().
+            def __getitem__(self, key):
+                read.append(bytes.__getitem__(self, key))
+                return read[-1]
+
+        got = _read_weights(Data(token.encode() + b"\n"))
+        assert got.view(np.int64).tolist() == [np.float64(float(token)).view(np.int64)]
+        assert read == ([] if fast else [token.encode()])
+
     @pytest.mark.parametrize("tokens, bad", [
         ([b"1.5", b"2", b"1.2.3", b"x"], 2),
         ([b".", b"1"], 0),

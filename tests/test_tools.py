@@ -8,8 +8,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "code_lines.py"
 
 
-def load_code_lines():
-    spec = importlib.util.spec_from_file_location("code_lines", SCRIPT)
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -35,7 +35,7 @@ def test_count_skips_comments_blanks_and_docstrings():
                         2)
     ''')
     # X's string spans two lines; class, def and the return's two lines.
-    assert load_code_lines().count(source) == (6, source.count("\n"))
+    assert load_tool("code_lines").count(source) == (6, source.count("\n"))
 
 
 def test_rows_add_up_to_the_package():
@@ -48,3 +48,14 @@ def test_rows_add_up_to_the_package():
         assert int(code) <= int(lines) == (package / name).read_text().count("\n")
     assert total[2] == "total"
     assert [int(total[0]), int(total[1])] == [sum(int(r[0]) for r in modules), sum(int(r[1]) for r in modules)]
+
+
+def test_digest_hashes_every_output_of_each_instance():
+    digest = load_tool("digest")
+    one, other = ((8, 40, 4, 1),), ((8, 40, 4, 2),)
+    first = digest.digests(one)
+    assert list(first) == list(digest.OUTPUTS)
+    assert all(len(h) == 64 for h in first.values())
+    assert digest.digests(one) == first
+    moved = digest.digests(other)
+    assert all(moved[name] != first[name] for name in digest.OUTPUTS)
