@@ -76,9 +76,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", parents=[common], help="check a sparsifier against the original")
     verify.add_argument("candidate")
-    verify.add_argument("--mode", choices=("cut", "spectral"), required=True)
+    verify.add_argument("--mode", choices=("cut", "spectral"), required=True,
+                        help="cut: every cut, exhaustively, for n <= 20; "
+                             "spectral: sampled directions, any n")
     verify.add_argument("--epsilon", type=float, required=True)
-    verify.add_argument("--trials", type=int, default=200)
+    verify.add_argument("--trials", type=int, default=200,
+                        help="spectral mode's random directions; all sign vectors "
+                             "are added for n <= 12")
 
     mincut = sub.add_parser("mincut", parents=[common], help="global minimum cut (0 = exact)")
     mincut.add_argument("--epsilon", type=float, default=0.0)

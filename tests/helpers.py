@@ -535,6 +535,15 @@ def loop_cut_report(H: Hypergraph, Ht: Hypergraph) -> tuple:
     return worst, worst_mask, int(((~live) & (q_t > _ABS_TOL)).sum())
 
 
+def loop_subset_sums(table: np.ndarray) -> np.ndarray:
+    """Zeta transform in place, one pass over the whole table per bit: the
+    cut verifier's former transform."""
+    for i in range(table.size.bit_length() - 1):
+        view = table.reshape(-1, 2, 1 << i)
+        view[:, 1, :] += view[:, 0, :]
+    return table
+
+
 def loop_sign_directions(n: int) -> np.ndarray:
     """All +-1 vectors with the last coordinate pinned to +1, one vertex row
     at a time: the spectral verifier's former sign sweep."""

@@ -78,6 +78,23 @@ class TestSparsifyVerifyFlow:
         assert text == ""
         assert "epsilon must be finite and nonnegative" in capsys.readouterr().err
 
+    def test_cut_mode_past_its_bound_names_spectral_mode(self, tmp_path, capsys):
+        path = tmp_path / "big.hgr"
+        path.write_text("2 24 1\n1 1 2\n1 23 24\n")
+        code, text = run(["verify", str(path), str(path), "--mode", "cut", "--epsilon", "0.1"])
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "exceeds the exhaustive bound 20" in err
+        assert "(CLI: --mode spectral)" in err
+
+    def test_verify_help_states_the_cut_bound(self):
+        code, text = run(["verify", "--help"])
+        assert code == 0
+        help_text = " ".join(text.split())
+        assert "exhaustively, for n <= 20" in help_text
+        assert "added for n <= 12" in help_text
+
     def test_spectral_mode_runs(self, sample_file):
         code, text = run(
             ["verify", sample_file, sample_file, "--mode", "spectral", "--epsilon", "0.1"]

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from hypersparse import verify
 from hypersparse.core import Hypergraph, cut_value, energies, flatten, init_underlying
 from hypersparse.overestimate import OverestimateConfig, compute_overestimate
 from hypersparse.verify import (
     MAX_EXHAUSTIVE_N,
     _edge_bits,
     _sign_directions,
+    _subset_sums,
     energy_comparison_check,
     foster_check,
     verify_cut_sparsifier,
@@ -19,6 +23,7 @@ from helpers import (
     loop_cut_values,
     loop_edge_bits,
     loop_sign_directions,
+    loop_subset_sums,
     random_hypergraph,
     round_graphs,
 )
@@ -153,6 +158,63 @@ def test_cut_report_matches_per_hyperedge_loop(build, seed):
         mask = [sum(1 << v for v in report.worst_cut)]
         q, qt = loop_cut_values(H, mask)[0], loop_cut_values(Ht, mask)[0]
         assert abs(q - qt) / q == pytest.approx(worst, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_subset_sums_bitwise_equal_to_per_bit_loop(n):
+    # Zeros, subnormals and values near 1e300 among uniform ones, both signs.
+    rng = np.random.default_rng(1000 + n)
+    table = rng.uniform(-1.0, 1.0, 1 << n)
+    kind = rng.integers(0, 5, table.size)
+    table[kind == 0] = 0.0
+    table[kind == 1] = 5e-324 * rng.integers(-3, 4, (kind == 1).sum())
+    table[kind == 2] *= 1e300
+    want = loop_subset_sums(table.copy())
+    got = table.copy()
+    assert _subset_sums(got) is got
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "build, seed", DIFFERENTIAL_CASES, ids=[f"{b.__name__[1:]}-{s}" for b, s in DIFFERENTIAL_CASES]
+)
+def test_cut_report_equal_under_per_bit_loop(build, seed, monkeypatch):
+    H, Ht = build(700 + seed)
+    report = verify_cut_sparsifier(H, Ht, 0.3)
+    monkeypatch.setattr(verify, "_subset_sums", loop_subset_sums)
+    assert verify_cut_sparsifier(H, Ht, 0.3) == report
+
+
+def test_subset_sums_restores_the_ufunc_buffer(monkeypatch):
+    saved = np.setbufsize(4096)
+    try:
+        _subset_sums(np.ones(1 << 16))
+        assert np.getbufsize() == 4096
+
+        def failing_pass(block, bits):
+            raise RuntimeError("pass failed")
+
+        monkeypatch.setattr(verify, "_add_passes", failing_pass)
+        with pytest.raises(RuntimeError, match="pass failed"):
+            _subset_sums(np.ones(1 << 16))
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(saved)
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_cut_verifier_peak_memory(n):
+    # Two tables of 2^n float64 and the cut arrays: about 2.06 tables. A pass
+    # or tile holding a table-sized temporary would pass 2.25.
+    H = random_hypergraph(60 + n, n=n, m=200, rank=5, connected=False)
+    Ht = reweighted(H, 61 + n, zero_share=0.2)
+    tracemalloc.start()
+    try:
+        verify_cut_sparsifier(H, Ht, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 8 * (1 << n)
 
 
 def test_zero_cut_exact_despite_float_residue():
