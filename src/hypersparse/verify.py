@@ -1,16 +1,18 @@
 """Ground-truth oracles for sparsifier quality at desk scale.
 
 Cut verification scores every nontrivial cut (one per complement pair) up
-to n = 20 from a subset-sum (zeta) transform per hypergraph, and sums the
-few cuts near zero again per hyperedge. The transform adds in the order of
-one pass per bit over the 2^n-entry table, but lays the passes out for the
-cache: the low 15 bits tile by tile in L2, runs shorter than 8 entries as
-strided column adds, the rest under a 256-entry ufunc buffer. One
-transform takes 1.6-1.8 ms at n = 18 and 7.9-8.5 ms at n = 20 (3.7-4.0 and
-17-18 ms as whole-table passes; one thread). Spectral verification
-samples directions and is a necessary condition, not a certificate: the
-supremum over all directions of the energy deviation is a max-of-quadratics
-program this module does not solve.
+to n = 20 from one subset-sum (zeta) transform of a complex table that
+holds H in its real parts and the candidate in its imaginary parts, and
+sums the few cuts near zero again per hyperedge. The transform adds in the
+order of one pass per bit over the 2^n-entry table, but lays the passes
+out for the cache: the low 15 bits tile by tile in L2, runs shorter than 8
+entries as strided column adds, the rest under a 256-entry ufunc buffer.
+One complex transform takes 3.0-3.8 ms at n = 18 and 14-15 ms at n = 20,
+against 1.8-1.9 and 8.2-9.0 ms for each of the two float64 ones it
+replaces (one thread). Spectral verification samples directions and is a
+necessary condition, not a certificate: the supremum over all directions
+of the energy deviation is a max-of-quadratics program this module does
+not solve.
 """
 
 from __future__ import annotations
@@ -93,15 +95,20 @@ def _subset_sums(table: np.ndarray) -> np.ndarray:
 
     Every entry gets the additions of the plain per-bit loop (bit 0 first,
     one pass over the whole table per bit) in the same order, so the result
-    is bitwise that loop's. The low 15 bits go tile by tile over 2^15
-    entries (256 KiB, `core.ENERGY_BLOCK_BYTES`), so a tile's passes stay in
-    L2; the remaining n - 15 bits go over the whole table. The ufunc buffer
-    is 256 entries for the call and is restored on return or error: runs
-    from 128 entries then go unbuffered and shorter ones are copied in
-    pieces that stay in L1, where numpy's default of 8,192 made those passes
-    up to 3x slower. No temporary grows with the table. Best of 40-60, one
-    thread, 2-core Xeon, against the per-bit loop: n = 18 3.7-4.0 ->
-    1.6-1.8 ms, n = 20 17-18 -> 7.9-8.5 ms, n = 10 28-32 us either way.
+    is bitwise that loop's; on a complex table, each part is bitwise the
+    loop over that part alone, as complex addition adds the parts apart. The
+    low 15 bits go tile by tile over 2^15 entries (`core.ENERGY_BLOCK_BYTES`
+    / 8: 256 KiB of float64, 512 KiB of complex128), so a tile's passes stay
+    in L2; the remaining n - 15 bits go over the whole table. Complex tiles
+    of 2^14 entries (256 KiB) ran 4-12 % slower at n = 16-20 with 2 MiB of
+    L2 per core. The ufunc buffer is 256 entries for the call and is
+    restored on return or error: runs from 128 entries then go unbuffered
+    and shorter ones are copied in pieces that stay in L1, where numpy's
+    default of 8,192 made those passes up to 3x slower. No temporary grows
+    with the table. Best of 40-60, one thread, 2-core Xeon, float64 against
+    the per-bit loop: n = 18 3.7-4.0 -> 1.6-1.8 ms, n = 20 17-18 -> 7.9-8.5
+    ms, n = 10 28-32 us either way; complex128 (best of 40): n = 18 3.0-3.8
+    ms, n = 20 14-15 ms.
     """
     n = table.size.bit_length() - 1
     tile = min(table.size, core.ENERGY_BLOCK_BYTES // 8)
@@ -116,21 +123,38 @@ def _subset_sums(table: np.ndarray) -> np.ndarray:
     return table
 
 
-def _cut_values(H: Hypergraph) -> tuple[np.ndarray, float]:
-    """Q_H(S) = f(V) - f(S) - f(V - S), with f(T) the weight inside T, for S
-    in [1, 2^(n-1)) at entry S - 1, and twice a bound on its roundoff: f(T)
-    adds up to (largest bin) weights per bin, then one per vertex, so Q(S) is
-    off by about 2 (n + bin) u f(V) at most, u = 2^-53."""
+def _cut_values(H: Hypergraph, Ht: Hypergraph) -> tuple[np.ndarray, float, float]:
+    """Cuts of H and Ht in one complex128 table of 2^n entries, and twice a
+    bound on each one's roundoff.
+
+    H's positive weights fill the real parts and Ht's the imaginary parts,
+    from one bincount over the bins 2 mask + side of the float64 view, and
+    one transform gives F(T) = f(T) + i ft(T), with f(T) and ft(T) the
+    weight of H and Ht inside T. Entry S of the lower half then becomes
+    F(V) - F(S) - F(V - S) = Q_H(S) + i Q_Ht(S) for S in [1, 2^(n-1)); it
+    reads only itself and entry 2^n - 1 - S of the upper half, which holds
+    the rest of the transform and is free for the caller. f(T) adds up to
+    (largest bin) weights per bin, then one per vertex, so Q(S) is off by
+    about 2 (n + bin) u f(V) at most, u = 2^-53.
+    """
     size = 1 << H.n
     half = size >> 1
-    pos = H.weights > 0.0
-    bits = _edge_bits(H)[pos]
-    f = _subset_sums(np.bincount(bits, weights=H.weights[pos], minlength=size))
+    keys, weights = [], []
+    for side, G in enumerate((H, Ht)):
+        pos = G.weights > 0.0
+        keys.append(2 * _edge_bits(G)[pos] + side)
+        weights.append(G.weights[pos])
+    keys = np.concatenate(keys)
+    flat = np.bincount(keys, weights=np.concatenate(weights), minlength=2 * size)
+    f = _subset_sums(flat.view(np.complex128))
     # V - S is (2^n - 1) - S, so f[V - S] is f reversed.
-    q = f[-1] - f[1:half]
+    q = f[1:half]
+    np.subtract(f[-1], q, out=q)
     q -= f[::-1][1:half]
-    deepest = int(np.unique(bits, return_counts=True)[1].max()) if bits.size else 0
-    return q, (H.n + deepest) * 2.0**-51 * float(f[-1])
+    bins, counts = np.unique(keys, return_counts=True)
+    deepest = [counts[(bins & 1) == side].max(initial=0) for side in (0, 1)]
+    tol = [(H.n + int(d)) * 2.0**-51 * float(total) for d, total in zip(deepest, flat[-2:])]
+    return f, tol[0], tol[1]
 
 
 def _check_inputs(H: Hypergraph, Ht: Hypergraph, eps: float) -> None:
@@ -146,15 +170,20 @@ def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutRepor
     Reports the max over cuts with Q_H(S) > 0 of |Q_H(S) - Q_Ht(S)| / Q_H(S)
     and the lowest cut reaching it; cuts with Q_H(S) = 0 must also vanish on
     Ht and are counted as violations otherwise (each forces passed = False).
-    Cut values come from one zeta transform per hypergraph, O(n 2^n + m) over
-    a 2^n-entry float64 table (8 MiB at n = 20). Their roundoff scales with the
-    total weight, so each cut of H within 2^32 roundoff bounds of 0 is summed
-    again per hyperedge on both sides: a cut nothing crosses is then exactly
-    0, and any other ratio is off by at most about 2^-32 (1 + ratio).
+    Cut values of both hypergraphs come from one zeta transform,
+    O(n 2^n + m), over a 2^n-entry complex128 table (16 MiB at n = 20;
+    `_cut_values`). Their roundoff scales with the total weight, so each cut
+    of H within 2^32 roundoff bounds of 0 is summed again per hyperedge on
+    both sides: a cut nothing crosses is then exactly 0, and any other ratio
+    is off by at most about 2^-32 (1 + ratio).
 
-    The transforms run tile by tile in cache (`_subset_sums`), and the call
-    peaks near two tables. At n = 20, m = 500 it takes 24-27 ms, at n = 18,
-    m = 4e4 5.8-6.5 ms (43-50 and 10.4-11.8 ms with whole-table passes).
+    The cuts are formed in the table's lower half and the ratios in its
+    upper half, so the call peaks near two float64 tables plus two boolean
+    masks over the cuts (2.13 tables at n = 16-20 under tracemalloc). One
+    call at m = 500 against a reweighted copy with a fifth of its weights
+    zeroed (median of 16 runs, one thread) takes 0.34 ms at n = 8, 1.2 ms at
+    n = 16, 4.5 ms at n = 18 and 19.5 ms at n = 20, where two float64
+    tables took 0.39, 2.4, 5.4 and 31 ms.
     """
     _check_inputs(H, Ht, eps)
     if H.n > MAX_EXHAUSTIVE_N:
@@ -162,8 +191,9 @@ def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutRepor
             f"n = {H.n} exceeds the exhaustive bound {MAX_EXHAUSTIVE_N}; "
             "use verify_spectral_sampled (CLI: --mode spectral)"
         )
-    q_h, tol_h = _cut_values(H)
-    q_t, tol_t = _cut_values(Ht)
+    f, tol_h, tol_t = _cut_values(H, Ht)
+    half = f.size >> 1
+    q_h, q_t = f[1:half].real, f[1:half].imag
     near = np.flatnonzero(q_h <= 2.0**32 * (tol_h + tol_t))
     # The energy of a cut's indicator sums only the hyperedges crossing it:
     # roundoff relative to Q(S), and 0 when nothing crosses S.
@@ -174,11 +204,18 @@ def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutRepor
         q_h[cuts] = energies(H, X)
         q_t[cuts] = energies(Ht, X)
     live = q_h > 0.0
-    rel = np.abs(q_h - q_t) / np.where(live, q_h, np.inf)
+    # |Q_H - Q_Ht| / Q_H, or / inf where Q_H is not positive, in the upper half.
+    rel = f[half:].view(np.float64)[:half - 1]
+    np.subtract(q_h, q_t, out=rel)
+    np.abs(rel, out=rel)
+    np.divide(rel, q_h, out=rel, where=live)
+    dead = np.logical_not(live, out=live)
+    np.divide(rel, np.inf, out=rel, where=dead)
     k = int(np.argmax(rel))
     worst = float(rel[k])
     worst_mask = k + 1 if worst > 0.0 else 0
-    zero_violations = int(((~live) & (q_t > _ABS_TOL)).sum())
+    dead &= q_t > _ABS_TOL
+    zero_violations = int(np.count_nonzero(dead))
     worst_cut = tuple(v for v in range(H.n) if worst_mask >> v & 1)
     passed = worst <= eps and zero_violations == 0
     return CutReport(worst, worst_cut, len(q_h), zero_violations, eps, passed)

@@ -19,11 +19,20 @@ from scipy.sparse.csgraph import connected_components
 
 from hypersparse import linalg, overestimate
 from hypersparse.apps import lawler_reduction, max_flow
-from hypersparse.core import HyperedgeError, Hypergraph, UnderlyingGraph, WeightedGraph, init_underlying, star_slots
+from hypersparse.core import (
+    ENERGY_BLOCK_BYTES,
+    HyperedgeError,
+    Hypergraph,
+    UnderlyingGraph,
+    WeightedGraph,
+    energies,
+    init_underlying,
+    star_slots,
+)
 from hypersparse.hgio import HgrFormatError
 from hypersparse.linalg import RESISTANCE_FLOOR, Laplacian, build_laplacian
 from hypersparse.overestimate import weight_compute
-from hypersparse.verify import _ABS_TOL
+from hypersparse.verify import _ABS_TOL, CutReport
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -542,6 +551,43 @@ def loop_subset_sums(table: np.ndarray) -> np.ndarray:
         view = table.reshape(-1, 2, 1 << i)
         view[:, 1, :] += view[:, 0, :]
     return table
+
+
+def two_table_cut_values(H: Hypergraph) -> tuple[np.ndarray, float]:
+    """Q_H(S) for S in [1, 2^(n-1)) at entry S - 1 from a float64 table of
+    H alone, and twice a bound on its roundoff: the cut verifier's former
+    one-table-per-hypergraph step."""
+    size = 1 << H.n
+    half = size >> 1
+    pos = H.weights > 0.0
+    bits = loop_edge_bits(H)[pos]
+    f = loop_subset_sums(np.bincount(bits, weights=H.weights[pos], minlength=size))
+    q = f[-1] - f[1:half]
+    q -= f[::-1][1:half]
+    deepest = int(np.unique(bits, return_counts=True)[1].max()) if bits.size else 0
+    return q, (H.n + deepest) * 2.0**-51 * float(f[-1])
+
+
+def two_table_cut_report(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutReport:
+    """The cut verifier's former report: one table and one transform per
+    hypergraph, then the same re-summing of cuts near zero."""
+    q_h, tol_h = two_table_cut_values(H)
+    q_t, tol_t = two_table_cut_values(Ht)
+    near = np.flatnonzero(q_h <= 2.0**32 * (tol_h + tol_t))
+    step = max(1, ENERGY_BLOCK_BYTES // (8 * H.n))
+    for start in range(0, near.size, step):
+        cuts = near[start:start + step]
+        X = ((cuts + 1) >> np.arange(H.n)[:, None]) & 1
+        q_h[cuts] = energies(H, X)
+        q_t[cuts] = energies(Ht, X)
+    live = q_h > 0.0
+    rel = np.abs(q_h - q_t) / np.where(live, q_h, np.inf)
+    k = int(np.argmax(rel))
+    worst = float(rel[k])
+    worst_mask = k + 1 if worst > 0.0 else 0
+    zero_violations = int(((~live) & (q_t > _ABS_TOL)).sum())
+    worst_cut = tuple(v for v in range(H.n) if worst_mask >> v & 1)
+    return CutReport(worst, worst_cut, len(q_h), zero_violations, eps, worst <= eps and zero_violations == 0)
 
 
 def loop_sign_directions(n: int) -> np.ndarray:

@@ -431,7 +431,8 @@ class TestGlobalMincut:
     def test_many_hyperedges_match_cut_table(self):
         H = random_hypergraph(80, n=18, m=10_000, rank=5)
         value, witness = global_mincut(H)
-        q, tol = _cut_values(H)
+        f, tol, _ = _cut_values(H, H)
+        q = f[1:f.size >> 1].real
         assert abs(value - q.min()) <= tol
         # Entry S - 1 holds the cut of S for masks S without vertex n - 1.
         mask = sum(1 << v for v in witness)

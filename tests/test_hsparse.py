@@ -46,6 +46,7 @@ class TestSampleHyperedges:
             (np.array([1.0, 0.0, 4.0, 2.0]), 0),
             (np.random.default_rng(0).random(7), 50_000),
             (np.random.default_rng(1).random(5_000) ** 4, 30),
+            (np.r_[0.0, 0.0, np.random.default_rng(2).random(300), 0.0, 0.0, 0.0], 40),
         ],
     )
     def test_matches_per_draw_search(self, scores, count):

@@ -26,6 +26,7 @@ from helpers import (
     loop_subset_sums,
     random_hypergraph,
     round_graphs,
+    two_table_cut_report,
 )
 
 
@@ -160,19 +161,34 @@ def test_cut_report_matches_per_hyperedge_loop(build, seed):
         assert abs(q - qt) / q == pytest.approx(worst, rel=1e-12)
 
 
-@pytest.mark.parametrize("n", range(1, 21))
-def test_subset_sums_bitwise_equal_to_per_bit_loop(n):
-    # Zeros, subnormals and values near 1e300 among uniform ones, both signs.
-    rng = np.random.default_rng(1000 + n)
-    table = rng.uniform(-1.0, 1.0, 1 << n)
+def _transform_input(rng, size):
+    """Zeros, subnormals and values near 1e300 among uniform ones, both signs."""
+    table = rng.uniform(-1.0, 1.0, size)
     kind = rng.integers(0, 5, table.size)
     table[kind == 0] = 0.0
     table[kind == 1] = 5e-324 * rng.integers(-3, 4, (kind == 1).sum())
     table[kind == 2] *= 1e300
+    return table
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_subset_sums_bitwise_equal_to_per_bit_loop(n):
+    table = _transform_input(np.random.default_rng(1000 + n), 1 << n)
     want = loop_subset_sums(table.copy())
     got = table.copy()
     assert _subset_sums(got) is got
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_complex_subset_sums_bitwise_equal_per_part(n):
+    rng = np.random.default_rng(2000 + n)
+    real, imag = _transform_input(rng, 1 << n), _transform_input(rng, 1 << n)
+    table = np.empty(1 << n, dtype=np.complex128)
+    table.real, table.imag = real, imag
+    assert _subset_sums(table) is table
+    for part, want in ((table.real, loop_subset_sums(real)), (table.imag, loop_subset_sums(imag))):
+        assert np.array_equal(part.copy().view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize(
@@ -185,27 +201,71 @@ def test_cut_report_equal_under_per_bit_loop(build, seed, monkeypatch):
     assert verify_cut_sparsifier(H, Ht, 0.3) == report
 
 
+def _zero_weight_candidate(seed):
+    H = random_hypergraph(seed, n=17, m=150, rank=5)
+    return H, reweighted(H, seed + 1, zero_share=1.0)
+
+
+def _disconnected_at_scale(seed):
+    H = random_hypergraph(seed, n=17, m=40, rank=3, connected=False)
+    return H, reweighted(H, seed + 1, zero_share=0.3)
+
+
+def _identical_at_scale(seed):
+    H = random_hypergraph(seed, n=17, m=150, rank=5)
+    return H, H
+
+
+TWO_TABLE_CASES = DIFFERENTIAL_CASES + [
+    (build, 0) for build in (_identical_at_scale, _zero_weight_candidate, _disconnected_at_scale)
+]
+
+
+@pytest.mark.parametrize(
+    "build, seed", TWO_TABLE_CASES, ids=[f"{b.__name__[1:]}-{s}" for b, s in TWO_TABLE_CASES]
+)
+def test_cut_report_equal_to_two_table_verifier(build, seed):
+    H, Ht = build(700 + seed)
+    assert verify_cut_sparsifier(H, Ht, 0.3) == two_table_cut_report(H, Ht, 0.3)
+
+
+def test_overflowing_candidate_matches_two_table_verifier():
+    # Ht's total weight overflows, so every cut is summed again per hyperedge
+    # and two heavy hyperedges make a cut inf. Cut {0, 1, 2} crosses nothing
+    # in H: its ratio is inf / inf = nan, not 0, and the report says so.
+    H = Hypergraph(6, [((0, 1), 1.0), ((1, 2), 1.0), ((3, 4), 1.0), ((4, 5), 1.0)])
+    Ht = Hypergraph(6, [((0, 1), 1e308), ((1, 2), 1e308), ((2, 3), 1e308), ((1, 4), 1e308)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = verify_cut_sparsifier(H, Ht, 0.5)
+        assert repr(report) == repr(two_table_cut_report(H, Ht, 0.5))
+    assert np.isnan(report.max_rel_error)
+    assert not report.passed
+
+
 def test_subset_sums_restores_the_ufunc_buffer(monkeypatch):
     saved = np.setbufsize(4096)
     try:
-        _subset_sums(np.ones(1 << 16))
-        assert np.getbufsize() == 4096
+        for dtype in (np.float64, np.complex128):
+            _subset_sums(np.ones(1 << 16, dtype=dtype))
+            assert np.getbufsize() == 4096
 
         def failing_pass(block, bits):
             raise RuntimeError("pass failed")
 
         monkeypatch.setattr(verify, "_add_passes", failing_pass)
-        with pytest.raises(RuntimeError, match="pass failed"):
-            _subset_sums(np.ones(1 << 16))
-        assert np.getbufsize() == 4096
+        for dtype in (np.float64, np.complex128):
+            with pytest.raises(RuntimeError, match="pass failed"):
+                _subset_sums(np.ones(1 << 16, dtype=dtype))
+            assert np.getbufsize() == 4096
     finally:
         np.setbufsize(saved)
 
 
-@pytest.mark.parametrize("n", [18, 20])
+@pytest.mark.parametrize("n", [16, 18, 20])
 def test_cut_verifier_peak_memory(n):
-    # Two tables of 2^n float64 and the cut arrays: about 2.06 tables. A pass
-    # or tile holding a table-sized temporary would pass 2.25.
+    # One table of 2^n complex128 is two of float64, and two bool masks over
+    # the cuts add 0.125 of one. A pass or tile holding a table-sized
+    # temporary, or a cut or error array outside the table, would pass 2.25.
     H = random_hypergraph(60 + n, n=n, m=200, rank=5, connected=False)
     Ht = reweighted(H, 61 + n, zero_share=0.2)
     tracemalloc.start()
