@@ -60,11 +60,12 @@ def sorted_distinct(ids: np.ndarray) -> np.ndarray:
 
 
 def _fraction_at(values: np.ndarray) -> int:
-    """Position of the first entry of a flat float array that is not a whole
-    number (a fraction, nan or inf); -1 when every entry is one, or when the
-    array is not of floats (its cast to int64 then checks it as before)."""
+    """Position of the first entry of a flat array that is not a whole number
+    (a fraction, nan or inf, or any bool, as `is_integer` reads one); -1 when
+    every entry is one, or when the array is of neither floats nor bools (its
+    cast to int64 then checks it as before)."""
     if values.dtype.kind != "f":
-        return -1
+        return 0 if values.dtype.kind == "b" and len(values) else -1
     whole = np.isfinite(values) & (np.trunc(values) == values)
     return -1 if whole.all() else int(np.argmin(whole))
 
@@ -75,7 +76,7 @@ def _int64(values, what: str) -> np.ndarray:
     values = np.asarray(values)
     at = _fraction_at(values.ravel())
     if at >= 0:
-        raise ValueError(f"{what} {float(values.ravel()[at])} is not an integer")
+        raise ValueError(f"{what} {values.ravel()[at].item()} is not an integer")
     return values.astype(np.int64)
 
 
@@ -105,7 +106,7 @@ def check_hyperedges(n, sizes, indices, weights) -> tuple:
         return indices, (0, int(np.argmax(sizes < 2)), "needs at least 2 vertices")
     at = _fraction_at(indices)
     if at >= 0:
-        return indices, (1, edge_of(at), f"vertex id {float(indices[at])} is not an integer")
+        return indices, (1, edge_of(at), f"vertex id {indices[at].item()} is not an integer")
     indices = indices.astype(np.int64, copy=False)
     if indices.min() < 0 or indices.max() >= n:
         return indices, (2, edge_of(np.argmax((indices < 0) | (indices >= n))), f"has a vertex id outside the {n} vertices")

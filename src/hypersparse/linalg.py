@@ -28,6 +28,13 @@ across all of L's pairs, from F where it fits and above it from one sweep
 of the sparse LU over the vertices of L's pairs. Other exact queries sweep
 the columns of F they need through `solve_grounded` on either path. The
 Johnson-Lindenstrauss sketch stays available for approximate queries.
+
+One resistance floor serves the pair table, `edge_resistances`, the
+Foster sum and the sketch: `Laplacian.floor`, RESISTANCE_FLOOR over L's
+largest weighted degree d_max. Two vertices of one component are at least
+1 / d_max apart, so the floor sits 15 decades below every true resistance
+and catches only roundoff; it scales with the weights, so no output
+depends on their unit. `effective_resistance_exact` stays unfloored.
 """
 
 from __future__ import annotations
@@ -84,13 +91,16 @@ class Laplacian:
 
     `matrix` is a dense ndarray when `fits_dense(n)`, else a CSR sparse
     matrix. `grounded` holds one vertex per component. `pairs` (sparse path
-    only) holds the sorted ids u n + v of its table's ordered pairs. The
-    factor of the grounded Laplacian and the resistances across L's pairs
-    are computed lazily and cached; the dense resistances take over F's
-    buffer, so a caller keeps no F across `pair_resistances`.
+    only) holds the sorted ids u n + v of its table's ordered pairs.
+    `floor` is RESISTANCE_FLOOR over the largest weighted degree (the plain
+    constant when no degree is positive). The factor of the grounded
+    Laplacian and the resistances across L's pairs are computed lazily and
+    cached; the dense resistances take over F's buffer, so a caller keeps
+    no F across `pair_resistances`.
     """
 
-    __slots__ = ("n", "matrix", "components", "n_components", "grounded", "pairs", "_factor", "_pair_resistances")
+    __slots__ = ("n", "matrix", "components", "n_components", "grounded", "pairs", "floor", "_factor",
+                 "_pair_resistances")
 
     def __init__(self, n, matrix, components, n_components, grounded, pairs=None):
         self.n = n
@@ -99,6 +109,8 @@ class Laplacian:
         self.n_components = n_components
         self.grounded = grounded
         self.pairs = pairs
+        top = matrix.diagonal().max(initial=0.0)
+        self.floor = RESISTANCE_FLOOR / top if top > 0.0 else RESISTANCE_FLOOR
         self._factor = None
         self._pair_resistances = None
 
@@ -171,11 +183,11 @@ class Laplacian:
         return X
 
     def pair_resistances(self) -> np.ndarray:
-        """Unclamped exact resistance across each of L's pairs, cached: dense,
-        d_u + d_v - 2 F_uv at u n + v for every ordered pair, written over F
-        by row blocks (`_row_block`), so the cached factor is dropped and a
-        later solve factors L again; sparse, across each of `pairs`, from one
-        sweep of the LU."""
+        """Exact resistance across each of L's pairs, floored at `floor`,
+        cached: dense, d_u + d_v - 2 F_uv at u n + v for every ordered pair,
+        written over F by row blocks (`_row_block`), so the cached factor is
+        dropped and a later solve factors L again; sparse, across each of
+        `pairs`, from one sweep of the LU."""
         if self._pair_resistances is None and self.is_dense:
             F = self.factor()
             d = F.diagonal().copy()
@@ -187,10 +199,12 @@ class Laplacian:
                 block = R[i:i + rows]
                 block *= 2.0
                 np.subtract(np.add.outer(d[i:i + rows], d), block, out=block)
+                np.maximum(block, self.floor, out=block)
             self._factor = None
             self._pair_resistances = R.ravel()
         elif self._pair_resistances is None:
-            self._pair_resistances = _exact_resistances(self, self.pairs // self.n, self.pairs % self.n)
+            R = _exact_resistances(self, self.pairs // self.n, self.pairs % self.n)
+            self._pair_resistances = np.maximum(R, self.floor, out=R)
         return self._pair_resistances
 
     def pseudo_inverse(self) -> np.ndarray:
@@ -388,7 +402,6 @@ def resistance_table(G) -> np.ndarray:
         raise ValueError("resistance_table requires the dense representation")
     table = L.pair_resistances().reshape(L.n, L.n)
     np.fill_diagonal(table, 0.0)
-    np.maximum(table, 0.0, out=table)
     table[L.components[:, None] != L.components[None, :]] = np.inf
     return table
 
@@ -396,16 +409,17 @@ def resistance_table(G) -> np.ndarray:
 class ResistanceSketch:
     """p x n projection Z with ||Z(delta_a - delta_b)||^2 ~ R_ab.
 
-    Queries cost O(p); values are clamped below at a tiny positive floor so
-    later divisions stay safe.
+    Queries cost O(p); values are clamped below at `floor`, that of the
+    sketched graph's Laplacian, so later divisions stay safe.
     """
 
-    __slots__ = ("Z", "p", "components")
+    __slots__ = ("Z", "p", "components", "floor")
 
-    def __init__(self, Z, p, components):
+    def __init__(self, Z, p, components, floor):
         self.Z = Z
         self.p = p
         self.components = components
+        self.floor = floor
 
 
 def sketch_rows(n: int, eps_sketch: float) -> int:
@@ -447,7 +461,7 @@ def build_sketch(G: WeightedGraph, eps_sketch: float, seed: int) -> ResistanceSk
         Y[start:stop] = (signs @ incidence) * inv_root_p
 
     Z = L.solve_grounded(Y.T).T
-    return ResistanceSketch(Z, p, L.components)
+    return ResistanceSketch(Z, p, L.components, L.floor)
 
 
 def sketch_resistance(S: ResistanceSketch, a: int, b: int) -> float:
@@ -468,29 +482,27 @@ def sketch_resistance_many(S: ResistanceSketch, a, b) -> np.ndarray:
         stop = start + block
         D = S.Z[:, a[start:stop]] - S.Z[:, b[start:stop]]
         out[start:stop] = np.einsum("ij,ij->j", D, D)
-    return np.maximum(out, RESISTANCE_FLOOR)
+    return np.maximum(out, S.floor, out=out)
 
 
 def edge_resistances(G: WeightedGraph, L: Laplacian | None = None) -> np.ndarray:
     """Exact resistance across each edge of G in the graph of L (default
     build_laplacian(G)), whose pairs must hold G's positive-weight edges:
-    read from `Laplacian.pair_resistances`, clamped at RESISTANCE_FLOOR on
+    read from `Laplacian.pair_resistances`, floored at L's `floor`, on
     positive-weight edges, 0 on weight-0 edges. Such an edge is a pair
     `_check_pairs` accepts, so none is checked."""
     L = build_laplacian(G) if L is None else L
     support, ids = edge_pairs(G, L.pairs)
     out = np.zeros(G.m)
-    out[support] = np.maximum(L.pair_resistances()[ids], RESISTANCE_FLOOR)
+    out[support] = L.pair_resistances()[ids]
     return out
 
 
 def foster_sum(G: WeightedGraph, L: Laplacian | None = None) -> float:
-    """Sum of c_f * R_f over positive-weight edges, with exact resistances.
+    """Sum of c_f * R_f over G's edges, R from `edge_resistances(G, L)`.
 
     For exact arithmetic this equals n minus the number of connected
     components (the trace of L L^+), so it never exceeds n - 1 on a
     connected graph.
     """
-    L = build_laplacian(G) if L is None else L
-    support, ids = edge_pairs(G, L.pairs)
-    return float(G.w[support] @ L.pair_resistances()[ids])
+    return float(G.w @ edge_resistances(G, L))

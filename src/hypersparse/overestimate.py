@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations
 
 import numpy as np
 
 from .core import Hypergraph, UnderlyingGraph, init_underlying, is_integer, star_slots
-from .linalg import RESISTANCE_FLOOR, resistance_table
-from .linalg import edge_pairs, laplacian_from_table, pair_table
+from .linalg import edge_pairs, laplacian_from_table, pair_table, resistance_table
 
 __all__ = [
     "GRAPH_EPS",
@@ -171,10 +170,6 @@ def _run_rounds(H: Hypergraph, rounds: int, visit=None) -> tuple:
     U = init_underlying(H)
     # U never leaves the loop, so each round overwrites its weights in place.
     U.weights.flags.writeable = True
-    # Resistances scale as 1 / weight, so the floor does too: over the largest
-    # weight it stays below every slot's resistance and catches only roundoff.
-    top = H.weights.max(initial=0.0)
-    floor = RESISTANCE_FLOOR / top if top > 0.0 else RESISTANCE_FLOOR
     table, pairs = pair_table(U)
     acc = np.zeros(H.m)
     records = []
@@ -183,7 +178,6 @@ def _run_rounds(H: Hypergraph, rounds: int, visit=None) -> tuple:
         factor, R = "dense" if L.is_dense else "lu", L.pair_resistances()
         # Free L's matrix (the dense table) and factor before the sweep.
         del L, table
-        np.maximum(R, floor, out=R)
         table = np.zeros(len(R)) if t + 1 < rounds else None
         mass, dead_stars = 0.0, 0
         for e0, e1, owner, G in U.spans():
@@ -232,13 +226,13 @@ def compute_overestimate(H: Hypergraph, cfg: OverestimateConfig) -> Overestimate
 def _leverages_from_table(H: Hypergraph, table: np.ndarray) -> np.ndarray:
     """w_e times the max resistance over all vertex pairs inside each hyperedge.
 
-    Zero-weight hyperedges have leverage 0 without touching the table. Both
-    orders of each pair are read, as the table need not be exactly symmetric.
+    Zero-weight hyperedges have leverage 0 without touching the table. Each
+    pair is read once, in one order: `resistance_table` is bitwise symmetric.
     """
     out = np.zeros(H.m)
     for ids, members in H.size_groups(np.flatnonzero(H.weights > 0.0)):
         best = np.zeros(len(ids))
-        for a, b in permutations(range(members.shape[1]), 2):
+        for a, b in combinations(range(members.shape[1]), 2):
             np.maximum(best, table[members[:, a], members[:, b]], out=best)
         out[ids] = H.weights[ids] * best
     return out

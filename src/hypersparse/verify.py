@@ -7,9 +7,8 @@ sums the few cuts near zero again per hyperedge. The transform adds in the
 order of one pass per bit over the 2^n-entry table, but lays the passes
 out for the cache: the low 15 bits tile by tile in L2, runs shorter than 8
 entries as strided column adds, the rest under a 256-entry ufunc buffer.
-One complex transform takes 3.0-3.8 ms at n = 18 and 14-15 ms at n = 20,
-against 1.8-1.9 and 8.2-9.0 ms for each of the two float64 ones it
-replaces (one thread). Spectral verification samples directions and is a
+One complex transform takes 3.0-3.8 ms at n = 18 and 14-15 ms at n = 20
+(one thread). Spectral verification samples directions and is a
 necessary condition, not a certificate: the supremum over all directions
 of the energy deviation is a max-of-quadratics program this module does
 not solve.
@@ -105,10 +104,8 @@ def _subset_sums(table: np.ndarray) -> np.ndarray:
     restored on return or error: runs from 128 entries then go unbuffered
     and shorter ones are copied in pieces that stay in L1, where numpy's
     default of 8,192 made those passes up to 3x slower. No temporary grows
-    with the table. Best of 40-60, one thread, 2-core Xeon, float64 against
-    the per-bit loop: n = 18 3.7-4.0 -> 1.6-1.8 ms, n = 20 17-18 -> 7.9-8.5
-    ms, n = 10 28-32 us either way; complex128 (best of 40): n = 18 3.0-3.8
-    ms, n = 20 14-15 ms.
+    with the table. Complex128, best of 40, one thread, 2-core Xeon: 3.0-3.8
+    ms at n = 18, 14-15 ms at n = 20.
     """
     n = table.size.bit_length() - 1
     tile = min(table.size, core.ENERGY_BLOCK_BYTES // 8)
@@ -169,7 +166,8 @@ def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutRepor
 
     Reports the max over cuts with Q_H(S) > 0 of |Q_H(S) - Q_Ht(S)| / Q_H(S)
     and the lowest cut reaching it; cuts with Q_H(S) = 0 must also vanish on
-    Ht and are counted as violations otherwise (each forces passed = False).
+    Ht and are counted as violations otherwise (each forces passed = False),
+    by an exact test, Q_Ht(S) > 0, with no tolerance in the weights' unit.
     Cut values of both hypergraphs come from one zeta transform,
     O(n 2^n + m), over a 2^n-entry complex128 table (16 MiB at n = 20;
     `_cut_values`). Their roundoff scales with the total weight, so each cut
@@ -182,8 +180,7 @@ def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutRepor
     masks over the cuts (2.13 tables at n = 16-20 under tracemalloc). One
     call at m = 500 against a reweighted copy with a fifth of its weights
     zeroed (median of 16 runs, one thread) takes 0.34 ms at n = 8, 1.2 ms at
-    n = 16, 4.5 ms at n = 18 and 19.5 ms at n = 20, where two float64
-    tables took 0.39, 2.4, 5.4 and 31 ms.
+    n = 16, 4.5 ms at n = 18 and 19.5 ms at n = 20.
     """
     _check_inputs(H, Ht, eps)
     if H.n > MAX_EXHAUSTIVE_N:
@@ -214,7 +211,7 @@ def verify_cut_sparsifier(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutRepor
     k = int(np.argmax(rel))
     worst = float(rel[k])
     worst_mask = k + 1 if worst > 0.0 else 0
-    dead &= q_t > _ABS_TOL
+    dead &= q_t > 0.0
     zero_violations = int(np.count_nonzero(dead))
     worst_cut = tuple(v for v in range(H.n) if worst_mask >> v & 1)
     passed = worst <= eps and zero_violations == 0

@@ -30,9 +30,9 @@ from hypersparse.core import (
     star_slots,
 )
 from hypersparse.hgio import HgrFormatError
-from hypersparse.linalg import RESISTANCE_FLOOR, Laplacian, build_laplacian
+from hypersparse.linalg import Laplacian, build_laplacian
 from hypersparse.overestimate import weight_compute
-from hypersparse.verify import _ABS_TOL, CutReport
+from hypersparse.verify import CutReport
 
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -353,25 +353,22 @@ def pair_solve_resistances(L: Laplacian, a, b) -> np.ndarray:
 
 def pair_query_edge_resistances(G) -> np.ndarray:
     """Per-edge resistances as a caller-pair query: the positive-weight edges
-    of G go through `_check_pairs` and `_exact_resistances`, clamped at
-    RESISTANCE_FLOOR; weight-0 edges get 0."""
+    of G go through `_check_pairs` and `_exact_resistances`, clamped at the
+    Laplacian's floor; weight-0 edges get 0."""
     L = build_laplacian(G)
     support = np.flatnonzero(G.w > 0.0)
     a, b = linalg._check_pairs(L.components, G.u[support], G.v[support])
     res = np.zeros(G.m)
-    res[support] = np.maximum(linalg._exact_resistances(L, a, b), RESISTANCE_FLOOR)
+    res[support] = np.maximum(linalg._exact_resistances(L, a, b), L.floor)
     return res
 
 
 def copying_overestimate(H: Hypergraph, cfg):
     """The overestimate rounds with a fresh copy of the star graph per round,
-    each resistance a caller-pair query clamped at the overestimate's floor,
-    RESISTANCE_FLOOR over the largest weight; returns the scores and each
-    round's (resistances, weights)."""
+    each resistance a caller-pair query clamped at its round Laplacian's
+    floor; returns the scores and each round's (resistances, weights)."""
     U = init_underlying(H)
     u, v, slot_edges = star_slots(H)
-    top = H.weights.max(initial=0.0)
-    floor = RESISTANCE_FLOOR / top if top > 0.0 else RESISTANCE_FLOOR
     acc = np.zeros(H.m)
     rounds = []
     for _ in range(cfg.rounds):
@@ -380,7 +377,7 @@ def copying_overestimate(H: Hypergraph, cfg):
         support = np.flatnonzero(G.w > 0.0)
         a, b = linalg._check_pairs(L.components, G.u[support], G.v[support])
         res = np.zeros(G.m)
-        res[support] = np.maximum(linalg._exact_resistances(L, a, b), floor)
+        res[support] = np.maximum(linalg._exact_resistances(L, a, b), L.floor)
         rounds.append((res, U.weights))
         np.add.at(acc, slot_edges, U.weights * res)
         U = weight_compute(U, res)
@@ -541,7 +538,7 @@ def loop_cut_report(H: Hypergraph, Ht: Hypergraph) -> tuple:
     rel = np.abs(q_h[live] - q_t[live]) / q_h[live]
     worst = float(rel.max()) if rel.size else 0.0
     worst_mask = int(masks[live][np.argmax(rel)]) if worst > 0.0 else 0
-    return worst, worst_mask, int(((~live) & (q_t > _ABS_TOL)).sum())
+    return worst, worst_mask, int(((~live) & (q_t > 0.0)).sum())
 
 
 def loop_subset_sums(table: np.ndarray) -> np.ndarray:
@@ -585,7 +582,7 @@ def two_table_cut_report(H: Hypergraph, Ht: Hypergraph, eps: float) -> CutReport
     k = int(np.argmax(rel))
     worst = float(rel[k])
     worst_mask = k + 1 if worst > 0.0 else 0
-    zero_violations = int(((~live) & (q_t > _ABS_TOL)).sum())
+    zero_violations = int(((~live) & (q_t > 0.0)).sum())
     worst_cut = tuple(v for v in range(H.n) if worst_mask >> v & 1)
     return CutReport(worst, worst_cut, len(q_h), zero_violations, eps, worst <= eps and zero_violations == 0)
 

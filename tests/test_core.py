@@ -315,6 +315,34 @@ class TestValidation:
             G = WeightedGraph.from_arrays(n, ids[:2], ids[2:], [1.0, 2.0])
             assert (G.n, G.u.tolist(), G.v.tolist(), G.u.dtype) == (4, [0, 2], [1, 3], np.int64)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Hypergraph.from_arrays(3, [0, 2], [True, False], [1.0]),
+        lambda: Hypergraph.from_arrays(3, [0, 2], np.array([True, False]), [1.0]),
+        lambda: Hypergraph(3, [((True, False), 1.0)]),
+        lambda: Hypergraph(True, [((0, 1), 1.0)]),
+        lambda: WeightedGraph.from_arrays(3, [True], [2], [1.0]),
+        lambda: WeightedGraph.from_arrays(3, [0], np.array([True]), [1.0]),
+        lambda: WeightedGraph(3, [(True, 2, 1.0)]),
+        lambda: WeightedGraph.from_arrays(np.True_, [], [], []),
+        lambda: cut_value(Hypergraph(4, [((0, 1), 1.0)]), np.array([True, False, True, False])),
+        lambda: cut_value(Hypergraph(4, [((0, 1), 1.0)]), [True]),
+    ], ids=["from_arrays ids", "from_arrays id array", "hypergraph ids", "hypergraph n", "graph from_arrays u",
+            "graph from_arrays v array", "graph endpoint", "graph n", "cut mask", "cut list"])
+    def test_bool_ids_and_counts_rejected(self, build):
+        # numpy reads a bool array as a mask and casts True to 1, so a mask
+        # passed as ids would name other vertices than meant.
+        with pytest.raises(ValueError, match="True is not an integer"):
+            build()
+
+    def test_bool_mask_is_not_read_as_vertices(self):
+        # On the path 0-1-2-3 (weights 1, 2, 4) the mask means {0, 2}, cut 7;
+        # cast to ids it would be {0, 1}, cut 2. Whole-number floats stay ids.
+        H = Hypergraph(4, [((0, 1), 1.0), ((1, 2), 2.0), ((2, 3), 4.0)])
+        with pytest.raises(ValueError, match="is not an integer"):
+            cut_value(H, np.array([True, False, True, False]))
+        assert cut_value(H, np.array([0.0, 2.0])) == cut_value(H, [0, 2]) == 7.0
+        assert Hypergraph.from_arrays(3, [0, 2], np.array([0.0, 2.0]), [1.0]).vertex_sets == ((0, 2),)
+
     @pytest.mark.parametrize("build, message", [
         (lambda: WeightedGraph(0, []), "vertex count must be positive"),
         (lambda: WeightedGraph.from_arrays(3, [0, 1], [1], [1.0]), "equal length"),

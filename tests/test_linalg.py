@@ -459,7 +459,8 @@ class TestGroundedFactor:
         F = L.factor().copy(order="F")
         d = F.diagonal()
         R = L.pair_resistances()
-        np.testing.assert_array_equal(R, (np.add.outer(d, d) - 2.0 * F).ravel(), strict=True)
+        want = np.maximum(np.add.outer(d, d) - 2.0 * F, L.floor).ravel()
+        np.testing.assert_array_equal(R, want, strict=True)
         B = np.random.default_rng(2).standard_normal((G.n, 4))
         np.testing.assert_array_equal(L.solve_grounded(B), F @ B, strict=True)
         assert not np.shares_memory(L.factor(), R)
@@ -539,6 +540,20 @@ class TestExactResistance:
         assert effective_resistance_exact(G, 0.0, 2.0) == effective_resistance_exact(G, 0, 2)
         S = build_sketch(G, 0.5, seed=0)
         assert sketch_resistance(S, np.float64(0.0), 2) == sketch_resistance(S, 0, 2)
+        np.testing.assert_array_equal(sketch_resistance_many(S, np.array([0.0, 1.0]), np.array([2.0, 2.0])),
+                                      sketch_resistance_many(S, [0, 1], [2, 2]))
+
+    @pytest.mark.parametrize("a, b", [(True, 2), (0, np.True_)])
+    def test_bool_vertex_rejected(self, a, b):
+        # True would be cast to vertex 1.
+        G = path_graph(3)
+        with pytest.raises(ValueError, match="True is not an integer"):
+            effective_resistance_exact(G, a, b)
+        S = build_sketch(G, 0.5, seed=0)
+        with pytest.raises(ValueError, match="True is not an integer"):
+            sketch_resistance(S, a, b)
+        with pytest.raises(ValueError, match="True is not an integer"):
+            sketch_resistance_many(S, np.array([a]), np.array([b]))
 
     def test_dense_only_queries_refuse_the_lu(self, monkeypatch):
         G = path_graph(4)
@@ -549,6 +564,14 @@ class TestExactResistance:
             L.pseudo_inverse()
         with pytest.raises(ValueError, match="resistance_table requires the dense representation"):
             resistance_table(G)
+
+    @pytest.mark.parametrize("build", [lambda: random_weighted_graph(5, n=20, m=50), lambda: disconnected(),
+                                       multigraph], ids=["connected", "disconnected", "multigraph"])
+    def test_table_is_bitwise_symmetric(self, build):
+        # F is mirrored by a copy and d_u + d_v commutes, so a validation
+        # may read each vertex pair in one order.
+        table = resistance_table(build())
+        np.testing.assert_array_equal(table, table.T, strict=True)
 
     def test_metric_triangle_inequality(self):
         G = random_weighted_graph(5, n=20, m=50)
@@ -677,7 +700,7 @@ class TestSketchQueryBlocks:
     @staticmethod
     def one_shot(S, a, b):
         D = S.Z[:, a] - S.Z[:, b]
-        return np.maximum(np.einsum("ij,ij->j", D, D), RESISTANCE_FLOOR)
+        return np.maximum(np.einsum("ij,ij->j", D, D), S.floor)
 
     @pytest.mark.parametrize("columns", [1, 3, 7])
     def test_small_budget_matches_one_shot(self, monkeypatch, columns):
@@ -750,16 +773,43 @@ class TestEdgeResistances:
                 sketch_resistance_many(build_sketch(G, 0.5, seed=0), [0, 1], [1, 1])
 
     def test_clamped_at_floor(self, monkeypatch):
-        # A huge conductance pushes the exact resistance to the rounding level.
+        # The floor is RESISTANCE_FLOOR over the largest weighted degree, so a
+        # huge conductance reads its true resistance, 1e-300, far above it.
         G = WeightedGraph(3, [(0, 1, 1e300), (1, 2, 1.0)])
         for budget in (linalg.DENSE_BYTES, 0):  # the dense inverse, then the sparse LU
             monkeypatch.setattr(linalg, "DENSE_BYTES", budget)
-            assert edge_resistances(G)[0] == RESISTANCE_FLOOR
-            assert effective_resistance_exact(G, 0, 1) < RESISTANCE_FLOOR
-        # Coincident sketch columns: the sketch query clamps as well.
+            L = build_laplacian(G)
+            assert L.floor == RESISTANCE_FLOOR / 1e300
+            assert edge_resistances(G, L)[0] == pytest.approx(1e-300, rel=1e-12)
+            assert effective_resistance_exact(G, 0, 1) == pytest.approx(1e-300, rel=1e-12)
+        # Coincident sketch columns read the sketched graph's floor.
         S = build_sketch(path_graph(3), 0.5, seed=0)
+        assert S.floor == build_laplacian(path_graph(3)).floor == RESISTANCE_FLOOR / 2.0
         S.Z[:, 1] = S.Z[:, 0]
-        assert sketch_resistance(S, 0, 1) == RESISTANCE_FLOOR
+        assert sketch_resistance(S, 0, 1) == S.floor
+
+    def test_floor_catches_roundoff_on_both_paths(self, monkeypatch):
+        # Every entry of the pair table, the roundoff of the dense diagonal
+        # included, reads at least the floor; no positive degree leaves the
+        # plain constant.
+        G = random_weighted_graph(51, n=12, m=30, connected=False)
+        degrees = np.bincount(np.r_[G.u, G.v], np.r_[G.w, G.w])
+        for budget in (linalg.DENSE_BYTES, 0):  # the dense inverse, then the sparse LU
+            monkeypatch.setattr(linalg, "DENSE_BYTES", budget)
+            L = build_laplacian(G)
+            assert L.floor == pytest.approx(RESISTANCE_FLOOR / degrees.max(), rel=1e-15)
+            R = L.pair_resistances()
+            assert R.min() >= L.floor
+            if L.is_dense:
+                # d_u + d_u - 2 F_uu is exactly 0 before the floor.
+                np.testing.assert_array_equal(np.diagonal(R.reshape(G.n, G.n)), L.floor)
+            else:
+                # The LU's table holds only edges' pairs, all far above the
+                # floor; a sweep that returned roundoff is floored as well.
+                with monkeypatch.context() as patch:
+                    patch.setattr(linalg, "_exact_resistances", lambda L, a, b: np.full(len(a), -1e-300))
+                    np.testing.assert_array_equal(build_laplacian(G).pair_resistances(), L.floor)
+            assert build_laplacian(WeightedGraph(4, [])).floor == RESISTANCE_FLOOR
 
     def test_first_size_past_cutoff_is_exact(self, monkeypatch):
         G = random_weighted_graph(50, n=520, m=4 * 520)

@@ -509,13 +509,13 @@ class TestLeveragesFromTable:
         table = resistance_table(flatten(U))
         np.testing.assert_array_equal(_leverages_from_table(H, table), loop_leverages_from_table(H, table))
 
-    def test_asymmetric_table_and_zero_weights_match_loop(self):
+    def test_symmetric_table_and_zero_weights_match_loop(self):
         H = random_hypergraph(510, n=10, m=30, rank=5, connected=False)
         H = Hypergraph(H.n, [(vs, 0.0 if e % 4 == 0 else w) for e, (vs, w) in enumerate(edges(H))])
-        # Zero diagonal, as in every resistance table, but not symmetric.
+        # Zero diagonal and symmetric, as every resistance table is.
         table = np.random.default_rng(3).uniform(0.0, 2.0, size=(H.n, H.n))
-        np.fill_diagonal(table, 0.0)
-        table[2, 7] = np.inf
+        table = np.triu(table, 1) + np.triu(table, 1).T
+        table[2, 7] = table[7, 2] = np.inf
         out = _leverages_from_table(H, table)
         np.testing.assert_array_equal(out, loop_leverages_from_table(H, table))
         assert (out[::4] == 0.0).all()

@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import subprocess
 import sys
 import textwrap
@@ -6,6 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "code_lines.py"
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def load_tool(name):
@@ -59,3 +61,25 @@ def test_digest_hashes_every_output_of_each_instance():
     assert digest.digests(one) == first
     moved = digest.digests(other)
     assert all(moved[name] != first[name] for name in digest.OUTPUTS)
+
+
+def test_digest_pins_one_blas_thread_only_as_a_script(monkeypatch):
+    # Imported, it leaves the process's environment alone.
+    for name in THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    before = dict(os.environ)
+    load_tool("digest")
+    assert dict(os.environ) == before
+    # Run as a script, it sets the three variables before it imports numpy,
+    # which this probe makes fail.
+    probe = textwrap.dedent(f"""\
+        import os, runpy, sys
+        sys.modules["numpy"] = None
+        try:
+            runpy.run_path({str(ROOT / "tools" / "digest.py")!r}, run_name="__main__")
+        except ImportError:
+            print(*(os.environ[k] for k in {THREAD_VARIABLES!r}))
+    """)
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ), check=True)
+    assert done.stdout == "1 1 1\n"

@@ -298,6 +298,20 @@ def test_zero_cut_exact_despite_float_residue():
     assert not report.passed
 
 
+@pytest.mark.parametrize("k", [0, 15])
+def test_zero_cut_violation_does_not_depend_on_units(k):
+    # H is two components; Ht adds one light hyperedge across them, so the
+    # cut {0, 1, 2} is 0 on H and 4^-15 (about 9.3e-10) on Ht. An absolute
+    # tolerance of 1e-8 would pass it as given and fail it scaled by 4^15.
+    scale = 4.0**k
+    base = [((0, 1), 1.0 * scale), ((1, 2), 1.5 * scale), ((3, 4), 2.0 * scale), ((4, 5), 0.75 * scale)]
+    H = Hypergraph(6, base)
+    Ht = Hypergraph(6, base + [((2, 3), 4.0**-15 * scale)])
+    report = verify_cut_sparsifier(H, Ht, eps=0.1)
+    assert report.zero_cut_violations == loop_cut_report(H, Ht)[2] == 1
+    assert not report.passed
+
+
 @pytest.mark.parametrize("tiny", [1e-3, 1e-5])
 def test_tiny_cut_beside_huge_weights(tiny):
     # Cut {0, 1} is crossed only by the tiny hyperedge, far below the

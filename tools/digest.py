@@ -8,6 +8,13 @@ over 50 sampled directions. Two checkouts whose digests agree on an output
 produce it bit for bit alike on these instances; a change that should move
 one output shows which others moved with it.
 
+The overestimate's scores, and so the sparsified files and the cut
+reports, depend on the BLAS thread count in their last bits. Run as a
+script, it therefore pins one BLAS thread (OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS set to 1 before numpy is imported), so
+two checkouts digested in different shells compare alike. Imported, it
+leaves the process's threads as they are.
+
 The script imports whichever `hypersparse` comes first on the path, so one
 copy of it digests any checkout:
 
@@ -17,6 +24,11 @@ Usage: PYTHONPATH=<checkout>/src python tools/digest.py
 from __future__ import annotations
 
 import hashlib
+import os
+
+if __name__ == "__main__":
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
 
 import numpy as np
 
